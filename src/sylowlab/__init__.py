@@ -5,6 +5,7 @@ from .errors import (
     ClassNotCoverable,
     DegreeMismatch,
     ExprSyntaxError,
+    InvalidConfig,
     InvalidPermutation,
     NoPElement,
     NotAMember,

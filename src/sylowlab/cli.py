@@ -13,11 +13,12 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from math import isqrt
 
 from .actions import min_fpr_p_element, natural_action, coset_action, sylow_orbit_bound_check
 from .catalog import CATALOG, construct, parse_group_expr
 from .covering import sigma_lower_bound_check, sigma_p, sigma_p_cover
-from .errors import ExprSyntaxError, SylowlabError
+from .errors import ExprSyntaxError, OutOfDomain, SylowlabError
 from .graphs import (
     BitGraph,
     max_noncommuting_set,
@@ -101,6 +102,19 @@ def _parse_pi(text: str) -> frozenset[int]:
 
 def _parse_bound(text: str) -> Fraction:
     return Fraction(text)
+
+
+def _check_primes(options) -> None:
+    """Reject a -p or --pi entry that is not a prime, before any work starts."""
+    given = [options["p"]] if options.get("p") is not None else []
+    given += sorted(options.get("pi") or ())
+    for q in given:
+        if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+            raise OutOfDomain(f"expected a prime, got {q}")
+
+
+def _error_entry(err: Exception) -> dict:
+    return {"type": type(err).__name__, "message": str(err)}
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +238,10 @@ def run_check(check: str, options: dict) -> dict:
     elif options.get("pi") is not None:
         base["primes"] = sorted(options["pi"])
     try:
+        _check_primes(options)
         report = CHECKS[check](options)
     except SylowlabError as err:
-        base.update(ok=False,
-                    error={"type": type(err).__name__, "message": str(err)})
+        base.update(ok=False, error=_error_entry(err))
         return base
     base.update(ok=report.ok,
                 details=encode_value(report.details),
@@ -294,11 +308,11 @@ def run_compute(quantity: str, options: dict) -> dict:
     elif options.get("pi") is not None:
         base["primes"] = sorted(options["pi"])
     try:
+        _check_primes(options)
         base.update(encode_value(QUANTITIES[quantity](options)))
         base["ok"] = True
     except SylowlabError as err:
-        base.update(ok=False,
-                    error={"type": type(err).__name__, "message": str(err)})
+        base.update(ok=False, error=_error_entry(err))
     return base
 
 
@@ -396,6 +410,10 @@ def main(argv=None) -> int:
         options = _resolve_groups(args)
     except (ExprSyntaxError, SylowlabError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        key, name = (("check", args.check) if args.command == "verify"
+                     else ("quantity", args.quantity))
+        _emit([{"schema": SCHEMA_VERSION, key: name, "ok": False,
+                "error": _error_entry(err)}], args.json_path)
         return 1
 
     if args.command == "verify":

@@ -8,10 +8,13 @@ Two caps govern how large a group the library will enumerate:
 
 Every capped operation also accepts an explicit ``cap=`` argument which
 wins over both the defaults and the environment.  The environment
-variable ``SYLOWLAB_CAP`` overrides both defaults at once.
+variable ``SYLOWLAB_CAP`` overrides both defaults at once; a value that
+is not a positive integer raises ``InvalidConfig``.
 """
 
 import os
+
+from .errors import InvalidConfig
 
 DEFAULT_ELEMENT_CAP = 10**6
 DEFAULT_LATTICE_CAP = 2000
@@ -23,7 +26,13 @@ def _env_override() -> int | None:
     raw = os.environ.get(_ENV_VAR, "").strip()
     if not raw:
         return None
-    return int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise InvalidConfig(f"{_ENV_VAR} must be a positive integer, got {raw!r}")
+    return value
 
 
 def element_cap(explicit: int | None = None) -> int:

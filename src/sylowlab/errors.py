@@ -64,7 +64,16 @@ class NoPElement(SylowlabError):
 
 
 class OutOfDomain(SylowlabError, ValueError):
-    """The closed-form formula does not apply to these parameters."""
+    """The parameters lie outside the operation's domain.
+
+    Raised when a closed-form formula does not apply, and for a prime
+    argument that is not a prime (below 2 in the library, any non-prime
+    at the CLI).
+    """
+
+
+class InvalidConfig(SylowlabError, ValueError):
+    """An environment setting such as ``SYLOWLAB_CAP`` is malformed."""
 
 
 class ClassNotCoverable(SylowlabError):

@@ -5,6 +5,9 @@ representative is extended by every cyclic subgroup not already inside
 it, and each new subgroup registers its entire conjugacy class at once.
 Every subgroup H < K has a proper supplement of the form <H, c> with c
 cyclic, so induction over maximal chains makes the sweep exhaustive.
+Cyclic subgroups conjugate under the normalizer of H give conjugate
+extensions, so only the first cyclic subgroup of each normalizer orbit
+is adjoined (``CayleyTable.extend``); the others would register nothing.
 """
 
 from __future__ import annotations
@@ -85,15 +88,17 @@ class SubgroupLattice:
         if self._maximal is None:
             sets = self.element_sets
             n = len(sets[-1])
+            # maximality is invariant under conjugation: test one per class
+            verdict: dict[int, bool] = {}
             out = []
             for i, s in enumerate(sets):
-                li = len(s)
-                if li == n:
-                    continue
-                if any(li < len(t) < n and li and len(t) % li == 0 and s < t
-                       for t in sets):
-                    continue
-                out.append(i)
+                c = self.class_ids[i]
+                if c not in verdict:
+                    li = len(s)
+                    verdict[c] = li < n and not any(
+                        li < len(t) < n and len(t) % li == 0 and s < t for t in sets)
+                if verdict[c]:
+                    out.append(i)
             self._maximal = tuple(out)
         return self._maximal
 
@@ -116,6 +121,10 @@ def subgroup_lattice(G: PermGroup, cap: int | None = None) -> SubgroupLattice:
         return G._lattice
     ctx = get_table(G, cap)
     cyclics = ctx.cyclic_subgroups()
+    # cyc_of[x] is the position in cyclics of the subgroup x generates
+    cyc_of = {x: k for k, (_, cfs) in enumerate(cyclics)
+              for x in cfs if ctx.elt_order[x] == len(cfs)}
+    table, inv = ctx.table, ctx.inv
 
     all_subs: dict[frozenset[int], tuple[int, ...]] = {}
     cls_of: dict[frozenset[int], int] = {}
@@ -147,11 +156,15 @@ def subgroup_lattice(G: PermGroup, cap: int | None = None) -> SubgroupLattice:
         if size == full:
             continue
         fs = frozenset(key)
-        for cgen, cfs in cyclics:
-            if cfs <= fs:
+        norm = ctx.normalizer_in(range(full), gens, fs)
+        done = set()
+        for k, (cgen, cfs) in enumerate(cyclics):
+            if k in done or cfs <= fs:
                 continue
-            ext = gens + (cgen,)
-            register(ctx.closure(ext), ext)
+            # <fs, c^h> = <fs, c>^h for h normalizing fs: it is registered
+            # together with <fs, c>, so later members of c's orbit are skipped
+            done.update([cyc_of[table[table[inv[h]][cgen]][h]] for h in norm])
+            register(ctx.extend(fs, gens, cgen), gens + (cgen,))
 
     order = sorted(all_subs, key=lambda s: (len(s), sorted(s)))
     # renumber classes by first appearance in the sorted order

@@ -1,9 +1,21 @@
 """Exact minimum set cover over bitmask candidates.
 
 Branch and bound: branch on the uncovered element with the fewest
-remaining candidates, seed the incumbent with a greedy cover, and prune
-with a disjoint-element lower bound.  Everything is deterministic, so
-results never depend on iteration order of the caller.
+candidates, seed the incumbent with a greedy cover, and prune with two
+lower bounds on the sets still needed for the uncovered elements
+``rem``:
+
+* disjoint elements: pick an uncovered element, discard everything any
+  of its candidates could cover, repeat; each round needs its own set.
+  Each element's reach (the union of its candidates) is computed once.
+* residual gains: to beat an incumbent of size ``best`` with ``chosen``
+  sets already picked, the ``best - 1 - chosen`` largest gains
+  ``|mask & rem|`` must sum to at least ``|rem|``.
+
+Both bounds only prune subtrees that cannot beat the incumbent, so the
+search visits the improving covers in the same order with or without
+them.  Everything is deterministic, so results never depend on
+iteration order of the caller.
 """
 
 from __future__ import annotations
@@ -27,20 +39,12 @@ def _greedy(full: int, masks: list[int]) -> list[int]:
     return chosen
 
 
-def _lower_bound(rem: int, masks: list[int]) -> int:
-    # pick an uncovered element, discard everything any of its candidate
-    # sets could also cover, repeat: each round needs its own set
+def _lower_bound(rem: int, reach: list[int]) -> int:
+    # reach[bit] is the union of the candidates containing that bit
     bound = 0
-    r = rem
-    while r:
-        e_bit = r & -r
-        reach = 0
-        for m in masks:
-            if m & e_bit:
-                reach |= m
+    while rem:
         bound += 1
-        r &= ~reach
-        r &= ~e_bit
+        rem &= ~reach[(rem & -rem).bit_length() - 1]
     return bound
 
 
@@ -74,10 +78,16 @@ def min_cover(universe_size: int, masks: list[int]) -> tuple[int, tuple[int, ...
     best_size = len(greedy)
     best_sol = [keep[i][0] for i in greedy]
 
-    by_element = {}
-    for bit in range(universe_size):
-        b = 1 << bit
-        by_element[b] = [i for i, m in enumerate(kept_masks) if m & b]
+    by_element = [[i for i, m in enumerate(kept_masks) if m >> bit & 1]
+                  for bit in range(universe_size)]
+    reach = []
+    for cands in by_element:
+        r = 0
+        for i in cands:
+            r |= kept_masks[i]
+        reach.append(r)
+    # branching order: fewest candidates first, ties by bit
+    branch_order = sorted(range(universe_size), key=lambda b: (len(by_element[b]), b))
 
     def search(rem: int, chosen: list[int]) -> None:
         nonlocal best_size, best_sol
@@ -86,12 +96,14 @@ def min_cover(universe_size: int, masks: list[int]) -> tuple[int, tuple[int, ...
                 best_size = len(chosen)
                 best_sol = [keep[i][0] for i in chosen]
             return
-        if len(chosen) + _lower_bound(rem, kept_masks) >= best_size:
+        slack = best_size - len(chosen)
+        if _lower_bound(rem, reach) >= slack:
             return
-        pick = min((b for b in by_element if rem & b),
-                   key=lambda b: (len(by_element[b]), b))
-        cands = sorted(by_element[pick],
-                       key=lambda i: (-(kept_masks[i] & rem).bit_count(), i))
+        gains = [(m & rem).bit_count() for m in kept_masks]
+        if sum(sorted(gains, reverse=True)[:slack - 1]) < rem.bit_count():
+            return
+        pick = next(b for b in branch_order if rem >> b & 1)
+        cands = sorted(by_element[pick], key=lambda i: (-gains[i], i))
         for i in cands:
             search(rem & ~kept_masks[i], chosen + [i])
 

@@ -4,18 +4,31 @@ For groups within the lattice cap we index all elements (sorted by image
 table, so the identity is index 0) and precompute the full
 multiplication table.  Subgroups become frozensets of indices and the
 heavy lattice / covering / counting loops run on plain integers.
+
+The table is built from the generators rather than from all n^2
+products: one left-multiplication map ``L_s`` per generator ``s`` (n
+permutation products each) gives row ``s*a`` as ``L_s`` applied to row
+``a``, so a breadth-first walk from the identity row fills every row
+with integer lookups.  Subgroup closures use ``extend`` (Dimino's coset
+extension), which adds whole cosets of a known subgroup at a time.
 """
 
 from __future__ import annotations
 
 from . import config
-from .errors import CapExceeded
+from .errors import CapExceeded, OutOfDomain
 from .group import PermGroup
 from .perm import Permutation
 
 
+def _check_base(p: int) -> None:
+    if p < 2:
+        raise OutOfDomain(f"p must be at least 2, got {p}")
+
+
 def p_part(n: int, p: int) -> int:
     """Largest power of p dividing n."""
+    _check_base(p)
     out = 1
     while n % p == 0:
         n //= p
@@ -24,6 +37,7 @@ def p_part(n: int, p: int) -> int:
 
 
 def is_p_power(n: int, p: int) -> bool:
+    _check_base(p)
     while n % p == 0:
         n //= p
     return n == 1
@@ -38,14 +52,26 @@ class CayleyTable:
         if n > limit:
             raise CapExceeded("cayley table", n, limit)
         els = group.elements(n)
+        assert els[0].is_identity()
         imgs = [e.images for e in els]
         index = {im: i for i, im in enumerate(imgs)}
-        table = []
-        for a in imgs:
-            row = [0] * n
-            for j, b in enumerate(imgs):
-                row[j] = index[tuple(b[x - 1] for x in a)]
-            table.append(row)
+        gen_idx = tuple(index[g.images] for g in group.generators)
+        # left_maps[k][x] is the index of gens[k] * x
+        left_maps = []
+        for g in group.generators:
+            s = g.images
+            left_maps.append([index[tuple(b[y - 1] for y in s)] for b in imgs])
+        table = [None] * n
+        table[0] = list(range(n))
+        queue = [0]
+        for a in queue:
+            row = table[a]
+            for left in left_maps:
+                b = left[a]
+                if table[b] is None:
+                    table[b] = list(map(left.__getitem__, row))
+                    queue.append(b)
+        assert len(queue) == n, "generators do not reach every element"
         inv = [0] * n
         for i, e in enumerate(els):
             inv[i] = index[e.inverse().images]
@@ -55,8 +81,7 @@ class CayleyTable:
         self.table = table
         self.inv = inv
         self.elt_order = [e.order() for e in els]
-        self.gen_idx = tuple(self.index[g] for g in group.generators)
-        assert els[0].is_identity()
+        self.gen_idx = gen_idx
 
     @property
     def n(self) -> int:
@@ -74,27 +99,30 @@ class CayleyTable:
     def commute(self, a: int, b: int) -> bool:
         return self.table[a][b] == self.table[b][a]
 
-    def closure(self, seeds) -> frozenset[int]:
-        """Subgroup generated by the seed indices."""
-        seeds = sorted({s for s in seeds if s != 0})
-        if not seeds:
-            return frozenset((0,))
-        els = {0, *seeds}
-        frontier = list(els)
-        table = self.table
-        while frontier:
-            new = []
-            for a in frontier:
-                row = table[a]
-                for s in seeds:
-                    c = row[s]
-                    if c not in els:
-                        els.add(c)
-                        new.append(c)
-            frontier = new
-        return frozenset(els)
-
     # -- subgroup level ----------------------------------------------------
+
+    def extend(self, sub: frozenset[int], gens, g: int) -> frozenset[int]:
+        """The subgroup <sub, g>, where ``sub`` is the subgroup <gens>.
+
+        Dimino's coset extension: the new group is a union of cosets
+        ``r*sub``, and ``s*r*sub`` is again one for each generator ``s``,
+        so the cosets are found breadth-first from ``sub`` and each new
+        element costs one lookup in the row of its coset representative.
+        """
+        if g in sub:
+            return sub
+        table = self.table
+        base = list(sub)
+        els = set(base)
+        gen_rows = [table[s] for s in (*gens, g)]
+        reps = [0]
+        for r in reps:
+            for row in gen_rows:
+                e = row[r]
+                if e not in els:
+                    els.update(map(table[e].__getitem__, base))
+                    reps.append(e)
+        return frozenset(els)
 
     def conj_set(self, sub: frozenset[int], g: int) -> frozenset[int]:
         table = self.table
@@ -157,15 +185,15 @@ class CayleyTable:
             if o > best_ord and is_p_power(o, p):
                 best, best_ord = x, o
         gens = [best]
-        P = self.closure(gens)
+        P = self.extend(frozenset((0,)), (), best)
         while len(P) < target:
             grown = False
             for y in sorted(sub):
                 if y in P or not is_p_power(orders[y], p):
                     continue
                 if self.normalizes(gens, y, P):
+                    P = self.extend(P, gens, y)
                     gens.append(y)
-                    P = self.closure(gens)
                     grown = True
                     break
             if not grown:  # pragma: no cover - cannot happen for true subgroups

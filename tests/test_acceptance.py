@@ -209,7 +209,7 @@ class TestCoveringNumbers:
 
     def test_lower_bound_across_catalog(self):
         checked = 0
-        for entry in catalog_upto(500):
+        for entry in catalog_upto(2000):
             G = entry.build()
             for p in prime_divisors(G.order()):
                 if p_residual(G, p).order() != G.order():

@@ -1,10 +1,17 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sylowlab
+from sylowlab import config
 from sylowlab.cli import main, run_check
+from sylowlab.errors import InvalidConfig
 
 from conftest import perm
 
@@ -231,3 +238,48 @@ class TestPlumbing:
         out = json.loads(capsys.readouterr().out)
         assert rc == 1
         assert out["error"]["type"] == "NoPElement"
+
+
+class TestInputValidation:
+    """Bad primes and caps give a structured error, never a hang or a
+    confident answer.  The prime cases run in a child process under a
+    timeout, because -p 1 used to loop forever."""
+
+    @staticmethod
+    def cli(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(sylowlab.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "sylowlab.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        return proc.returncode, json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("p", ["0", "1", "4"])
+    @pytest.mark.parametrize("quantity", ["nu", "sigma"])
+    def test_non_prime_p(self, quantity, p):
+        rc, rep = self.cli("compute", quantity, "--group", "A5", "-p", p)
+        assert rc == 1
+        assert not rep["ok"] and "value" not in rep
+        assert rep["error"]["type"] == "OutOfDomain"
+        assert p in rep["error"]["message"]
+
+    @pytest.mark.parametrize("pi", ["1", "2,4", "0,3"])
+    def test_non_prime_pi_entry(self, pi):
+        rc, rep = self.cli("verify", "probability-clique-product",
+                           "--group", "S3", "--pi", pi)
+        assert rc == 1
+        assert rep["error"]["type"] == "OutOfDomain"
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-5", "1.5"])
+    def test_bad_cap_environment(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("SYLOWLAB_CAP", raw)
+        with pytest.raises(InvalidConfig, match="SYLOWLAB_CAP"):
+            config.element_cap()
+        with pytest.raises(InvalidConfig, match="SYLOWLAB_CAP"):
+            config.lattice_cap()
+        rc, rep = run(capsys, "compute", "nu", "--group", "A5", "-p", "2")
+        assert rc == 1
+        assert rep["error"]["type"] == "InvalidConfig"
+        assert "SYLOWLAB_CAP" in rep["error"]["message"]
+
+    def test_good_cap_environment(self, monkeypatch):
+        monkeypatch.setenv("SYLOWLAB_CAP", " 5000 ")
+        assert config.element_cap() == config.lattice_cap() == 5000

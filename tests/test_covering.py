@@ -2,14 +2,18 @@
 
 Frozen covering numbers were derived by running the exact set cover
 solver over all proper subgroups (not just maximal ones) of each group,
-which is an independent route through the search space.
+which is an independent route through the search space.  The SL(2,8)
+rows have their own routes, noted beside them.
 """
 
 import math
 
 import pytest
 
+from sylowlab.catalog import catalog_entry, construct, parse_group_expr
 from sylowlab.covering import (
+    _cover_instance,
+    _sigma_instance,
     class_cover,
     class_cover_number,
     p_elements,
@@ -21,6 +25,7 @@ from sylowlab.errors import ClassNotCoverable, PreconditionFailed
 from sylowlab.group import PermGroup, conjugacy_class, quotient_group
 from sylowlab.lattice import subgroup_lattice
 from sylowlab.setcover import min_cover
+from sylowlab.sylow import nu_p
 from sylowlab.tables import is_p_power
 
 from conftest import alternating, cyclic, dihedral, klein_four, perm, symmetric
@@ -67,6 +72,12 @@ class TestSigmaFrozen:
             (lambda: symmetric(4), 2, 3),
             (lambda: alternating(6), 2, 9),
             (lambda: alternating(6), 3, 7),
+            # a scratch search with the residual-gain bound and iterative
+            # deepening, separate from min_cover, found 9
+            pytest.param(lambda: catalog_entry("SL(2,8)").build(), 2, 9, id="SL(2,8)-2-9"),
+            # the routes for 3 and 7 are the tests below
+            pytest.param(lambda: catalog_entry("SL(2,8)").build(), 3, 28, id="SL(2,8)-3-28"),
+            pytest.param(lambda: catalog_entry("SL(2,8)").build(), 7, 8, id="SL(2,8)-7-8"),
         ],
     )
     def test_value(self, builder, p, expected):
@@ -92,6 +103,24 @@ class TestSigmaFrozen:
         with pytest.raises(PreconditionFailed):
             sigma_p(cyclic(6), 2)
 
+    def test_sl28_p3_equals_sylow_count(self):
+        # the Sylow 3-subgroups are cyclic of order 9 and meet trivially; a
+        # generator lies in one maximal subgroup only, its normalizer D18,
+        # so the cover takes one subgroup per Sylow subgroup
+        G = catalog_entry("SL(2,8)").build()
+        assert sigma_p(G, 3) == nu_p(G, 3) == 28
+
+    def test_sl28_p7_is_a_vertex_cover_of_k9(self):
+        # an element of order 7 fixes two of the nu_2 = 9 projective points
+        # and lies in exactly three maximal subgroups: the two point
+        # stabilizers (Borel subgroups) and the normalizer D14 of its torus.
+        # Taking k stabilizers leaves C(9-k, 2) tori for the D14s.
+        G = catalog_entry("SL(2,8)").build()
+        points = nu_p(G, 2)
+        assert points == 9
+        assert sigma_p(G, 7) == min(k + math.comb(points - k, 2)
+                                    for k in range(points + 1)) == 8
+
 
 class TestSigmaCoverWitness:
     @pytest.mark.parametrize(
@@ -101,6 +130,7 @@ class TestSigmaCoverWitness:
             (lambda: alternating(4), 3),
             (lambda: alternating(5), 5),
             (lambda: symmetric(4), 2),
+            pytest.param(lambda: catalog_entry("SL(2,8)").build(), 2, id="SL(2,8)-2"),
         ],
     )
     def test_witness_is_a_valid_cover(self, builder, p):
@@ -121,6 +151,24 @@ class TestSigmaCoverWitness:
     def test_deterministic(self):
         G = alternating(5)
         assert sigma_p_cover(G, 5) == sigma_p_cover(G, 5)
+
+
+class TestMinCoverFrozen:
+    """The exact (size, indices) min_cover returned before its bounds were
+    strengthened; the bounds must not change which cover is found."""
+
+    @pytest.mark.parametrize("build, p, expected", [
+        pytest.param(lambda: construct(parse_group_expr("PSL(2,11)")), 2,
+                     (6, (67, 70, 71, 76, 84, 87)), id="PSL(2,11)-2"),
+        pytest.param(lambda: alternating(6), 2,
+                     (9, (0, 30, 31, 32, 33, 34, 35, 36, 37)), id="A6-2"),
+        pytest.param(lambda: catalog_entry("SL(2,8)").build(), 2,
+                     (9, (0, 1, 2, 3, 36, 37, 38, 39, 64)), id="SL(2,8)-2"),
+    ])
+    def test_recorded_cover(self, build, p, expected):
+        lat, universe, maximal = _sigma_instance(build(), p, None)
+        masks = _cover_instance(lat, universe, maximal)
+        assert min_cover(len(universe), masks) == expected
 
 
 class TestMaximalOnlyReductionIsSound:

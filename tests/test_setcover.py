@@ -96,3 +96,50 @@ class TestAgainstExhaustive:
         rng = random.Random(99)
         masks = random_instance(rng, 9, 10)
         assert min_cover(9, masks) == min_cover(9, list(masks))
+
+
+def plain_min_cover(universe_size, masks):
+    """min_cover's search with no lower bound: same dominance rule, greedy
+    incumbent, branching element and candidate order, pruning only when
+    one more set cannot beat the incumbent.  The bounds of min_cover may
+    only skip subtrees that hold no better cover, so both must return the
+    same witness."""
+    full = (1 << universe_size) - 1
+    keep = []
+    for i, m in enumerate(masks):
+        mi = m & full
+        if mi and not any((mi | o & full) == o & full and (j < i or mi != o & full)
+                          for j, o in enumerate(masks) if j != i):
+            keep.append((i, mi))
+    kept = [m for _, m in keep]
+    chosen, rem = [], full
+    while rem:
+        gains = [(m & rem).bit_count() for m in kept]
+        chosen.append(gains.index(max(gains)))
+        rem &= ~kept[chosen[-1]]
+    best = [len(chosen), [keep[i][0] for i in chosen]]
+    by_bit = [[i for i, m in enumerate(kept) if m >> b & 1] for b in range(universe_size)]
+
+    def search(rem, picked):
+        if not rem:
+            if len(picked) < best[0]:
+                best[:] = [len(picked), [keep[i][0] for i in picked]]
+            return
+        if len(picked) + 1 >= best[0]:
+            return
+        bit = min((b for b in range(universe_size) if rem >> b & 1),
+                  key=lambda b: (len(by_bit[b]), b))
+        for i in sorted(by_bit[bit], key=lambda i: (-(kept[i] & rem).bit_count(), i)):
+            search(rem & ~kept[i], picked + [i])
+
+    search(full, [])
+    return best[0], tuple(sorted(best[1]))
+
+
+class TestWitnessUnchangedByBounds:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_same_cover_as_unbounded_search(self, seed):
+        rng = random.Random(1000 + seed)
+        universe = rng.randint(6, 16)
+        masks = random_instance(rng, universe, rng.randint(6, 16))
+        assert min_cover(universe, masks) == plain_min_cover(universe, masks)

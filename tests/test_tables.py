@@ -1,0 +1,62 @@
+"""Cayley-table kernels against raw permutation products.
+
+The table is filled from generator rows and subgroups are grown by coset
+extension; both are checked here against `Permutation.__mul__` and the
+`brute_closure` oracle, which never touch the table.
+"""
+
+import random
+
+import pytest
+
+from conftest import alternating, brute_closure, symmetric
+from sylowlab.catalog import catalog_upto, construct, parse_group_expr
+from sylowlab.errors import OutOfDomain
+from sylowlab.tables import CayleyTable, is_p_power, p_part
+
+
+@pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
+def test_table_matches_raw_products(entry):
+    G = entry.build()
+    ctx = CayleyTable(G)
+    els = ctx.elements
+    index = {e: i for i, e in enumerate(els)}
+    for a, row in zip(els, ctx.table):
+        assert row == [index[a * b] for b in els]
+    assert [index[e.inverse()] for e in els] == ctx.inv
+    assert ctx.gen_idx == tuple(index[g] for g in G.generators)
+
+
+@pytest.mark.parametrize("make, seed", [
+    (lambda: symmetric(4), 0),
+    (lambda: alternating(5), 1),
+    (lambda: symmetric(5), 2),
+    (lambda: construct(parse_group_expr("PSL(2,7)")), 3),
+    (lambda: alternating(6), 4),
+])
+def test_extend_matches_brute_closure(make, seed):
+    G = make()
+    ctx = CayleyTable(G)
+    els = ctx.elements
+    rng = random.Random(seed)
+    for _ in range(25):
+        gens = rng.sample(range(ctx.n), rng.randint(0, 2))
+        g = rng.randrange(ctx.n)
+        sub = frozenset(ctx.index[x] for x in brute_closure(G.degree, [els[i] for i in gens]))
+        expect = brute_closure(G.degree, [els[i] for i in gens + [g]])
+        assert ctx.extend(sub, gens, g) == frozenset(ctx.index[x] for x in expect)
+
+
+def test_extend_by_member_returns_the_subgroup():
+    ctx = CayleyTable(symmetric(4))
+    sub = ctx.extend(frozenset((0,)), (), 1)
+    assert ctx.extend(sub, (1,), 1) is sub
+
+
+@pytest.mark.parametrize("p", [-1, 0, 1])
+def test_prime_below_two_is_out_of_domain(p):
+    # n % 1 == 0 forever: these used to loop without end
+    with pytest.raises(OutOfDomain):
+        p_part(12, p)
+    with pytest.raises(OutOfDomain):
+        is_p_power(8, p)
