@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import isqrt
 
 from .actions import min_fpr_p_element, natural_action, coset_action, sylow_orbit_bound_check
 from .catalog import CATALOG, construct, parse_group_expr
 from .covering import sigma_lower_bound_check, sigma_p, sigma_p_cover
-from .errors import ExprSyntaxError, OutOfDomain, SylowlabError
+from .errors import ExprSyntaxError, SylowlabError
 from .graphs import (
     BitGraph,
     max_noncommuting_set,
@@ -40,6 +39,7 @@ from .sylow import (
     sylow_ratio_bound_check,
     sylow_ratio_gap_scan,
 )
+from .tables import check_prime
 
 _CATALOG_BY_LABEL = {e.label: e for e in CATALOG}
 
@@ -47,15 +47,20 @@ _CATALOG_BY_LABEL = {e.label: e for e in CATALOG}
 def load_generator_file(path: str) -> PermGroup:
     """One cycle-notation permutation per line; `#` comments, blanks skipped."""
     cycles = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                cycles.append(line)
     degree = 1
-    for c in cycles:
-        for token in c.replace("(", " ").replace(")", " ").split():
-            degree = max(degree, int(token))
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            cycles.append(line)
+            for m in re.finditer(r"[^\s,()]+", line):
+                try:
+                    degree = max(degree, int(m.group()))
+                except ValueError:
+                    raise ExprSyntaxError(
+                        f"{path} line {lineno}: {m.group()!r} is not a point",
+                        m.start()) from None
     return PermGroup(degree, [Permutation.from_cycles(c, degree) for c in cycles])
 
 
@@ -109,12 +114,28 @@ def _check_primes(options) -> None:
     given = [options["p"]] if options.get("p") is not None else []
     given += sorted(options.get("pi") or ())
     for q in given:
-        if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
-            raise OutOfDomain(f"expected a prime, got {q}")
+        check_prime(q)
 
 
-def _error_entry(err: Exception) -> dict:
-    return {"type": type(err).__name__, "message": str(err)}
+def _envelope(kind: str, name: str, options: dict) -> dict:
+    """The head of every report: schema, ``check`` or ``quantity`` id, the
+    echo of each resolved group input and the primes.  The caller adds
+    ``ok`` and the results, or ``_failure``."""
+    out = {"schema": SCHEMA_VERSION, kind: name}
+    for key in ("group", "sub"):
+        if options.get(key) is not None:
+            out[key] = options[key].echo()
+    if options.get("groups") is not None:
+        out["groups"] = [g.echo() for g in options["groups"]]
+    if options.get("p") is not None:
+        out["primes"] = [options["p"]]
+    elif options.get("pi") is not None:
+        out["primes"] = sorted(options["pi"])
+    return out
+
+
+def _failure(err: Exception) -> dict:
+    return {"ok": False, "error": {"type": type(err).__name__, "message": str(err)}}
 
 
 # ---------------------------------------------------------------------------
@@ -224,30 +245,18 @@ def run_check(check: str, options: dict) -> dict:
     """Execute one registered check; errors become structured entries."""
     if check not in CHECKS:
         raise KeyError(f"unknown check {check!r}")
-    base = {
-        "schema": SCHEMA_VERSION,
-        "check": check,
-    }
-    for key in ("group", "sub"):
-        if options.get(key) is not None:
-            base[key] = options[key].echo()
-    if options.get("groups") is not None:
-        base["groups"] = [g.echo() for g in options["groups"]]
-    if options.get("p") is not None:
-        base["primes"] = [options["p"]]
-    elif options.get("pi") is not None:
-        base["primes"] = sorted(options["pi"])
+    out = _envelope("check", check, options)
     try:
         _check_primes(options)
         report = CHECKS[check](options)
     except SylowlabError as err:
-        base.update(ok=False, error=_error_entry(err))
-        return base
-    base.update(ok=report.ok,
-                details=encode_value(report.details),
-                notices=list(report.notices),
-                runtime_ms=report.runtime_ms)
-    return base
+        return out | _failure(err)
+    return out | {
+        "ok": report.ok,
+        "details": encode_value(report.details),
+        "notices": list(report.notices),
+        "runtime_ms": report.runtime_ms,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +308,13 @@ QUANTITIES = {
 
 
 def run_compute(quantity: str, options: dict) -> dict:
-    base = {"schema": SCHEMA_VERSION, "quantity": quantity}
-    for key in ("group", "sub"):
-        if options.get(key) is not None:
-            base[key] = options[key].echo()
-    if options.get("p") is not None:
-        base["primes"] = [options["p"]]
-    elif options.get("pi") is not None:
-        base["primes"] = sorted(options["pi"])
+    """Compute one registered quantity; errors become structured entries."""
+    out = _envelope("quantity", quantity, options)
     try:
         _check_primes(options)
-        base.update(encode_value(QUANTITIES[quantity](options)))
-        base["ok"] = True
+        return out | encode_value(QUANTITIES[quantity](options)) | {"ok": True}
     except SylowlabError as err:
-        base.update(ok=False, error=_error_entry(err))
-    return base
+        return out | _failure(err)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", dest="json_path",
                        help="write the JSON report to this path ('-' for stdout)")
         p.add_argument("--cap", type=int, help="override size caps")
-        p.add_argument("--parallel", action="store_true",
-                       help="run independent report items concurrently")
 
     v = sub.add_parser("verify", help="run a registered bound check")
     v.add_argument("check", choices=sorted(CHECKS))
@@ -412,32 +411,19 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         key, name = (("check", args.check) if args.command == "verify"
                      else ("quantity", args.quantity))
-        _emit([{"schema": SCHEMA_VERSION, key: name, "ok": False,
-                "error": _error_entry(err)}], args.json_path)
+        _emit([_envelope(key, name, {}) | _failure(err)], args.json_path)
         return 1
 
     if args.command == "verify":
-        check = args.check
-        if check in _LIST_CHECKS:
-            scan = dict(options)
-            scan["group"] = None
-            jobs = [scan]
-        elif options["groups"] is None:
-            jobs = [dict(options)]
+        if args.check in _LIST_CHECKS:
+            jobs = [dict(options, group=None)]
         else:
-            # one report per group, merged back in input order
-            jobs = []
-            for g in options["groups"]:
-                o = dict(options)
-                o["group"], o["groups"] = g, None
-                jobs.append(o)
-        if args.parallel and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-                results = list(pool.map(lambda o: run_check(check, o), jobs))
-        else:
-            results = [run_check(check, o) for o in jobs]
+            # one report per group, in input order
+            jobs = [dict(options, group=g, groups=None) for g in options["groups"] or [None]]
+        results = [run_check(args.check, o) for o in jobs]
     else:
-        results = [run_compute(args.quantity, options)]
+        # a quantity reads only the first --group, so the list is not echoed
+        results = [run_compute(args.quantity, dict(options, groups=None))]
 
     _emit(results, args.json_path)
     ok = all(r.get("ok", False) for r in results)

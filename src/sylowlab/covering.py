@@ -17,7 +17,7 @@ from .lattice import subgroup_lattice
 from .perm import Permutation
 from .reports import CheckReport, timed
 from .setcover import min_cover
-from .tables import is_p_power
+from .tables import check_prime, is_p_power
 
 
 def p_elements(G: PermGroup, p: int, cap: int | None = None) -> frozenset[Permutation]:
@@ -65,6 +65,7 @@ def sigma_p(G: PermGroup, p: int, cap: int | None = None) -> int | float:
 def sigma_p_cover(G: PermGroup, p: int, cap: int | None = None):
     """Like sigma_p, also returning the witness cover as a tuple of
     generator tuples (empty for the infinity case)."""
+    check_prime(p)
     lat, universe, maximal = _sigma_instance(G, p, cap)
     if not maximal:
         return math.inf, ()

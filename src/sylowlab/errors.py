@@ -67,8 +67,8 @@ class OutOfDomain(SylowlabError, ValueError):
     """The parameters lie outside the operation's domain.
 
     Raised when a closed-form formula does not apply, and for a prime
-    argument that is not a prime (below 2 in the library, any non-prime
-    at the CLI).
+    argument that is not a prime (``tables.check_prime``; ``p_part`` and
+    ``is_p_power`` only refuse p < 2).
     """
 
 

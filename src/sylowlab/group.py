@@ -142,9 +142,6 @@ class _Chain:
             out = [h * trans[beta][0] for beta in sorted(trans) for h in out]
         return out
 
-    def all_gens(self) -> list[Permutation]:
-        return self.strong_gens(0)
-
 
 class PermGroup:
     """A permutation group on {1..degree} given by generators.
@@ -210,9 +207,6 @@ class PermGroup:
 
     def base(self) -> tuple[int, ...]:
         return tuple(self.chain().base)
-
-    def is_trivial(self) -> bool:
-        return not self._generators
 
     def __contains__(self, g: Permutation) -> bool:
         if g.degree != self._degree:
@@ -412,9 +406,11 @@ def p_residual(G: PermGroup, p: int, cap: int | None = None) -> PermGroup:
     Equals the subgroup generated by all p-elements, computed here as the
     normal closure of one Sylow p-subgroup.
     """
+    from . import sylow, tables  # local import: both build on this module
+
+    tables.check_prime(p)
     if G.order() % p:
         return PermGroup(G.degree)
-    from . import sylow  # local import: sylow builds on this module
 
     P = sylow.sylow_subgroup(G, p, cap)
     return normal_closure(G, P.generators)
@@ -481,8 +477,10 @@ def is_p_solvable(G: PermGroup, p: int, cap: int | None = None) -> bool:
     to p and the largest normal p-subgroup; the group is p-solvable when
     this terminates at the trivial group.
     """
-    from .lattice import subgroup_lattice  # local import, avoids a cycle
+    from .lattice import subgroup_lattice  # local imports, avoid a cycle
+    from .tables import check_prime, is_p_power
 
+    check_prime(p)
     Q = G
     while Q.order() > 1:
         lat = subgroup_lattice(Q, cap)
@@ -492,20 +490,11 @@ def is_p_solvable(G: PermGroup, p: int, cap: int | None = None) -> bool:
             if 1 < n and n % p != 0 and (best is None or n > lat.order_of(best)):
                 best = i
         if best is None:
-            target = _p_part(Q.order(), p)
             for i in lat.normal_indices():
                 n = lat.order_of(i)
-                if 1 < n == _p_part(n, p) and (best is None or n > lat.order_of(best)):
+                if 1 < n and is_p_power(n, p) and (best is None or n > lat.order_of(best)):
                     best = i
         if best is None:
             return False
         Q, _ = quotient_group(Q, lat.subgroup(best), cap)
     return True
-
-
-def _p_part(n: int, p: int) -> int:
-    out = 1
-    while n % p == 0:
-        n //= p
-        out *= p
-    return out

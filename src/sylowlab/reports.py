@@ -6,7 +6,6 @@ a num/den pair; floats never appear in reports.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,19 +34,6 @@ class CheckReport:
     details: dict = field(default_factory=dict)
     notices: list = field(default_factory=list)
     runtime_ms: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "check": self.check,
-            "ok": self.ok,
-            "details": encode_value(self.details),
-            "notices": list(self.notices),
-            "runtime_ms": self.runtime_ms,
-        }
-
-    def to_json(self, indent=2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
 
 
 class timed:

@@ -20,8 +20,6 @@ iteration order of the caller.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 
 def _greedy(full: int, masks: list[int]) -> list[int]:
     chosen = []
@@ -110,21 +108,3 @@ def min_cover(universe_size: int, masks: list[int]) -> tuple[int, tuple[int, ...
     search(full, [])
     return best_size, tuple(sorted(best_sol))
 
-
-def min_cover_exhaustive(universe_size: int, masks: list[int]) -> int:
-    """Reference solver: try every subset by increasing size.
-
-    Only usable for small candidate counts; the branch-and-bound solver
-    is tested against this.
-    """
-    full = (1 << universe_size) - 1
-    if full == 0:
-        return 0
-    for size in range(1, len(masks) + 1):
-        for combo in combinations(range(len(masks)), size):
-            u = 0
-            for i in combo:
-                u |= masks[i]
-            if u & full == full:
-                return size
-    raise ValueError("universe is not coverable by the candidates")

@@ -28,81 +28,39 @@ from .group import (
     p_residual,
     quotient_group,
 )
+from .perm import Permutation
 from .reports import CheckReport, timed
-from .tables import is_p_power, p_part
+from .tables import check_prime, grow_sylow, p_part
 
 
 def sylow_subgroup(G: PermGroup, p: int, cap: int | None = None) -> PermGroup:
-    """A Sylow p-subgroup of G, deterministically chosen.
-
-    Starts with the least element of maximal p-power order and repeatedly
-    adjoins the least p-element of the normalizer not yet inside, until
-    the full p-part of |G| is reached.
-    """
-    target = p_part(G.order(), p)
-    if target == 1:
-        return PermGroup(G.degree, [])
-    if G._table is not None:
-        ctx = G._table
-        _, gens = ctx.sylow_in(frozenset(range(ctx.n)), p)
-        return PermGroup(G.degree, [ctx.elements[g] for g in gens])
-    els = G.elements(cap)
-    return _extend_to_sylow(G, PermGroup(G.degree, []), target, els)
+    """A Sylow p-subgroup of G, deterministically chosen by ``grow_sylow``."""
+    return sylow_subgroup_containing(G, PermGroup(G.degree), p, cap)
 
 
-def _extend_to_sylow(G: PermGroup, seed: PermGroup, target: int, els) -> PermGroup:
-    gens = list(seed.generators)
-    P = seed
-    if P.order() == 1:
-        best, best_ord = None, 1
-        for x in els:
-            o = x.order()
-            if o > best_ord and is_p_power(o, _p_of(target)):
-                best, best_ord = x, o
-        gens = [best]
-        P = PermGroup(G.degree, gens)
-    p = _p_of(target)
-    while P.order() < target:
-        P_set = frozenset(P.elements())
-        found = None
-        for y in els:
-            if y in P_set or not is_p_power(y.order(), p):
-                continue
-            if all(g.conjugate(y) in P_set for g in gens):
-                found = y
-                break
-        if found is None:  # pragma: no cover - impossible by Sylow theory
-            raise AssertionError("Sylow extension stalled")
-        gens.append(found)
-        P = PermGroup(G.degree, gens)
-    return P
-
-
-def _p_of(q: int) -> int:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            return p
-    raise ValueError("p-part must exceed 1")
+def _normalizes(gens, y: Permutation, P: frozenset[Permutation]) -> bool:
+    return all(g.conjugate(y) in P for g in gens)
 
 
 def sylow_subgroup_containing(G: PermGroup, Q: PermGroup, p: int,
                               cap: int | None = None) -> PermGroup:
     """A Sylow p-subgroup of G containing the p-subgroup Q."""
+    check_prime(p)
     target = p_part(G.order(), p)
     if Q.order() == target:
         return Q
-    if Q.order() == 1:
-        return sylow_subgroup(G, p, cap)
-    return _extend_to_sylow(G, Q, target, G.elements(cap))
+    _, gens = grow_sylow(
+        G.elements(cap), p, target, Q.element_set(cap), Q.generators,
+        Permutation.order, _normalizes,
+        lambda P, gens, y: PermGroup(G.degree, [*gens, y]).element_set(cap))
+    return PermGroup(G.degree, gens)
 
 
 def nu_p(G: PermGroup, p: int, cap: int | None = None) -> int:
     """Number of Sylow p-subgroups of G (the index of a normalizer)."""
+    check_prime(p)
     if G.order() % p:
         return 1
-    if G._table is not None:
-        ctx = G._table
-        return ctx.sylow_count_in(frozenset(range(ctx.n)), p)
     P = sylow_subgroup(G, p, cap)
     count = G.order() // normalizer(G, P, cap).order()
     assert count % p == 1, "Sylow count must be 1 mod p"
@@ -111,6 +69,7 @@ def nu_p(G: PermGroup, p: int, cap: int | None = None) -> int:
 
 def sylow_subgroups(G: PermGroup, p: int, cap: int | None = None) -> tuple[frozenset, ...]:
     """Element sets of all Sylow p-subgroups, by conjugating one of them."""
+    check_prime(p)
     P = sylow_subgroup(G, p, cap)
     count = nu_p(G, p, cap)
     limit = config.element_cap(cap)

@@ -15,6 +15,8 @@ extension), which adds whole cosets of a known subgroup at a time.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from . import config
 from .errors import CapExceeded, OutOfDomain
 from .group import PermGroup
@@ -41,6 +43,51 @@ def is_p_power(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
     return n == 1
+
+
+def check_prime(p: int) -> None:
+    """Raise OutOfDomain unless p is a prime.
+
+    Library entry points that take a prime call this once, up front;
+    ``p_part`` and ``is_p_power`` run once per element and only refuse
+    p < 2.
+    """
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise OutOfDomain(f"expected a prime, got {p}")
+
+
+def grow_sylow(candidates, p: int, target: int, P, gens, order, normalizes, extend):
+    """Grow the p-subgroup ``P = <gens>`` to a Sylow p-subgroup of order ``target``.
+
+    This is the one rule that picks a Sylow subgroup, for permutations and
+    for table indices alike.  ``candidates`` lists the ambient group in
+    ascending order.  A trivial ``P`` first becomes the cyclic group of
+    the least element of largest p-power order; then the least p-element
+    outside ``P`` that normalizes it is adjoined until ``|P| = target``.
+
+    ``P`` is an element set, ``order(x)`` the order of ``x``,
+    ``normalizes(gens, y, P)`` tests that ``y`` normalizes ``P = <gens>``
+    and ``extend(P, gens, y)`` returns the element set of ``<P, y>``.
+    Returns the element set and generator list of the Sylow subgroup.
+    """
+    gens = list(gens)
+    if not gens and len(P) < target:
+        best, best_ord = None, 1
+        for x in candidates:
+            o = order(x)
+            if o > best_ord and is_p_power(o, p):
+                best, best_ord = x, o
+        P = extend(P, gens, best)
+        gens.append(best)
+    while len(P) < target:
+        for y in candidates:
+            if y not in P and is_p_power(order(y), p) and normalizes(gens, y, P):
+                P = extend(P, gens, y)
+                gens.append(y)
+                break
+        else:  # pragma: no cover - impossible by Sylow theory
+            raise AssertionError("Sylow extension stalled")
+    return P, gens
 
 
 class CayleyTable:
@@ -89,15 +136,9 @@ class CayleyTable:
 
     # -- element level -----------------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def conj(self, x: int, g: int) -> int:
         """Index of g^-1 * x * g."""
         return self.table[self.table[self.inv[g]][x]][g]
-
-    def commute(self, a: int, b: int) -> bool:
-        return self.table[a][b] == self.table[b][a]
 
     # -- subgroup level ----------------------------------------------------
 
@@ -164,40 +205,11 @@ class CayleyTable:
         return sorted(((g, fs) for fs, g in seen.items()),
                       key=lambda t: (len(t[1]), sorted(t[1])))
 
-    def p_elements_in(self, sub, p: int) -> list[int]:
-        """Indices in ``sub`` of p-power order, identity included."""
-        orders = self.elt_order
-        return sorted(x for x in sub if is_p_power(orders[x], p))
-
     def sylow_in(self, sub: frozenset[int], p: int) -> tuple[frozenset[int], tuple[int, ...]]:
-        """A Sylow p-subgroup of the subgroup ``sub``, with its generators.
-
-        Starts from a p-element of maximal order and repeatedly adjoins a
-        p-element of the normalizer until the full p-part is reached.
-        """
-        target = p_part(len(sub), p)
-        if target == 1:
-            return frozenset((0,)), ()
-        orders = self.elt_order
-        best, best_ord = 0, 1
-        for x in sorted(sub):
-            o = orders[x]
-            if o > best_ord and is_p_power(o, p):
-                best, best_ord = x, o
-        gens = [best]
-        P = self.extend(frozenset((0,)), (), best)
-        while len(P) < target:
-            grown = False
-            for y in sorted(sub):
-                if y in P or not is_p_power(orders[y], p):
-                    continue
-                if self.normalizes(gens, y, P):
-                    P = self.extend(P, gens, y)
-                    gens.append(y)
-                    grown = True
-                    break
-            if not grown:  # pragma: no cover - cannot happen for true subgroups
-                raise AssertionError("Sylow extension stalled")
+        """A Sylow p-subgroup of the subgroup ``sub``, with its generators,
+        chosen by ``grow_sylow``."""
+        P, gens = grow_sylow(sorted(sub), p, p_part(len(sub), p), frozenset((0,)), (),
+                             self.elt_order.__getitem__, self.normalizes, self.extend)
         return P, tuple(gens)
 
     def normalizer_in(self, sub, gens, target: frozenset[int]) -> list[int]:

@@ -85,3 +85,22 @@ def brute_all_subgroups(degree: int, elements) -> set[frozenset[Permutation]]:
         for combo in itertools.combinations(els, r):
             found.add(frozenset(brute_closure(degree, combo)))
     return found
+
+
+def min_cover_exhaustive(universe_size: int, masks: list[int]) -> int:
+    """Reference set cover: try every subset by increasing size.
+
+    Only usable for small candidate counts; ``setcover.min_cover`` is
+    tested against this.
+    """
+    full = (1 << universe_size) - 1
+    if full == 0:
+        return 0
+    for size in range(1, len(masks) + 1):
+        for combo in itertools.combinations(range(len(masks)), size):
+            u = 0
+            for i in combo:
+                u |= masks[i]
+            if u & full == full:
+                return size
+    raise ValueError("universe is not coverable by the candidates")

@@ -47,9 +47,10 @@ from sylowlab.errors import (
     OutOfDomain,
     PreconditionFailed,
 )
-from sylowlab.setcover import min_cover, min_cover_exhaustive
+from sylowlab.setcover import min_cover
 from sylowlab.tables import p_part
 
+from conftest import min_cover_exhaustive
 from test_graphs import bron_kerbosch_max, complete_graph, random_graph
 
 _PRIMES = (2, 3, 5, 7, 11, 13)

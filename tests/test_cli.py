@@ -114,16 +114,6 @@ class TestVerify:
         assert [r["group"]["expr"] for r in reps] == ["S3", "C2 x C2", "D8"]
         assert all(r["ok"] for r in reps)
 
-    def test_parallel_matches_sequential(self, capsys):
-        args = ("verify", "covering-lower-bound", "--group", "S3",
-                "--group", "C2 x C2", "--group", "S4", "--group", "D8", "-p", "2")
-        rc1, seq = run(capsys, *args)
-        rc2, par = run(capsys, *args, "--parallel")
-        assert rc1 == rc2 == 0
-        strip = lambda rs: [{k: v for k, v in r.items() if k != "runtime_ms"}
-                            for r in rs]
-        assert strip(seq) == strip(par)
-
     def test_inner_error_is_structured(self, capsys):
         rc, rep = run(capsys, "verify", "covering-lower-bound",
                       "--group", "S3", "-p", "3")
@@ -196,6 +186,25 @@ class TestCompute:
         assert rc == 0
         assert rep["value"] == 1
 
+    def test_generator_file_with_bad_token(self, capsys, tmp_path):
+        f = tmp_path / "gens.txt"
+        f.write_text("(1 2 3)\n(1 2 x)\n")
+        rc = main(["compute", "nu", "--group", f"@{f}", "-p", "2"])
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)
+        assert rc == 1
+        assert not rep["ok"]
+        assert rep["error"]["type"] == "ExprSyntaxError"
+        assert str(f) in rep["error"]["message"] and "'x'" in rep["error"]["message"]
+        assert "Traceback" not in captured.err
+
+    def test_generator_file_with_commas(self, capsys, tmp_path):
+        f = tmp_path / "gens.txt"
+        f.write_text("(1,2,3,4,5)\n(1,2,3)\n")
+        rc, rep = run(capsys, "compute", "nu", "--group", f"@{f}", "-p", "5")
+        assert rc == 0
+        assert rep["group"]["order"] == 60 and rep["value"] == 6
+
 
 class TestPlumbing:
     def test_json_file_output(self, capsys, tmp_path):
@@ -238,6 +247,45 @@ class TestPlumbing:
         out = json.loads(capsys.readouterr().out)
         assert rc == 1
         assert out["error"]["type"] == "NoPElement"
+
+
+class TestReportShape:
+    """Key order of each kind of report, frozen: every report is built by
+    one envelope, and its JSON layout must not drift."""
+
+    VERIFY_OK = ["schema", "check", "group", "sub", "primes",
+                 "ok", "details", "notices", "runtime_ms"]
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["verify", "sylow-ratio-bound", "--group", "A5", "--sub", "A4", "-p", "3"],
+         VERIFY_OK),
+        (["verify", "covering-lower-bound", "--group", "S3", "-p", "3"],
+         ["schema", "check", "group", "primes", "ok", "error"]),
+        (["verify", "sylow-ratio-gap-scan", "--group", "A4", "--group", "S3",
+          "-p", "3", "--bound", "1/2"],
+         ["schema", "check", "groups", "primes", "ok", "details", "notices", "runtime_ms"]),
+        (["compute", "fpr", "--group", "A5", "--sub", "A4", "-p", "3"],
+         ["schema", "quantity", "group", "sub", "primes", "value", "element", "degree", "ok"]),
+        (["compute", "pr", "--group", "S3", "--group", "A4", "--pi", "3,2"],
+         ["schema", "quantity", "group", "primes", "value", "ok"]),
+        (["compute", "nu", "--group", "A5", "--group", "S3", "-p", "4"],
+         ["schema", "quantity", "group", "primes", "ok", "error"]),
+        (["compute", "nu", "--group", "S3 )", "-p", "2"],
+         ["schema", "quantity", "ok", "error"]),
+        (["verify", "covering-lower-bound", "--group", "S3 )", "-p", "2"],
+         ["schema", "check", "ok", "error"]),
+    ])
+    def test_key_order(self, capsys, argv, keys):
+        main(argv)
+        rep = json.loads(capsys.readouterr().out)
+        assert list(rep) == keys
+        if "error" in rep:
+            assert list(rep["error"]) == ["type", "message"]
+        for echo in [rep.get("group"), rep.get("sub"), *rep.get("groups", [])]:
+            if echo is not None:
+                assert list(echo) == ["expr", "degree", "order", "generators"]
+        if "pi" in argv:
+            assert rep["primes"] == [2, 3]
 
 
 class TestInputValidation:

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from sylowlab.setcover import min_cover, min_cover_exhaustive
+from sylowlab.setcover import min_cover
+
+from conftest import min_cover_exhaustive
 
 
 def random_instance(rng, universe_size, n_masks):

@@ -5,21 +5,29 @@ full p-power order straight from the subgroup lattice, so the two
 derivations are independent.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sylowlab
+
 from conftest import alternating, cyclic, dihedral, klein_four, perm, symmetric
+from sylowlab.covering import sigma_p_cover
 from sylowlab.errors import (
     CapExceeded,
     NotASubgroup,
     NotMaximal,
     NotNormal,
     NotPSolvable,
+    OutOfDomain,
     PreconditionFailed,
     SylowNotContained,
 )
-from sylowlab.group import PermGroup, generated_subgroup, is_subgroup
+from sylowlab.group import PermGroup, generated_subgroup, is_subgroup, p_residual
 from sylowlab.lattice import subgroup_lattice
 from sylowlab.sylow import (
     nu_monotonicity_check,
@@ -139,6 +147,45 @@ class TestNu:
             for p in (2, 3, 5):
                 if G.order() % p == 0:
                     assert nu_p(G, p) % p == 1
+
+
+class TestPrimeValidation:
+    """Library entry points refuse a p that is not a prime before any
+    early return.  Before, nu_p(A5, 4) answered 5, nu_p(A5, 6) failed an
+    internal assertion and p_residual(A5, 4) returned a group."""
+
+    @pytest.mark.parametrize("p", [0, 1, 4, 6, 9])
+    @pytest.mark.parametrize("call", [
+        lambda p: nu_p(alternating(5), p),
+        lambda p: sylow_subgroup(alternating(5), p),
+        lambda p: sylow_subgroup_containing(alternating(5), PermGroup(5), p),
+        lambda p: sylow_subgroups(alternating(5), p),
+        lambda p: p_residual(alternating(5), p),
+        lambda p: sigma_p_cover(alternating(5), p),
+    ], ids=["nu_p", "sylow_subgroup", "sylow_subgroup_containing",
+            "sylow_subgroups", "p_residual", "sigma_p_cover"])
+    def test_non_prime_is_out_of_domain(self, call, p):
+        with pytest.raises(OutOfDomain, match=f"expected a prime, got {p}"):
+            call(p)
+
+    def test_is_p_solvable_in_child_process(self):
+        # is_p_solvable(S4, 1) used to loop forever, hence the timeout
+        code = (
+            "from sylowlab.catalog import construct_text\n"
+            "from sylowlab.errors import OutOfDomain\n"
+            "from sylowlab.group import is_p_solvable\n"
+            "for p in (0, 1, 4, 6):\n"
+            "    try:\n"
+            "        print(p, is_p_solvable(construct_text('S4'), p))\n"
+            "    except OutOfDomain as err:\n"
+            "        print(p, err)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sylowlab.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"{p} expected a prime, got {p}" for p in (0, 1, 4, 6)]
 
 
 class TestMonotonicity:

@@ -2,7 +2,8 @@
 
 The table is filled from generator rows and subgroups are grown by coset
 extension; both are checked here against `Permutation.__mul__` and the
-`brute_closure` oracle, which never touch the table.
+`brute_closure` oracle, which never touch the table.  Sylow subgroups
+picked on table indices are checked against the permutation route.
 """
 
 import random
@@ -12,7 +13,9 @@ import pytest
 from conftest import alternating, brute_closure, symmetric
 from sylowlab.catalog import catalog_upto, construct, parse_group_expr
 from sylowlab.errors import OutOfDomain
-from sylowlab.tables import CayleyTable, is_p_power, p_part
+from sylowlab.group import PermGroup
+from sylowlab.sylow import nu_p, sylow_subgroup
+from sylowlab.tables import CayleyTable, check_prime, get_table, is_p_power, p_part
 
 
 @pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
@@ -25,6 +28,23 @@ def test_table_matches_raw_products(entry):
         assert row == [index[a * b] for b in els]
     assert [index[e.inverse()] for e in els] == ctx.inv
     assert ctx.gen_idx == tuple(index[g] for g in G.generators)
+
+
+@pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
+def test_sylow_in_matches_permutation_route(entry):
+    """`sylow_in` on table indices and `sylow_subgroup` on permutations
+    pick the same Sylow subgroup, so no caller depends on whether a
+    table happens to be cached."""
+    G = entry.build()
+    copy = PermGroup(G.degree, G.generators)
+    ctx = get_table(copy)
+    everything = frozenset(range(ctx.n))
+    n = G.order()
+    for p in (q for q in range(2, n + 1) if n % q == 0 and all(q % d for d in range(2, q))):
+        _, gens = ctx.sylow_in(everything, p)
+        from_table = PermGroup(G.degree, [ctx.elements[i] for i in gens])
+        assert sylow_subgroup(G, p).generators == from_table.generators
+        assert nu_p(G, p) == ctx.sylow_count_in(everything, p)
 
 
 @pytest.mark.parametrize("make, seed", [
@@ -60,3 +80,14 @@ def test_prime_below_two_is_out_of_domain(p):
         p_part(12, p)
     with pytest.raises(OutOfDomain):
         is_p_power(8, p)
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 6, 9, 91])
+def test_check_prime_refuses_non_primes(p):
+    with pytest.raises(OutOfDomain, match=f"expected a prime, got {p}"):
+        check_prime(p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 97])
+def test_check_prime_accepts_primes(p):
+    check_prime(p)
