@@ -23,7 +23,7 @@ from .errors import (
     OutOfDomain,
     PreconditionFailed,
 )
-from .group import PermGroup, conjugacy_class, is_subgroup, point_stabilizer
+from .group import PermGroup, conjugacy_class, is_subgroup, orbit_map, point_stabilizer
 from .perm import Permutation
 from .reports import CheckReport, timed
 from .tables import is_p_power
@@ -105,23 +105,7 @@ class CosetAction:
 
     def orbit_count(self, gens) -> int:
         """Number of orbits of the subgroup generated by ``gens``."""
-        images = [self.act(g) for g in gens]
-        seen = [False] * (self.degree + 1)
-        count = 0
-        for start in range(1, self.degree + 1):
-            if seen[start]:
-                continue
-            count += 1
-            queue = [start]
-            seen[start] = True
-            while queue:
-                pt = queue.pop()
-                for g in images:
-                    q = g(pt)
-                    if not seen[q]:
-                        seen[q] = True
-                        queue.append(q)
-        return count
+        return len(PermGroup(self.degree, [self.act(g) for g in gens]).orbits())
 
 
 def coset_action(G: PermGroup, H: PermGroup, cap: int | None = None) -> CosetAction:
@@ -178,24 +162,10 @@ def natural_action(G: PermGroup) -> CosetAction:
     if not G.is_transitive():
         raise NotTransitive("group is not transitive on its points")
     H = point_stabilizer(G, 1)
-    reps = _transversal_to_points(G)
-    return CosetAction(G, H, G.degree, G, reps, None)
-
-
-def _transversal_to_points(G: PermGroup) -> tuple[Permutation, ...]:
-    # rep_i maps point 1 to i; found by breadth-first search on generators
-    reps: dict[int, Permutation] = {1: Permutation.identity(G.degree)}
-    frontier = [1]
-    while frontier:
-        nxt = []
-        for pt in frontier:
-            for s in G.generators:
-                q = s(pt)
-                if q not in reps:
-                    reps[q] = reps[pt] * s
-                    nxt.append(q)
-        frontier = nxt
-    return tuple(reps[i] for i in range(1, G.degree + 1))
+    # rep_i maps point 1 to i
+    reps = orbit_map(1, G.generators, lambda pt, s: s(pt), Permutation.__mul__, G.identity())
+    point_map = tuple(reps[i] for i in range(1, G.degree + 1))
+    return CosetAction(G, H, G.degree, G, point_map, None)
 
 
 def fpr_element(action: CosetAction, x: Permutation) -> Fraction:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .actions import min_fpr_p_element, natural_action, coset_action, sylow_orbit_bound_check
 from .catalog import CATALOG, construct, parse_group_expr
 from .covering import sigma_lower_bound_check, sigma_p, sigma_p_cover
-from .errors import ExprSyntaxError, SylowlabError
+from .errors import ExprSyntaxError, InvalidConfig, SylowlabError
 from .graphs import (
     BitGraph,
     max_noncommuting_set,
@@ -249,7 +249,7 @@ def run_check(check: str, options: dict) -> dict:
     try:
         _check_primes(options)
         report = CHECKS[check](options)
-    except SylowlabError as err:
+    except (SylowlabError, OSError) as err:
         return out | _failure(err)
     return out | {
         "ok": report.ok,
@@ -374,6 +374,8 @@ def _resolve_groups(args) -> dict:
         "groups": None,
         "sub": None,
     }
+    if args.cap is not None and args.cap <= 0:
+        raise InvalidConfig(f"--cap must be a positive integer, got {args.cap}")
     groups = [GroupInput(text, args.cap) for text in args.group]
     if groups:
         options["group"] = groups[0]
@@ -414,16 +416,14 @@ def main(argv=None) -> int:
         _emit([_envelope(key, name, {}) | _failure(err)], args.json_path)
         return 1
 
-    if args.command == "verify":
-        if args.check in _LIST_CHECKS:
-            jobs = [dict(options, group=None)]
-        else:
-            # one report per group, in input order
-            jobs = [dict(options, group=g, groups=None) for g in options["groups"] or [None]]
-        results = [run_check(args.check, o) for o in jobs]
+    run, name = ((run_check, args.check) if args.command == "verify"
+                 else (run_compute, args.quantity))
+    if name in _LIST_CHECKS:
+        jobs = [dict(options, group=None)]
     else:
-        # a quantity reads only the first --group, so the list is not echoed
-        results = [run_compute(args.quantity, dict(options, groups=None))]
+        # one report per group, in input order
+        jobs = [dict(options, group=g, groups=None) for g in options["groups"] or [None]]
+    results = [run(name, o) for o in jobs]
 
     _emit(results, args.json_path)
     ok = all(r.get("ok", False) for r in results)

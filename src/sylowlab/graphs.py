@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import config
 from .cliques import find_biclique, max_clique
-from .errors import CapExceeded, PreconditionFailed
+from .errors import CapExceeded, ExprSyntaxError, PreconditionFailed
 from .group import PermGroup, p_residual
 from .perm import Permutation
 from .reports import CheckReport, timed
@@ -57,14 +57,18 @@ class BitGraph:
         """Parse `u v` lines (1-based); blank lines and # comments skipped."""
         edges = []
         top = 0
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            u_s, v_s = line.split()
-            u, v = int(u_s), int(v_s)
+            try:
+                u, v = map(int, line.split())
+            except ValueError:  # not two integers: rejected below
+                u = v = 0
             if u < 1 or v < 1 or u == v:
-                raise ValueError(f"bad edge {line!r}")
+                raise ExprSyntaxError(
+                    f"edge list line {lineno}: {line!r} is not an edge of two "
+                    "distinct positive vertex numbers", 0)
             top = max(top, u, v)
             edges.append((u - 1, v - 1))
         adj = [0] * top

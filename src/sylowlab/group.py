@@ -26,6 +26,34 @@ from .errors import (
 from .perm import Permutation
 
 
+def orbit_map(seed, gens, act, step=None, label=None, limit=None, what="orbit"):
+    """Orbit of ``seed`` under ``gens``, each point labelled, by FIFO breadth-first search.
+
+    Returns a dict, in discovery order, from each orbit point to its label.
+    The seed's label is ``label``; a point first reached as ``act(x, g)``
+    gets ``step(label_of_x, g)`` (or ``label`` when ``step`` is None), so
+    with ``step=Permutation.__mul__`` and the identity as ``label`` each
+    label maps the seed to its point: a transversal.  Raises CapExceeded
+    before the orbit grows past ``limit`` points.
+    """
+    out = {seed: label}
+    queue = [seed]
+    for x in queue:
+        lx = out[x]
+        for g in gens:
+            y = act(x, g)
+            if y not in out:
+                if limit is not None and len(out) >= limit:
+                    raise CapExceeded(what, len(out) + 1, limit)
+                out[y] = label if step is None else step(lx, g)
+                queue.append(y)
+    return out
+
+
+def _image(point: int, g: Permutation) -> int:
+    return g._images[point - 1]
+
+
 class _Chain:
     """Base and strong generating set, built by deterministic Schreier-Sims.
 
@@ -36,7 +64,7 @@ class _Chain:
     BSGS and ``order``/``contains`` are exact.
     """
 
-    __slots__ = ("degree", "base", "gens_at", "orbits", "forced_base")
+    __slots__ = ("degree", "base", "gens_at", "orbits")
 
     def __init__(self, degree: int, forced_base: tuple[int, ...] = ()):
         self.degree = degree
@@ -47,7 +75,6 @@ class _Chain:
         ident = Permutation.identity(degree)
         for b in forced_base:
             self.orbits.append({b: (ident, ident)})
-        self.forced_base = forced_base
 
     def order(self) -> int:
         n = 1
@@ -92,23 +119,9 @@ class _Chain:
         self.gens_at[level].append(g)
 
     def _recompute_orbit(self, i: int) -> None:
-        b = self.base[i]
-        gens = self.strong_gens(i)
-        ident = Permutation.identity(self.degree)
-        trans = {b: (ident, ident)}
-        queue = [b]
-        qi = 0
-        while qi < len(queue):
-            beta = queue[qi]
-            qi += 1
-            u = trans[beta][0]
-            for s in gens:
-                gamma = s._images[beta - 1]
-                if gamma not in trans:
-                    v = u * s
-                    trans[gamma] = (v, v.inverse())
-                    queue.append(gamma)
-        self.orbits[i] = trans
+        trans = orbit_map(self.base[i], self.strong_gens(i), _image,
+                          Permutation.__mul__, Permutation.identity(self.degree))
+        self.orbits[i] = {beta: (u, u.inverse()) for beta, u in trans.items()}
 
     def _close(self, start: int) -> None:
         # levels deeper than ``start`` are already up to date
@@ -243,18 +256,7 @@ class PermGroup:
     def orbit(self, point: int) -> frozenset[int]:
         if not 1 <= point <= self._degree:
             raise ValueError(f"point {point} outside 1..{self._degree}")
-        seen = {point}
-        queue = [point]
-        qi = 0
-        while qi < len(queue):
-            beta = queue[qi]
-            qi += 1
-            for g in self._generators:
-                gamma = g._images[beta - 1]
-                if gamma not in seen:
-                    seen.add(gamma)
-                    queue.append(gamma)
-        return frozenset(seen)
+        return frozenset(orbit_map(point, self._generators, _image))
 
     def orbits(self) -> tuple[frozenset[int], ...]:
         left = set(range(1, self._degree + 1))
@@ -317,22 +319,9 @@ def conjugacy_class(G: PermGroup, x: Permutation, cap: int | None = None) -> fro
     if x not in G:
         raise NotAMember(f"{x!r} is not in the group")
     limit = config.element_cap(cap)
-    gens = G.generators
-    invs = [g.inverse() for g in gens]
-    seen = {x}
-    queue = [x]
-    qi = 0
-    while qi < len(queue):
-        y = queue[qi]
-        qi += 1
-        for g, gi in zip(gens, invs):
-            z = gi * y * g
-            if z not in seen:
-                if len(seen) >= limit:
-                    raise CapExceeded("conjugacy class", len(seen) + 1, limit)
-                seen.add(z)
-                queue.append(z)
-    return frozenset(seen)
+    pairs = [(g.inverse(), g) for g in G.generators]
+    return frozenset(orbit_map(x, pairs, lambda y, gg: gg[0] * y * gg[1],
+                               limit=limit, what="conjugacy class"))
 
 
 def centralizer(G: PermGroup, x: Permutation, cap: int | None = None) -> PermGroup:
@@ -350,16 +339,12 @@ def normalizer(G: PermGroup, H: PermGroup, cap: int | None = None) -> PermGroup:
     hgens = H.generators
     if not hgens:
         return G
-    # small subgroups: test conjugates against the element set, else sift
-    if H.order() <= 1024:
-        hset = H.element_set()
-        member = hset.__contains__
-    else:
-        member = lambda g: g in H
+    els = G.elements(cap)
+    hset = H.element_set(cap)
     found = []
-    for g in G.elements(cap):
+    for g in els:
         gi = g.inverse()
-        if all(member(gi * h * g) for h in hgens):
+        if all(gi * h * g in hset for h in hgens):
             found.append(g)
     return span_from_elements(G.degree, found)
 
@@ -438,22 +423,12 @@ def quotient_group(G: PermGroup, N: PermGroup, cap: int | None = None
         raise NotNormal("N is not normal in G")
     n_els = N.elements(cap)
 
-    def canon(x: Permutation) -> tuple[int, ...]:
-        # lexicographically least image table in the coset N*x
-        return min((h * x)._images for h in n_els)
+    def canon(x: Permutation) -> Permutation:
+        # each coset N*x is represented by its least element
+        return min(h * x for h in n_els)
 
-    ident = G.identity()
-    reps = [ident]
-    index = {canon(ident): 0}
-    qi = 0
-    while qi < len(reps):
-        r = reps[qi]
-        qi += 1
-        for g in G.generators:
-            key = canon(r * g)
-            if key not in index:
-                index[key] = len(reps)
-                reps.append(r * g)
+    reps = list(orbit_map(canon(G.identity()), G.generators, lambda r, g: canon(r * g)))
+    index = {r: i for i, r in enumerate(reps)}
     deg_q = len(reps)
 
     def project(g: Permutation) -> Permutation:

@@ -25,6 +25,7 @@ from .group import (
     is_p_solvable,
     is_subgroup,
     normalizer,
+    orbit_map,
     p_residual,
     quotient_group,
 )
@@ -75,16 +76,8 @@ def sylow_subgroups(G: PermGroup, p: int, cap: int | None = None) -> tuple[froze
     limit = config.element_cap(cap)
     if count * P.order() > limit:
         raise CapExceeded("Sylow subgroup enumeration", count * P.order(), limit)
-    start = frozenset(P.elements())
-    seen = {start}
-    queue = [start]
-    while queue:
-        s = queue.pop()
-        for g in G.generators:
-            t = frozenset(x.conjugate(g) for x in s)
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
+    seen = orbit_map(frozenset(P.elements()), G.generators,
+                     lambda s, g: frozenset(x.conjugate(g) for x in s))
     assert len(seen) == count
     return tuple(sorted(seen, key=lambda s: sorted(s)))
 

@@ -19,7 +19,7 @@ from math import isqrt
 
 from . import config
 from .errors import CapExceeded, OutOfDomain
-from .group import PermGroup
+from .group import PermGroup, orbit_map
 from .perm import Permutation
 
 
@@ -172,19 +172,9 @@ class CayleyTable:
 
     def subgroup_class(self, sub: frozenset[int]) -> list[tuple[frozenset[int], int]]:
         """Conjugacy class of a subgroup, as (conjugate, conjugating element) pairs."""
-        seen = {sub: 0}
-        queue = [sub]
-        qi = 0
-        while qi < len(queue):
-            s = queue[qi]
-            qi += 1
-            c = seen[s]
-            for g in self.gen_idx:
-                t = self.conj_set(s, g)
-                if t not in seen:
-                    seen[t] = self.table[c][g]
-                    queue.append(t)
-        return list(seen.items())
+        table = self.table
+        return list(orbit_map(sub, self.gen_idx, self.conj_set,
+                              lambda c, g: table[c][g], 0).items())
 
     def normalizes(self, gens, g: int, sub: frozenset[int]) -> bool:
         return all(self.conj(x, g) in sub for x in gens)

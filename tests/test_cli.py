@@ -143,6 +143,11 @@ class TestCompute:
         assert rc == 0
         assert rep["value"] == 6
 
+    def test_multiple_groups_fan_out_in_order(self, capsys):
+        rc, reps = run(capsys, "compute", "nu", "--group", "A5", "--group", "S3", "-p", "2")
+        assert rc == 0
+        assert [(r["group"]["expr"], r["value"]) for r in reps] == [("A5", 5), ("S3", 3)]
+
     def test_sigma_with_cover_witness(self, capsys):
         rc, rep = run(capsys, "compute", "sigma", "--group", "S3", "-p", "2")
         assert rc == 0
@@ -277,15 +282,19 @@ class TestReportShape:
     ])
     def test_key_order(self, capsys, argv, keys):
         main(argv)
-        rep = json.loads(capsys.readouterr().out)
-        assert list(rep) == keys
-        if "error" in rep:
-            assert list(rep["error"]) == ["type", "message"]
-        for echo in [rep.get("group"), rep.get("sub"), *rep.get("groups", [])]:
-            if echo is not None:
-                assert list(echo) == ["expr", "degree", "order", "generators"]
-        if "pi" in argv:
-            assert rep["primes"] == [2, 3]
+        out = json.loads(capsys.readouterr().out)
+        # one report per --group, except the list check
+        reports = out if isinstance(out, list) else [out]
+        assert len(reports) == (1 if "sylow-ratio-gap-scan" in argv else argv.count("--group"))
+        for rep in reports:
+            assert list(rep) == keys
+            if "error" in rep:
+                assert list(rep["error"]) == ["type", "message"]
+            for echo in [rep.get("group"), rep.get("sub"), *rep.get("groups", [])]:
+                if echo is not None:
+                    assert list(echo) == ["expr", "degree", "order", "generators"]
+            if "pi" in argv:
+                assert rep["primes"] == [2, 3]
 
 
 class TestInputValidation:
@@ -327,6 +336,27 @@ class TestInputValidation:
         assert rc == 1
         assert rep["error"]["type"] == "InvalidConfig"
         assert "SYLOWLAB_CAP" in rep["error"]["message"]
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_non_positive_cap_flag(self, capsys, cap):
+        rc, rep = run(capsys, "compute", "nu", "--group", "A5", "-p", "2", "--cap", cap)
+        assert rc == 1
+        assert rep["error"]["type"] == "InvalidConfig"
+        assert "--cap" in rep["error"]["message"]
+
+    def test_missing_edge_list(self, capsys, tmp_path):
+        rc, rep = run(capsys, "verify", "clique-edge-bound",
+                      "--edge-list", str(tmp_path / "missing.txt"))
+        assert rc == 1
+        assert rep["error"]["type"] == "FileNotFoundError"
+
+    def test_bad_edge_line(self, capsys, tmp_path):
+        f = tmp_path / "edges.txt"
+        f.write_text("1 2\n3 x\n")
+        rc, rep = run(capsys, "verify", "clique-edge-bound", "--edge-list", str(f))
+        assert rc == 1
+        assert rep["error"]["type"] == "ExprSyntaxError"
+        assert "line 2" in rep["error"]["message"] and "3 x" in rep["error"]["message"]
 
     def test_good_cap_environment(self, monkeypatch):
         monkeypatch.setenv("SYLOWLAB_CAP", " 5000 ")

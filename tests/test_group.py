@@ -9,6 +9,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sylowlab.catalog import catalog_upto
 from sylowlab.errors import CapExceeded, DegreeMismatch, NotAMember, NotASubgroup, NotNormal
 from sylowlab.group import (
     PermGroup,
@@ -20,6 +21,7 @@ from sylowlab.group import (
     is_subgroup,
     normal_closure,
     normalizer,
+    orbit_map,
     p_residual,
     point_stabilizer,
     quotient_group,
@@ -155,6 +157,28 @@ class TestOrbits:
         total = sum(len(x.fixed_points()) for x in G.elements())
         assert total == G.order() * len(G.orbits())
 
+    def test_orbit_map_discovery_order_and_transversal(self):
+        gens = [perm("(1 3)(2 4)", 4), perm("(1 2)", 4)]
+        act = lambda pt, g: g(pt)
+        assert list(orbit_map(1, gens, act).items()) == [(1, None), (3, None), (2, None), (4, None)]
+        trans = orbit_map(1, gens, act, Permutation.__mul__, Permutation.identity(4))
+        assert trans[3] == gens[0] and trans[2] == gens[1]
+        assert all(u(1) == pt for pt, u in trans.items())
+
+    def test_orbit_map_limit(self):
+        gens = [perm("(1 2 3 4 5)", 5)]
+        assert len(orbit_map(1, gens, lambda pt, g: g(pt), limit=5)) == 5
+        with pytest.raises(CapExceeded) as info:
+            orbit_map(1, gens, lambda pt, g: g(pt), limit=4, what="points")
+        assert (info.value.what, info.value.required, info.value.cap) == ("points", 5, 4)
+
+    def test_chain_transversals_map_base_points(self):
+        for entry in catalog_upto(2000):
+            chain = entry.build().chain()
+            for b, orbit in zip(chain.base, chain.orbits):
+                for beta, (u, ui) in orbit.items():
+                    assert u(b) == beta and ui == u.inverse(), entry.label
+
     def test_point_stabilizer(self):
         G = alternating(5)
         S = point_stabilizer(G, 5)
@@ -200,6 +224,11 @@ class TestConjugacyClasses:
         x = perm("(1 2)", 4)
         brute = {g.inverse() * x * g for g in G.elements()}
         assert conjugacy_class(G, x) == brute
+
+    def test_class_stops_at_cap(self):
+        with pytest.raises(CapExceeded) as info:
+            conjugacy_class(symmetric(6), perm("(1 2 3 4 5 6)", 6), cap=100)
+        assert (info.value.required, info.value.cap) == (101, 100)
 
     def test_class_requires_membership(self):
         with pytest.raises(NotAMember):
