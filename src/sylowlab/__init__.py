@@ -25,7 +25,6 @@ from .group import (
     PermGroup,
     centralizer,
     conjugacy_class,
-    generated_subgroup,
     is_normal,
     is_p_solvable,
     is_subgroup,

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from . import config
 from .errors import (
-    CapExceeded,
     NoPElement,
     NotAMember,
     NotASubgroup,
@@ -23,7 +21,14 @@ from .errors import (
     OutOfDomain,
     PreconditionFailed,
 )
-from .group import PermGroup, conjugacy_class, is_subgroup, orbit_map, point_stabilizer
+from .group import (
+    PermGroup,
+    conjugacy_class,
+    is_subgroup,
+    orbit_map,
+    point_stabilizer,
+    right_cosets,
+)
 from .perm import Permutation
 from .reports import CheckReport, timed
 from .tables import is_p_power
@@ -114,41 +119,11 @@ def coset_action(G: PermGroup, H: PermGroup, cap: int | None = None) -> CosetAct
         raise NotASubgroup("H is not a subgroup of G")
     if H.order() == G.order():
         raise PreconditionFailed("H must be a proper subgroup")
-    limit = config.element_cap(cap)
-    if G.order() > limit:
-        raise CapExceeded("coset action", G.order(), limit)
     degree = G.order() // H.order()
-    h_els = H.elements(cap)
-
-    # Canonical coset representative: the minimal element (by image table)
-    # of the coset.  Filling the lookup for a coset costs |H| products, so
-    # the whole breadth-first sweep costs |G| products.
-    elt_to_point = {}
-    point_map = []
-
-    def add_coset(g: Permutation) -> int:
-        translates = [h * g for h in h_els]
-        rep = min(translates)
-        idx = len(point_map)
-        point_map.append(rep)
-        for t in translates:
-            elt_to_point[t.images] = idx + 1
-        return idx + 1
-
-    add_coset(Permutation.identity(G.degree))
-    frontier = [point_map[0]]
-    while frontier:
-        nxt = []
-        for rep in frontier:
-            for s in G.generators:
-                t = rep * s
-                if t.images not in elt_to_point:
-                    add_coset(t)
-                    nxt.append(point_map[-1])
-        frontier = nxt
+    point_map, elt_to_point = right_cosets(G, H, cap)
     assert len(point_map) == degree, "coset sweep must reach the full index"
 
-    action = CosetAction(G, H, degree, None, tuple(point_map), elt_to_point)
+    action = CosetAction(G, H, degree, None, point_map, elt_to_point)
     action.action_image = PermGroup(
         degree, tuple(action.act(s) for s in G.generators))
     return action

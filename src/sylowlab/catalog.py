@@ -354,25 +354,15 @@ def _construct_matrix(e: MatrixAtom) -> PermGroup:
     q = e.q
     if q not in SUPPORTED_SIZES:
         raise UnsupportedField(f"GF({q}) is not in the field table")
+    F, mats = _sl2_matrices(q)
     if e.kind == "PSL":
-        F = field(q)
         reps = [(1, b) for b in F.elements()] + [(0, 1)]
         index = {v: i for i, v in enumerate(reps)}
-        _, mats = _sl2_matrices(q)
-        gens = [_projective_perm(F, m, reps, index) for m in mats]
-        return PermGroup(q + 1, gens)
-    F, vecs, index = _vector_points(q)
-    if e.kind == "SL":
-        _, mats = _sl2_matrices(q)
-    else:  # Borel: upper triangular part only
-        a = F.generator()
-        mats = [((1, 1), (0, 1))]
-        if F.k > 1:
-            mats.append(((1, a), (0, 1)))
-        if q > 2:
-            mats.append(((a, 0), (0, F.inv(a))))
-    gens = [_matrix_perm(F, m, vecs, index) for m in mats]
-    return PermGroup(q * q - 1, gens)
+        return PermGroup(q + 1, [_projective_perm(F, m, reps, index) for m in mats])
+    if e.kind == "Borel":  # upper triangular part only
+        mats = [m for m in mats if m[1][0] == 0]
+    _, vecs, index = _vector_points(q)
+    return PermGroup(q * q - 1, [_matrix_perm(F, m, vecs, index) for m in mats])
 
 
 def _construct_family(e: FamilyAtom) -> PermGroup:
@@ -423,7 +413,7 @@ def construct(e: GroupExpr, cap: int | None = None) -> PermGroup:
     expected = predicted_order(e)
     if expected is not None and expected > limit:
         raise CapExceeded("constructed group order", expected, limit)
-    G = _construct(e, cap)
+    G = _construct(e)
     if expected is not None:
         assert G.order() == expected, (str(e), G.order(), expected)
     elif G.order() > limit:
@@ -431,7 +421,7 @@ def construct(e: GroupExpr, cap: int | None = None) -> PermGroup:
     return G
 
 
-def _construct(e: GroupExpr, cap) -> PermGroup:
+def _construct(e: GroupExpr) -> PermGroup:
     if isinstance(e, FamilyAtom):
         return _construct_family(e)
     if isinstance(e, MatrixAtom):
@@ -441,14 +431,14 @@ def _construct(e: GroupExpr, cap) -> PermGroup:
             e.degree,
             [Permutation.from_cycles(c, e.degree) for c in e.cycles])
     if isinstance(e, Product):
-        L = _construct(e.left, cap)
-        R = _construct(e.right, cap)
+        L = _construct(e.left)
+        R = _construct(e.right)
         d = L.degree + R.degree
         gens = [_shift(x, 0, d) for x in L.generators]
         gens += [_shift(x, L.degree, d) for x in R.generators]
         return PermGroup(d, gens)
-    base = _construct(e.base, cap)
-    top = _construct(e.top, cap)
+    base = _construct(e.base)
+    top = _construct(e.top)
     db, dt = base.degree, top.degree
     d = db * dt
     gens = [_shift(x, j * db, d) for j in range(dt) for x in base.generators]

@@ -9,7 +9,9 @@ surfaced error gives exit code 1.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -354,14 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pad_to_degree(H: PermGroup, degree: int) -> PermGroup:
-    """Embed a group of smaller degree by fixing the extra points."""
-    if H.degree == degree:
-        return H
-    tail = tuple(range(H.degree + 1, degree + 1))
-    return PermGroup(degree, [Permutation(x.images + tail) for x in H.generators])
-
-
 def _resolve_groups(args) -> dict:
     options = {
         "p": args.p,
@@ -381,11 +375,20 @@ def _resolve_groups(args) -> dict:
         options["group"] = groups[0]
         options["groups"] = groups
     if args.sub:
-        sub = GroupInput(args.sub, args.cap)
-        if groups and sub.group.degree < groups[0].group.degree:
-            sub.group = _pad_to_degree(sub.group, groups[0].group.degree)
-        options["sub"] = sub
+        options["sub"] = GroupInput(args.sub, args.cap)
     return options
+
+
+def _sub_for(sub: GroupInput | None, group: GroupInput | None) -> GroupInput | None:
+    """``--sub`` embedded in the degree of the job's group by fixing the
+    extra points."""
+    if sub is None or group is None or sub.group.degree >= group.group.degree:
+        return sub
+    H, degree = sub.group, group.group.degree
+    tail = tuple(range(H.degree + 1, degree + 1))
+    padded = copy.copy(sub)
+    padded.group = PermGroup(degree, [Permutation(x.images + tail) for x in H.generators])
+    return padded
 
 
 def _emit(results: list[dict], json_path: str | None) -> None:
@@ -396,6 +399,7 @@ def _emit(results: list[dict], json_path: str | None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+        sys.stdout.flush()
 
 
 def _summarize(result: dict) -> str:
@@ -408,6 +412,16 @@ def _summarize(result: dict) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        return _run(args)
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head -1`): send what is still
+        # buffered to devnull, so the interpreter's last flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(args) -> int:
+    try:
         options = _resolve_groups(args)
     except (ExprSyntaxError, SylowlabError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -419,10 +433,11 @@ def main(argv=None) -> int:
     run, name = ((run_check, args.check) if args.command == "verify"
                  else (run_compute, args.quantity))
     if name in _LIST_CHECKS:
-        jobs = [dict(options, group=None)]
+        jobs = [dict(options, group=None, sub=_sub_for(options["sub"], options["group"]))]
     else:
         # one report per group, in input order
-        jobs = [dict(options, group=g, groups=None) for g in options["groups"] or [None]]
+        jobs = [dict(options, group=g, groups=None, sub=_sub_for(options["sub"], g))
+                for g in options["groups"] or [None]]
     results = [run(name, o) for o in jobs]
 
     _emit(results, args.json_path)

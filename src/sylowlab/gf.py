@@ -123,9 +123,6 @@ class SmallField:
             e >>= 1
         return r
 
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
     def elements(self) -> range:
         return range(self.q)
 

@@ -32,25 +32,11 @@ class BitGraph:
             assert not row & (1 << v), "loops are not allowed"
             assert row >> n == 0
 
-    def has_edge(self, v: int, w: int) -> bool:
-        return bool(self.adj[v] >> w & 1)
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
-
-    def edge_list_lines(self) -> list[str]:
-        """One `u v` line per edge, 1-based, u < v."""
-        out = []
-        for v in range(self.n):
-            row = self.adj[v] >> (v + 1) << (v + 1)
-            while row:
-                w = (row & -row).bit_length() - 1
-                out.append(f"{v + 1} {w + 1}")
-                row &= row - 1
-        return out
 
     @classmethod
     def from_edge_list(cls, text: str) -> "BitGraph":

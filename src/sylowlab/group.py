@@ -12,7 +12,6 @@ centralizers and normalizers) respect the element cap from
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterable
 
 from . import config
@@ -160,13 +159,13 @@ class PermGroup:
     """A permutation group on {1..degree} given by generators.
 
     Instances are immutable; expensive results (chain, element list,
-    conjugacy classes) are cached with at-most-once computation, so a
-    group object can be shared freely across threads.
+    conjugacy classes, and the Cayley table and subgroup lattice built by
+    other modules) are computed on first use and cached on the instance.
     """
 
     __slots__ = (
         "_degree", "_generators", "_chain", "_elements", "_element_set",
-        "_classes", "_lattice", "_table", "_lock",
+        "_classes", "_lattice", "_table",
     )
 
     def __init__(self, degree: int, generators: Iterable[Permutation] = (), *,
@@ -190,7 +189,6 @@ class PermGroup:
         self._classes = None
         self._lattice = None
         self._table = None
-        self._lock = threading.RLock()
 
     # -- basics ------------------------------------------------------------
 
@@ -207,12 +205,10 @@ class PermGroup:
 
     def chain(self) -> _Chain:
         if self._chain is None:
-            with self._lock:
-                if self._chain is None:
-                    chain = _Chain(self._degree)
-                    for g in self._generators:
-                        chain.add_gen(g)
-                    self._chain = chain
+            chain = _Chain(self._degree)
+            for g in self._generators:
+                chain.add_gen(g)
+            self._chain = chain
         return self._chain
 
     def order(self) -> int:
@@ -240,11 +236,7 @@ class PermGroup:
             n = self.order()
             if n > limit:
                 raise CapExceeded("element enumeration", n, limit)
-            with self._lock:
-                if self._elements is None:
-                    els = self.chain().elements()
-                    els.sort()
-                    self._elements = tuple(els)
+            self._elements = tuple(sorted(self.chain().elements()))
         return self._elements
 
     def element_set(self, cap: int | None = None) -> frozenset[Permutation]:
@@ -275,23 +267,16 @@ class PermGroup:
     def conjugacy_classes(self, cap: int | None = None) -> tuple[tuple[Permutation, frozenset[Permutation]], ...]:
         """All conjugacy classes as (lexicographically least representative, class)."""
         if self._classes is None:
-            els = self.elements(cap)
-            with self._lock:
-                if self._classes is None:
-                    seen: set[Permutation] = set()
-                    out = []
-                    for x in els:
-                        if x in seen:
-                            continue
-                        cls = conjugacy_class(self, x, cap)
-                        seen |= cls
-                        out.append((x, cls))
-                    self._classes = tuple(out)
+            seen: set[Permutation] = set()
+            out = []
+            for x in self.elements(cap):
+                if x in seen:
+                    continue
+                cls = conjugacy_class(self, x, cap)
+                seen |= cls
+                out.append((x, cls))
+            self._classes = tuple(out)
         return self._classes
-
-
-def generated_subgroup(degree: int, generators: Iterable[Permutation]) -> PermGroup:
-    return PermGroup(degree, generators)
 
 
 def span_from_elements(degree: int, elements: Iterable[Permutation]) -> PermGroup:
@@ -411,6 +396,36 @@ def point_stabilizer(G: PermGroup, point: int) -> PermGroup:
     return PermGroup(G.degree, chain.strong_gens(1))
 
 
+def right_cosets(G: PermGroup, H: PermGroup, cap: int | None = None
+                 ) -> tuple[tuple[Permutation, ...], dict[tuple[int, ...], int]]:
+    """The right cosets H*g of a subgroup H, swept breadth-first from H itself.
+
+    Returns the least element (by image table) of each coset, in discovery
+    order, and a lookup from the image table of every element of G to its
+    1-based coset number.  Each new coset costs |H| products, so the whole
+    sweep costs |G| products.
+    """
+    limit = config.element_cap(cap)
+    if G.order() > limit:
+        raise CapExceeded("coset action", G.order(), limit)
+    h_els = H.elements(cap)
+    lookup: dict[tuple[int, ...], int] = {}
+    reps: list[Permutation] = []
+
+    def rep_of(x: Permutation) -> Permutation:
+        i = lookup.get(x.images)
+        if i is None:
+            translates = [h * x for h in h_els]
+            reps.append(min(translates))
+            i = len(reps)
+            for y in translates:
+                lookup[y.images] = i
+        return reps[i - 1]
+
+    orbit_map(rep_of(G.identity()), G.generators, lambda r, s: rep_of(r * s))
+    return tuple(reps), lookup
+
+
 def quotient_group(G: PermGroup, N: PermGroup, cap: int | None = None
                    ) -> tuple[PermGroup, Callable[[Permutation], Permutation]]:
     """Quotient G/N as a permutation group on the right cosets of N.
@@ -421,25 +436,14 @@ def quotient_group(G: PermGroup, N: PermGroup, cap: int | None = None
         raise NotASubgroup("N is not a subgroup of G")
     if not is_normal(G, N):
         raise NotNormal("N is not normal in G")
-    n_els = N.elements(cap)
-
-    def canon(x: Permutation) -> Permutation:
-        # each coset N*x is represented by its least element
-        return min(h * x for h in n_els)
-
-    reps = list(orbit_map(canon(G.identity()), G.generators, lambda r, g: canon(r * g)))
-    index = {r: i for i, r in enumerate(reps)}
-    deg_q = len(reps)
+    reps, lookup = right_cosets(G, N, cap)
 
     def project(g: Permutation) -> Permutation:
         if g not in G:
             raise NotAMember(f"{g!r} is not in the group")
-        images = [0] * deg_q
-        for i, r in enumerate(reps):
-            images[i] = index[canon(r * g)] + 1
-        return Permutation(images)
+        return Permutation(tuple(lookup[(r * g).images] for r in reps))
 
-    Q = PermGroup(deg_q, [project(g) for g in G.generators])
+    Q = PermGroup(len(reps), [project(g) for g in G.generators])
     if Q.order() * N.order() != G.order():
         raise AssertionError("coset action does not realize the quotient")
     return Q, project

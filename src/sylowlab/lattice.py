@@ -102,10 +102,6 @@ class SubgroupLattice:
             self._maximal = tuple(out)
         return self._maximal
 
-    def maximal_overgroups(self, i: int) -> tuple[int, ...]:
-        s = self.element_sets[i]
-        return tuple(j for j in self.maximal_indices() if s <= self.element_sets[j])
-
     def check_maximal(self, i: int) -> None:
         if i not in self.maximal_indices():
             raise NotMaximal(f"subgroup {i} is not maximal")
@@ -175,11 +171,8 @@ def subgroup_lattice(G: PermGroup, cap: int | None = None) -> SubgroupLattice:
         if c not in remap:
             remap[c] = len(remap)
         class_ids.append(remap[c])
-    lat = SubgroupLattice(G, ctx,
-                          tuple(order),
-                          tuple(all_subs[s] for s in order),
-                          tuple(class_ids))
-    with G._lock:
-        if G._lattice is None:
-            G._lattice = lat
+    G._lattice = SubgroupLattice(G, ctx,
+                                 tuple(order),
+                                 tuple(all_subs[s] for s in order),
+                                 tuple(class_ids))
     return G._lattice

@@ -162,10 +162,6 @@ class Permutation:
                 out.append(tuple(cyc))
         return tuple(out)
 
-    def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths including fixed points, sorted ascending."""
-        return tuple(sorted(len(c) for c in self.cycles(include_fixed=True)))
-
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles(include_fixed=True)))
 

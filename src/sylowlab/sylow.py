@@ -20,7 +20,6 @@ from .errors import (
 )
 from .group import (
     PermGroup,
-    generated_subgroup,
     is_normal,
     is_p_solvable,
     is_subgroup,
@@ -129,7 +128,7 @@ def nu_quotient_identity_check(G: PermGroup, N: PermGroup, p: int,
     with timed(report):
         Q, _ = quotient_group(G, N, cap)
         P = sylow_subgroup(G, p, cap)
-        PN = generated_subgroup(G.degree, tuple(P.generators) + tuple(N.generators))
+        PN = PermGroup(G.degree, P.generators + N.generators)
         nu_G = nu_p(G, p, cap)
         nu_Q = nu_p(Q, p, cap)
         nu_PN = nu_p(PN, p, cap)

@@ -227,8 +227,5 @@ class CayleyTable:
 
 def get_table(G: PermGroup, cap: int | None = None) -> CayleyTable:
     if G._table is None:
-        tbl = CayleyTable(G, cap)
-        with G._lock:
-            if G._table is None:
-                G._table = tbl
+        G._table = CayleyTable(G, cap)
     return G._table

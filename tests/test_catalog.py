@@ -1,5 +1,6 @@
 """Tests for the group-expression parser, constructors, and catalog."""
 
+import hashlib
 import math
 
 import pytest
@@ -248,6 +249,20 @@ class TestCatalog:
     def test_q8_has_unique_involution(self):
         G = catalog_entry("Q8").build()
         assert sorted(x.order() for x in G.elements()) == [1, 2, 4, 4, 4, 4, 4, 4]
+
+    # sha256 of the generators' image tables, frozen: Borel(2,q) is generated
+    # by the upper triangular matrices among SL(2,q)'s generators
+    @pytest.mark.parametrize("label, digest", [
+        ("Borel(2,4)", "15484e0800c2240b0b73e0da1e1c53642346286139fe3d66899c42c8221f6e02"),
+        ("Borel(2,8)", "62fb6aeae5aac18cd476c7e28b3277ed02c778e7be50e694d124db981fd28543"),
+        ("Borel(2,9)", "5df746cd932f388ef7d9521e404fd36e332989d6458723235412d7ad8ef4282a"),
+    ])
+    def test_borel_generators_frozen(self, label, digest):
+        assert {e.label for e in CATALOG if e.label.startswith("Borel")} == {
+            "Borel(2,4)", "Borel(2,8)", "Borel(2,9)"}
+        gens = catalog_entry(label).build().generators
+        assert len(gens) == 3
+        assert hashlib.sha256(repr([g.images for g in gens]).encode()).hexdigest() == digest
 
     def test_f21_is_frobenius_of_order_21(self):
         G = catalog_entry("F21").build()

@@ -246,6 +246,35 @@ class TestPlumbing:
         with pytest.raises(KeyError):
             run_check("bogus", {})
 
+    @pytest.mark.parametrize("groups", [("A4", "A5"), ("A5", "A4")])
+    def test_sub_padded_to_each_group(self, capsys, groups):
+        argv = ["verify", "sylow-ratio-bound", "--sub", "[(1 2)(3 4), (1 2 3)]", "-p", "3"]
+        for g in groups:
+            argv += ["--group", g]
+        rc, reps = run(capsys, *argv)
+        by_group = {r["group"]["expr"]: r for r in reps}
+        assert [r["group"]["expr"] for r in reps] == list(groups)
+        assert "error" not in by_group["A5"] and by_group["A5"]["ok"]
+        assert by_group["A5"]["sub"]["degree"] == 5
+        assert by_group["A4"]["error"]["message"] == "H must be proper"
+        assert by_group["A4"]["sub"]["degree"] == 4
+        assert rc == 1
+
+    def test_closed_stdout_gives_no_traceback(self):
+        # the report is far larger than a pipe buffer, so the writer is
+        # still busy when the reader goes away after the first line
+        env = dict(os.environ, PYTHONPATH=str(Path(sylowlab.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sylowlab.cli", "verify", "sylow-ratio-gap-scan",
+             "--group", "S5", "--group", "A6", "-p", "2", "--bound", "0", "--json", "-"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().strip() == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) != 0
+        assert "Traceback" not in err and "Exception ignored" not in err
+
     def test_exit_code_tracks_bound(self, capsys):
         # sigma exceeds the p+1 bound never; force failure via inner error
         rc = main(["compute", "fpr", "--group", "C5", "-p", "3"])

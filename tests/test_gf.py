@@ -6,6 +6,10 @@ from sylowlab.errors import UnsupportedField
 from sylowlab.gf import SUPPORTED_SIZES, SmallField, field
 
 
+def frobenius(F, a):
+    return F.pow(a, F.p)
+
+
 @pytest.mark.parametrize("q", SUPPORTED_SIZES)
 class TestFieldAxioms:
     def test_additive_group(self, q):
@@ -44,20 +48,19 @@ class TestFieldAxioms:
 
     def test_frobenius_is_an_automorphism(self, q):
         F = field(q)
-        fr = F.frobenius
         for a in F.elements():
             for b in F.elements():
-                assert fr(F.add(a, b)) == F.add(fr(a), fr(b))
-                assert fr(F.mul(a, b)) == F.mul(fr(a), fr(b))
+                assert frobenius(F, F.add(a, b)) == F.add(frobenius(F, a), frobenius(F, b))
+                assert frobenius(F, F.mul(a, b)) == F.mul(frobenius(F, a), frobenius(F, b))
         # the k-fold iterate is the identity
         for a in F.elements():
             x = a
             for _ in range(F.k):
-                x = fr(x)
+                x = frobenius(F, x)
             assert x == a
         # the prime subfield is fixed pointwise
         for a in range(F.p):
-            assert fr(a) == a
+            assert frobenius(F, a) == a
 
     def test_multiplicative_group_cyclic(self, q):
         F = field(q)

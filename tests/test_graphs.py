@@ -29,6 +29,22 @@ from sylowlab.group import PermGroup
 from conftest import alternating, cyclic, klein_four, perm, symmetric
 
 
+def has_edge(g, v, w):
+    return bool(g.adj[v] >> w & 1)
+
+
+def edge_list_lines(g):
+    """One `u v` line per edge, 1-based, u < v."""
+    out = []
+    for v in range(g.n):
+        row = g.adj[v] >> (v + 1) << (v + 1)
+        while row:
+            w = (row & -row).bit_length() - 1
+            out.append(f"{v + 1} {w + 1}")
+            row &= row - 1
+    return out
+
+
 def bron_kerbosch_max(n, adj):
     """Independent maximum clique via full maximal clique enumeration."""
     best = [0]
@@ -72,7 +88,7 @@ class TestBitGraph:
         g = BitGraph(3, [0b110, 0b101, 0b011])
         assert g.edge_count() == 3
         assert g.degree(0) == 2
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)
+        assert has_edge(g, 0, 1) and has_edge(g, 1, 0)
 
     def test_loop_rejected(self):
         with pytest.raises(AssertionError):
@@ -80,7 +96,7 @@ class TestBitGraph:
 
     def test_edge_list_round_trip(self):
         g = BitGraph(4, [0b0110, 0b0101, 0b0011, 0b0000])
-        lines = g.edge_list_lines()
+        lines = edge_list_lines(g)
         assert lines == ["1 2", "1 3", "2 3"]
         # vertex 4 is isolated and drops out of the round trip
         h = BitGraph.from_edge_list("\n".join(lines))
@@ -137,7 +153,7 @@ class TestNoncommutingGraph:
         for i, x in enumerate(g.vertices):
             for j, y in enumerate(g.vertices):
                 if i != j:
-                    assert g.has_edge(i, j) == (x * y != y * x)
+                    assert has_edge(g, i, j) == (x * y != y * x)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):

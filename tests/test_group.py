@@ -15,7 +15,6 @@ from sylowlab.group import (
     PermGroup,
     centralizer,
     conjugacy_class,
-    generated_subgroup,
     is_normal,
     is_p_solvable,
     is_subgroup,
@@ -25,9 +24,12 @@ from sylowlab.group import (
     p_residual,
     point_stabilizer,
     quotient_group,
+    right_cosets,
     span_from_elements,
 )
+from sylowlab.lattice import subgroup_lattice
 from sylowlab.perm import Permutation
+from sylowlab.tables import get_table
 
 from conftest import (
     alternating,
@@ -318,9 +320,9 @@ class TestSubgroupPredicates:
         assert not is_normal(S4, PermGroup(4, [perm("(1 2)", 4)]))
 
     def test_generated_subgroup(self):
-        assert generated_subgroup(3, []).order() == 1
-        assert generated_subgroup(3, [perm("(1 2)", 3), perm("(1 2 3)", 3)]).order() == 6
-        assert generated_subgroup(5, [perm("(1 2 3 4 5)", 5), perm("(1 2 3)", 5)]).order() == 60
+        assert PermGroup(3, []).order() == 1
+        assert PermGroup(3, [perm("(1 2)", 3), perm("(1 2 3)", 3)]).order() == 6
+        assert PermGroup(5, [perm("(1 2 3 4 5)", 5), perm("(1 2 3)", 5)]).order() == 60
 
     def test_span_from_elements_reduces_generators(self):
         els = symmetric(4).elements()
@@ -369,6 +371,38 @@ def _is_p_power(n, p):
     while n % p == 0:
         n //= p
     return n == 1
+
+
+@pytest.mark.parametrize("slot, compute", [
+    ("_chain", PermGroup.chain),
+    ("_elements", PermGroup.elements),
+    ("_classes", PermGroup.conjugacy_classes),
+    ("_table", get_table),
+    ("_lattice", subgroup_lattice),
+])
+def test_cache_is_filled_once(slot, compute):
+    G = PermGroup(4, [perm("(1 2 3 4)", 4), perm("(1 2)", 4)])
+    assert getattr(G, slot) is None
+    first = compute(G)
+    assert getattr(G, slot) is first
+    assert compute(G) is first
+
+
+def test_right_cosets_over_catalog():
+    for entry in catalog_upto(2000):
+        G = entry.build()
+        images = {g.images for g in G.elements()}
+        lat = subgroup_lattice(G)
+        for i in range(len(lat)):
+            H = lat.subgroup(i)
+            reps, lookup = right_cosets(G, H)
+            assert len(reps) == G.order() // H.order()
+            assert len(lookup) == G.order() and set(lookup) == images
+            assert reps[0] == min(H.elements())
+            for k, r in enumerate(reps, 1):
+                coset = [h * r for h in H.elements()]
+                assert min(coset) == r
+                assert all(lookup[x.images] == k for x in coset)
 
 
 class TestQuotient:

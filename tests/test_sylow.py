@@ -27,7 +27,7 @@ from sylowlab.errors import (
     PreconditionFailed,
     SylowNotContained,
 )
-from sylowlab.group import PermGroup, generated_subgroup, is_subgroup, p_residual
+from sylowlab.group import PermGroup, is_subgroup, p_residual
 from sylowlab.lattice import subgroup_lattice
 from sylowlab.sylow import (
     nu_monotonicity_check,
