@@ -391,15 +391,25 @@ def _sub_for(sub: GroupInput | None, group: GroupInput | None) -> GroupInput | N
     return padded
 
 
-def _emit(results: list[dict], json_path: str | None) -> None:
+def _emit(results: list[dict], json_path: str | None) -> bool:
+    """Print the reports, or write them to ``json_path``.
+
+    Returns False, after an ``error:`` line on stderr, when the file
+    cannot be written.
+    """
     payload = results[0] if len(results) == 1 else results
     text = json.dumps(payload, indent=2)
     if json_path and json_path != "-":
-        with open(json_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(json_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return False
     else:
         print(text)
         sys.stdout.flush()
+    return True
 
 
 def _summarize(result: dict) -> str:
@@ -440,7 +450,8 @@ def _run(args) -> int:
                 for g in options["groups"] or [None]]
     results = [run(name, o) for o in jobs]
 
-    _emit(results, args.json_path)
+    if not _emit(results, args.json_path):
+        return 1
     ok = all(r.get("ok", False) for r in results)
     if args.json_path and args.json_path != "-":
         for r in results:

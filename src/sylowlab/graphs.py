@@ -5,6 +5,15 @@ has all prime factors in pi (including the identity).  Two vertices are
 joined iff they do not commute.  The clique number of this graph is the
 largest pairwise-noncommuting set of pi-elements; the commuting
 probability is the exact proportion of ordered commuting pairs.
+
+Both are built from conjugacy classes, not from all pairs of vertices.
+The vertex set V is closed under conjugation, so for each class X with
+least element x, one sweep finds C_V(x), the vertices commuting with x.
+A transversal of X then gives every other row: the neighbours of
+y = t^-1 x t are V minus t^-1 C_V(x) t, that is |C_V(x)| conjugations
+instead of |V| commutation tests.  By the class equation the number of
+commuting ordered pairs is the sum over the classes of |X| * |C_V(x)|,
+so the commuting probability needs no graph at all.
 """
 
 from __future__ import annotations
@@ -14,9 +23,10 @@ from fractions import Fraction
 from . import config
 from .cliques import find_biclique, max_clique
 from .errors import CapExceeded, ExprSyntaxError, PreconditionFailed
-from .group import PermGroup, p_residual
+from .group import PermGroup, orbit_map, p_residual
 from .perm import Permutation
 from .reports import CheckReport, timed
+from .tables import check_prime
 
 
 class BitGraph:
@@ -80,6 +90,8 @@ class ElementGraph(BitGraph):
 def pi_elements(G: PermGroup, pi, cap: int | None = None) -> tuple[Permutation, ...]:
     """Elements whose order only involves primes from pi, sorted."""
     pi = frozenset(pi)
+    for p in sorted(pi):
+        check_prime(p)
 
     def is_pi_number(n: int) -> bool:
         for p in pi:
@@ -90,19 +102,47 @@ def pi_elements(G: PermGroup, pi, cap: int | None = None) -> tuple[Permutation, 
     return tuple(x for x in G.elements(cap) if is_pi_number(x.order()))
 
 
-def noncommuting_graph(G: PermGroup, pi, cap: int | None = None) -> ElementGraph:
-    """Loop-free graph on the pi-elements, joined iff they do not commute."""
+def _vertices(G: PermGroup, pi, cap: int | None) -> tuple[Permutation, ...]:
     verts = pi_elements(G, pi, cap)
     limit = config.element_cap(cap)
     if len(verts) > limit:
         raise CapExceeded("noncommuting graph vertices", len(verts), limit)
+    return verts
+
+
+def _pi_classes(G: PermGroup, verts):
+    """Each conjugacy class of G among the sorted pi-elements ``verts``.
+
+    Yields ``(cent, transversal)`` per class, in order of the least
+    element x of the class: ``cent`` lists the vertices that commute
+    with x, and ``transversal`` maps each y in the class to a t with
+    y = t^-1 x t.
+    """
+    pairs = [(g.inverse(), g) for g in G.generators]
+    seen: set[Permutation] = set()
+    for x in verts:
+        if x in seen:
+            continue
+        transversal = orbit_map(x, pairs, lambda y, gg: gg[0] * y * gg[1],
+                                step=lambda t, gg: t * gg[1], label=G.identity())
+        seen.update(transversal)
+        yield [y for y in verts if x * y == y * x], transversal
+
+
+def noncommuting_graph(G: PermGroup, pi, cap: int | None = None) -> ElementGraph:
+    """Loop-free graph on the pi-elements, joined iff they do not commute."""
+    verts = _vertices(G, pi, cap)
+    index = {x: i for i, x in enumerate(verts)}
+    full = (1 << len(verts)) - 1
     adj = [0] * len(verts)
-    for i, x in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            y = verts[j]
-            if x * y != y * x:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    for cent, transversal in _pi_classes(G, verts):
+        for y, t in transversal.items():
+            # y = t^-1 x t commutes exactly with t^-1 C_V(x) t
+            t_inv = t.inverse()
+            mask = 0
+            for c in cent:
+                mask |= 1 << index[t_inv * c * t]
+            adj[index[y]] = full ^ mask
     return ElementGraph(verts, adj)
 
 
@@ -122,11 +162,14 @@ def n_pi(G: PermGroup, pi, cap: int | None = None) -> int:
 def pr_pi(G: PermGroup, pi, cap: int | None = None) -> Fraction:
     """Exact proportion of ordered pairs of pi-elements that commute.
 
-    Diagonal pairs count, so the value is at least 1/|vertices|.
+    Diagonal pairs count, so the value is at least 1/|vertices|.  By the
+    class equation the commuting pairs number sum |X| * |C_V(x)| over
+    the classes X of pi-elements.
     """
-    graph = noncommuting_graph(G, pi, cap)
-    v = graph.n
-    return Fraction(v * v - 2 * graph.edge_count(), v * v)
+    verts = _vertices(G, pi, cap)
+    commuting = sum(len(cent) * len(transversal)
+                    for cent, transversal in _pi_classes(G, verts))
+    return Fraction(commuting, len(verts) ** 2)
 
 
 def turan_bound_check(graph: BitGraph) -> CheckReport:

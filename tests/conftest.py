@@ -104,3 +104,29 @@ def min_cover_exhaustive(universe_size: int, masks: list[int]) -> int:
             if u & full == full:
                 return size
     raise ValueError("universe is not coverable by the candidates")
+
+
+def brute_noncommuting_graph(G: PermGroup, pi) -> tuple[list[Permutation], list[int]]:
+    """Sorted pi-elements and noncommuting-graph adjacency by raw products.
+
+    The elements come from ``brute_closure`` and every unordered pair of
+    them is tested, |V|^2 / 2 commutation tests; ``graphs.noncommuting_graph``
+    builds its rows from one centralizer per conjugacy class and is
+    tested against this.
+    """
+    def is_pi_number(n: int) -> bool:
+        for p in pi:
+            while n % p == 0:
+                n //= p
+        return n == 1
+
+    vertices = sorted(x for x in brute_closure(G.degree, G.generators)
+                      if is_pi_number(x.order()))
+    adj = [0] * len(vertices)
+    for i, x in enumerate(vertices):
+        for j in range(i + 1, len(vertices)):
+            y = vertices[j]
+            if x * y != y * x:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return vertices, adj

@@ -227,6 +227,16 @@ class TestPlumbing:
                       "--json", "-")
         assert rc == 0 and rep["value"] == 3
 
+    @pytest.mark.parametrize("group", ["S3", "S3 )"], ids=["report", "resolve-failure"])
+    def test_unwritable_json_path(self, capsys, tmp_path, group):
+        path = tmp_path / "missing" / "x.json"
+        rc = main(["compute", "nu", "--group", group, "-p", "2", "--json", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.splitlines()[-1] == (
+            f"error: [Errno 2] No such file or directory: '{path}'")
+        assert captured.out == "" and not path.exists()
+
     def test_unknown_check_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "no-such-check", "--group", "S3"])

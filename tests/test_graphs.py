@@ -5,13 +5,19 @@ brute-force runs: Bron-Kerbosch enumeration for cliques, direct ordered
 pair counting for probabilities.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sylowlab
+from sylowlab.catalog import catalog_upto, construct_text
 from sylowlab.cliques import find_biclique, max_clique
-from sylowlab.errors import CapExceeded, PreconditionFailed
+from sylowlab.errors import CapExceeded, OutOfDomain, PreconditionFailed
 from sylowlab.graphs import (
     BitGraph,
     c_pi_membership,
@@ -26,7 +32,14 @@ from sylowlab.graphs import (
 )
 from sylowlab.group import PermGroup
 
-from conftest import alternating, cyclic, klein_four, perm, symmetric
+from conftest import (
+    alternating,
+    brute_noncommuting_graph,
+    cyclic,
+    klein_four,
+    perm,
+    symmetric,
+)
 
 
 def has_edge(g, v, w):
@@ -158,6 +171,128 @@ class TestNoncommutingGraph:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             noncommuting_graph(alternating(5), {2, 3, 5}, cap=10)
+
+
+def prime_divisors(n):
+    return [p for p in range(2, n + 1)
+            if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+class TestAgainstBruteOracle:
+    """The class-by-class builder against |V|^2 raw commutation tests.
+
+    ``pr_pi`` counts commuting pairs by the class equation; the oracle's
+    adjacency counts them directly: |V|^2 minus the noncommuting ordered
+    pairs.
+    """
+
+    @staticmethod
+    def assert_matches(G, pi):
+        vertices, adj = brute_noncommuting_graph(G, pi)
+        graph = noncommuting_graph(G, pi)
+        assert list(graph.vertices) == vertices
+        assert list(graph.adj) == adj
+        n = len(vertices)
+        noncommuting = sum(row.bit_count() for row in adj)
+        assert pr_pi(G, pi) == Fraction(n * n - noncommuting, n * n)
+
+    @pytest.mark.parametrize("entry", catalog_upto(500), ids=lambda e: e.label)
+    def test_catalog(self, entry):
+        G = entry.build()
+        for pi in [{p} for p in prime_divisors(G.order())] + [{2, 3}]:
+            self.assert_matches(G, pi)
+
+    @pytest.mark.parametrize("label, pi", [
+        ("A7", {2}),
+        ("PSL(2,11)", {2, 3}),
+        ("PSL(2,11)", {5}),
+    ])
+    def test_larger_groups(self, label, pi):
+        self.assert_matches(construct_text(label), pi)
+
+
+class TestIndependentRoutes:
+    """Pr_pi against sympy's commuting ordered pairs and n_pi against the
+    networkx clique number, on groups built by sympy where it has them
+    (the routes of the benchmark's confirm script)."""
+
+    @staticmethod
+    def sympy_graph(label, pi):
+        """Vertex count and noncommuting pairs (i < j) of the pi-elements,
+        all from sympy."""
+        pytest.importorskip("sympy")
+        from sympy.combinatorics import Permutation as SymPerm
+        from sympy.combinatorics.named_groups import AlternatingGroup, SymmetricGroup
+        from sympy.combinatorics.perm_groups import PermutationGroup
+        from sympy import primefactors
+
+        if label[0] in "AS" and label[1:].isdigit():
+            G = (AlternatingGroup if label[0] == "A" else SymmetricGroup)(int(label[1:]))
+        else:
+            G = PermutationGroup([SymPerm([i - 1 for i in g.images])
+                                  for g in construct_text(label).generators])
+        verts = [x for x in G.generate() if set(primefactors(x.order())) <= pi]
+        edges = [(i, j) for i, x in enumerate(verts) for j in range(i + 1, len(verts))
+                 if x * verts[j] != verts[j] * x]
+        return len(verts), edges
+
+    @pytest.mark.parametrize("label, pi", [
+        ("A5", {2, 3}),
+        ("S5", {2, 3}),
+        ("A6", {2, 3}),
+        ("PSL(2,7)", {2}),
+    ])
+    def test_pr_and_clique_number(self, label, pi):
+        nx = pytest.importorskip("networkx")
+        n, edges = self.sympy_graph(label, pi)
+        G = construct_text(label)
+        assert pr_pi(G, pi) == Fraction(n * n - 2 * len(edges), n * n)
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(edges)
+        _, omega = nx.max_weight_clique(graph, weight=None)
+        assert n_pi(G, pi) == omega
+
+
+class TestPiValidation:
+    """Every graph entry point refuses a pi holding a non-prime, through
+    pi_elements.  Before, pr_pi(S4, {4}) answered 25/49, pi = {0} raised
+    ZeroDivisionError and pi = {1} never returned."""
+
+    @pytest.mark.parametrize("pi", [{4}, {0}, {2, 4}, {3, 6}, {-2}])
+    @pytest.mark.parametrize("call", [
+        lambda pi: pi_elements(symmetric(4), pi),
+        lambda pi: noncommuting_graph(symmetric(4), pi),
+        lambda pi: pr_pi(symmetric(4), pi),
+        lambda pi: n_pi(symmetric(4), pi),
+        lambda pi: max_noncommuting_set(symmetric(4), pi),
+        lambda pi: c_pi_membership(symmetric(4), pi, 1, 1),
+    ], ids=["pi_elements", "noncommuting_graph", "pr_pi", "n_pi",
+            "max_noncommuting_set", "c_pi_membership"])
+    def test_non_prime_is_out_of_domain(self, call, pi):
+        bad = min(p for p in pi if p not in (2, 3))
+        with pytest.raises(OutOfDomain, match=f"expected a prime, got {bad}"):
+            call(pi)
+
+    def test_one_in_child_process(self):
+        # pi = {1} used to loop forever in pi_elements, hence the timeout
+        code = (
+            "from sylowlab.catalog import construct_text\n"
+            "from sylowlab.errors import OutOfDomain\n"
+            "from sylowlab.graphs import c_pi_membership, n_pi, pr_pi\n"
+            "G = construct_text('S4')\n"
+            "for call in (lambda: pr_pi(G, {1}), lambda: n_pi(G, {1, 2}),\n"
+            "             lambda: c_pi_membership(G, {1}, 1, 1)):\n"
+            "    try:\n"
+            "        print(call())\n"
+            "    except OutOfDomain as err:\n"
+            "        print(err)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sylowlab.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["expected a prime, got 1"] * 3
 
 
 class TestCliqueNumberFrozen:
