@@ -30,7 +30,7 @@ from .group import (
     right_cosets,
 )
 from .perm import Permutation
-from .reports import CheckReport, timed
+from .reports import CheckReport
 from .tables import is_p_power
 
 # cross-check fpr against the conjugacy-class formula up to this order
@@ -275,22 +275,18 @@ def sylow_orbit_bound_check(action: CosetAction, p: int,
     G = action.group
     if G.order() % p:
         raise PreconditionFailed("p must divide the group order")
-    report = CheckReport("sylow-orbit-bound", False)
-    with timed(report):
-        P = sylow_subgroup(G, p, cap)
-        orbits = action.orbit_count(P.generators)
-        main_ok = orbits * (2 * p - 1) <= p * action.degree
-        extra_ok = (orbits * (p + 1) <= 2 * action.degree
-                    if exclusions_clear else None)
-        report.ok = main_ok and extra_ok is not False
-        report.details = {
-            "p": p,
-            "degree": action.degree,
-            "sylow_order": P.order(),
-            "orbits": orbits,
-            "bound": Fraction(p * action.degree, 2 * p - 1),
-            "bound_attained": orbits * (2 * p - 1) == p * action.degree,
-            "refined_bound_checked": exclusions_clear,
-            "refined_bound_holds": extra_ok,
-        }
-    return report
+    P = sylow_subgroup(G, p, cap)
+    orbits = action.orbit_count(P.generators)
+    main_ok = orbits * (2 * p - 1) <= p * action.degree
+    extra_ok = (orbits * (p + 1) <= 2 * action.degree
+                if exclusions_clear else None)
+    return CheckReport("sylow-orbit-bound", main_ok and extra_ok is not False, {
+        "p": p,
+        "degree": action.degree,
+        "sylow_order": P.order(),
+        "orbits": orbits,
+        "bound": Fraction(p * action.degree, 2 * p - 1),
+        "bound_attained": orbits * (2 * p - 1) == p * action.degree,
+        "refined_bound_checked": exclusions_clear,
+        "refined_bound_holds": extra_ok,
+    })

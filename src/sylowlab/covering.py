@@ -15,7 +15,7 @@ from .errors import ClassNotCoverable, PreconditionFailed
 from .group import PermGroup, conjugacy_class, p_residual
 from .lattice import subgroup_lattice
 from .perm import Permutation
-from .reports import CheckReport, timed
+from .reports import CheckReport
 from .setcover import min_cover
 from .tables import check_prime, is_p_power
 
@@ -68,15 +68,14 @@ def sigma_p_cover(G: PermGroup, p: int, cap: int | None = None):
     check_prime(p)
     lat, universe, maximal = _sigma_instance(G, p, cap)
     if not maximal:
-        return math.inf, ()
-    covered = set()
-    for ci in maximal:
-        covered |= lat.element_sets[ci]
-    if any(e not in covered for e in universe):
-        # some p-element generates the whole group: G is cyclic
+        # only the trivial group: min_cover would cover its empty universe with 0
         return math.inf, ()
     masks = _cover_instance(lat, universe, maximal)
-    size, chosen = min_cover(len(universe), masks)
+    try:
+        size, chosen = min_cover(len(universe), masks)
+    except ValueError:
+        # some p-element generates the whole group: G is cyclic
+        return math.inf, ()
     return size, tuple(lat.generators_of(maximal[i]) for i in chosen)
 
 
@@ -111,14 +110,10 @@ def class_cover(G: PermGroup, x: Permutation, cap: int | None = None):
 def sigma_lower_bound_check(G: PermGroup, p: int,
                             cap: int | None = None) -> CheckReport:
     """For G generated by its p-elements: the covering number is >= p+1."""
-    report = CheckReport("covering-lower-bound", False)
-    with timed(report):
-        value = sigma_p(G, p, cap)
-        report.ok = value >= p + 1
-        report.details = {
-            "p": p,
-            "sigma": value,
-            "lower_bound": p + 1,
-            "attained": value == p + 1,
-        }
-    return report
+    value = sigma_p(G, p, cap)
+    return CheckReport("covering-lower-bound", value >= p + 1, {
+        "p": p,
+        "sigma": value,
+        "lower_bound": p + 1,
+        "attained": value == p + 1,
+    })

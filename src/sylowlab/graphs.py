@@ -25,7 +25,7 @@ from .cliques import find_biclique, max_clique
 from .errors import CapExceeded, ExprSyntaxError, PreconditionFailed
 from .group import PermGroup, orbit_map, p_residual
 from .perm import Permutation
-from .reports import CheckReport, timed
+from .reports import CheckReport
 from .tables import check_prime
 
 
@@ -174,40 +174,31 @@ def pr_pi(G: PermGroup, pi, cap: int | None = None) -> Fraction:
 
 def turan_bound_check(graph: BitGraph) -> CheckReport:
     """Edge count against (1 - 1/clique_number) * n^2 / 2, exactly."""
-    report = CheckReport("clique-edge-bound", False)
-    with timed(report):
-        edges = graph.edge_count()
-        omega, _ = max_clique(graph.n, list(graph.adj))
-        if graph.n == 0:
-            report.ok = True
-            bound = Fraction(0)
-        else:
-            bound = (1 - Fraction(1, omega)) * Fraction(graph.n ** 2, 2)
-            report.ok = edges <= bound
-        report.details = {
-            "vertices": graph.n,
-            "edges": edges,
-            "clique_number": omega,
-            "bound": bound,
-            "attained": edges == bound,
-        }
-    return report
+    edges = graph.edge_count()
+    omega, _ = max_clique(graph.n, list(graph.adj))
+    if graph.n == 0:
+        bound = Fraction(0)
+    else:
+        bound = (1 - Fraction(1, omega)) * Fraction(graph.n ** 2, 2)
+    return CheckReport("clique-edge-bound", edges <= bound, {
+        "vertices": graph.n,
+        "edges": edges,
+        "clique_number": omega,
+        "bound": bound,
+        "attained": edges == bound,
+    })
 
 
 def pr_times_clique_check(G: PermGroup, pi, cap: int | None = None) -> CheckReport:
     """Commuting probability times clique number is at least 1."""
-    report = CheckReport("probability-clique-product", False)
-    with timed(report):
-        pr = pr_pi(G, pi, cap)
-        k = n_pi(G, pi, cap)
-        report.ok = pr * k >= 1
-        report.details = {
-            "pi": sorted(pi),
-            "probability": pr,
-            "clique_number": k,
-            "product": pr * k,
-        }
-    return report
+    pr = pr_pi(G, pi, cap)
+    k = n_pi(G, pi, cap)
+    return CheckReport("probability-clique-product", pr * k >= 1, {
+        "pi": sorted(pi),
+        "probability": pr,
+        "clique_number": k,
+        "product": pr * k,
+    })
 
 
 def sigma_le_clique_check(G: PermGroup, p: int, cap: int | None = None) -> CheckReport:
@@ -227,21 +218,17 @@ def sigma_le_clique_check(G: PermGroup, p: int, cap: int | None = None) -> Check
     if len(clique) < 2:
         raise PreconditionFailed(
             "all p-elements commute; centralizer cover is degenerate")
-    report = CheckReport("covering-clique-bound", False)
-    with timed(report):
-        sigma = sigma_p(G, p, cap)
-        witness_covers = all(
-            any(x * c == c * x for c in clique)
-            for x in p_elements(G, p, cap))
-        report.ok = sigma <= len(clique) and witness_covers
-        report.details = {
-            "p": p,
-            "sigma": sigma,
-            "clique_number": len(clique),
-            "witness_covers": witness_covers,
-            "clique": [x.cycle_string() for x in clique],
-        }
-    return report
+    sigma = sigma_p(G, p, cap)
+    witness_covers = all(
+        any(x * c == c * x for c in clique)
+        for x in p_elements(G, p, cap))
+    return CheckReport("covering-clique-bound", sigma <= len(clique) and witness_covers, {
+        "p": p,
+        "sigma": sigma,
+        "clique_number": len(clique),
+        "witness_covers": witness_covers,
+        "clique": [x.cycle_string() for x in clique],
+    })
 
 
 def c_pi_membership(G: PermGroup, pi, m: int, n: int, cap: int | None = None):

@@ -452,28 +452,25 @@ def quotient_group(G: PermGroup, N: PermGroup, cap: int | None = None
 def is_p_solvable(G: PermGroup, p: int, cap: int | None = None) -> bool:
     """Whether the upper p-series reaches the whole group.
 
-    Alternately factors out the largest normal subgroup of order coprime
-    to p and the largest normal p-subgroup; the group is p-solvable when
-    this terminates at the trivial group.
+    The series is read off G's own subgroup lattice: a normal subgroup of
+    G/K is N/K for a normal N of G containing K.  Each step goes from K
+    to the largest such N != K with |N:K| coprime to p or, when there is
+    none, to the largest with |N:K| a power of p (either is unique, being
+    O_p'(G/K) or O_p(G/K)).  G is p-solvable when the steps reach G, and
+    not when both kinds run out first.
     """
     from .lattice import subgroup_lattice  # local imports, avoid a cycle
     from .tables import check_prime, is_p_power
 
     check_prime(p)
-    Q = G
-    while Q.order() > 1:
-        lat = subgroup_lattice(Q, cap)
-        best = None
-        for i in lat.normal_indices():
-            n = lat.order_of(i)
-            if 1 < n and n % p != 0 and (best is None or n > lat.order_of(best)):
-                best = i
-        if best is None:
-            for i in lat.normal_indices():
-                n = lat.order_of(i)
-                if 1 < n and is_p_power(n, p) and (best is None or n > lat.order_of(best)):
-                    best = i
-        if best is None:
+    lat = subgroup_lattice(G, cap)
+    normal = [lat.element_sets[i] for i in lat.normal_indices()]
+    K = lat.element_sets[0]
+    while len(K) < G.order():
+        above = [N for N in normal if K < N]
+        K = (max((N for N in above if (len(N) // len(K)) % p), key=len, default=None)
+             or max((N for N in above if is_p_power(len(N) // len(K), p)),
+                    key=len, default=None))
+        if K is None:
             return False
-        Q, _ = quotient_group(Q, lat.subgroup(best), cap)
     return True

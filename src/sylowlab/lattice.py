@@ -28,7 +28,7 @@ class SubgroupLattice:
     """
 
     __slots__ = ("parent", "ctx", "element_sets", "generator_sets",
-                 "class_ids", "_maximal", "_groups")
+                 "class_ids", "_maximal")
 
     def __init__(self, parent: PermGroup, ctx: CayleyTable,
                  element_sets, generator_sets, class_ids):
@@ -38,7 +38,6 @@ class SubgroupLattice:
         self.generator_sets = generator_sets
         self.class_ids = class_ids
         self._maximal = None
-        self._groups = {}
 
     def __len__(self) -> int:
         return len(self.element_sets)
@@ -53,10 +52,7 @@ class SubgroupLattice:
     def subgroup(self, i: int) -> PermGroup:
         if i == self.top:
             return self.parent
-        if i not in self._groups:
-            self._groups[i] = self.ctx.subgroup_from(
-                self.element_sets[i], self.generator_sets[i])
-        return self._groups[i]
+        return PermGroup(self.parent.degree, self.generators_of(i))
 
     def generators_of(self, i: int) -> tuple[Permutation, ...]:
         return tuple(self.ctx.elements[g] for g in self.generator_sets[i])

@@ -6,7 +6,6 @@ a num/den pair; floats never appear in reports.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,19 +32,3 @@ class CheckReport:
     ok: bool
     details: dict = field(default_factory=dict)
     notices: list = field(default_factory=list)
-    runtime_ms: int = 0
-
-
-class timed:
-    """Context manager filling in a report's runtime_ms."""
-
-    def __init__(self, report: CheckReport):
-        self.report = report
-
-    def __enter__(self):
-        self._t0 = time.monotonic()
-        return self.report
-
-    def __exit__(self, *exc):
-        self.report.runtime_ms = int((time.monotonic() - self._t0) * 1000)
-        return False

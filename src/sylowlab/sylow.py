@@ -1,8 +1,9 @@
 """Sylow subgroups, Sylow counts, and the identities relating them.
 
-The count nu(G, p) is computed as the index of a normalizer.  A separate
-oracle in the test suite recounts subgroups of full p-power order from
-the subgroup lattice, so the two routes check each other.
+``nu_p`` computes nu(G, p) as the index of a normalizer, and
+``sylow_subgroups`` lists the conjugation orbit of one Sylow subgroup.
+The test suite checks both routes against each other and against the
+subgroups of full p-power order in the subgroup lattice.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .group import (
     quotient_group,
 )
 from .perm import Permutation
-from .reports import CheckReport, timed
+from .reports import CheckReport
 from .tables import check_prime, grow_sylow, p_part
 
 
@@ -68,16 +69,20 @@ def nu_p(G: PermGroup, p: int, cap: int | None = None) -> int:
 
 
 def sylow_subgroups(G: PermGroup, p: int, cap: int | None = None) -> tuple[frozenset, ...]:
-    """Element sets of all Sylow p-subgroups, by conjugating one of them."""
+    """Element sets of all Sylow p-subgroups, sorted.
+
+    They form the orbit of one Sylow subgroup under conjugation, so their
+    number is nu(G, p); this builds no normalizer.  Raises CapExceeded
+    when the Sylow subgroups together would hold more elements than the
+    element cap allows.
+    """
     check_prime(p)
     P = sylow_subgroup(G, p, cap)
-    count = nu_p(G, p, cap)
-    limit = config.element_cap(cap)
-    if count * P.order() > limit:
-        raise CapExceeded("Sylow subgroup enumeration", count * P.order(), limit)
     seen = orbit_map(frozenset(P.elements()), G.generators,
-                     lambda s, g: frozenset(x.conjugate(g) for x in s))
-    assert len(seen) == count
+                     lambda s, g: frozenset(x.conjugate(g) for x in s),
+                     limit=config.element_cap(cap) // P.order(),
+                     what="Sylow subgroup enumeration")
+    assert len(seen) % p == 1, "Sylow count must be 1 mod p"
     return tuple(sorted(seen, key=lambda s: sorted(s)))
 
 
@@ -91,32 +96,29 @@ def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int,
     """
     if not is_subgroup(H, G):
         raise NotASubgroup("H is not a subgroup of G")
-    report = CheckReport("sylow-monotone", False)
-    with timed(report):
-        nu_G = nu_p(G, p, cap)
-        nu_H = nu_p(H, p, cap)
-        Q = sylow_subgroup(H, p, cap)
-        P = sylow_subgroup_containing(G, Q, p, cap)
-        q_set = frozenset(Q.elements())
-        containing = sum(1 for s in sylow_subgroups(G, p, cap) if q_set <= s)
-        unique_containment = containing == 1
-        n_set = frozenset(normalizer(G, P, cap).elements())
-        h_set = frozenset(H.elements())
-        product_size = len(h_set) * len(n_set) // len(h_set & n_set)
-        product_covers = product_size == G.order()
-        equal = nu_H == nu_G
-        conditions = unique_containment and product_covers
-        report.ok = nu_H <= nu_G and (equal == conditions)
-        report.details = {
-            "p": p,
-            "nu_G": nu_G,
-            "nu_H": nu_H,
-            "equal": equal,
-            "sylows_of_G_containing_Q": containing,
-            "unique_containment": unique_containment,
-            "product_covers_G": product_covers,
-        }
-    return report
+    sylows = sylow_subgroups(G, p, cap)
+    nu_G = len(sylows)
+    nu_H = nu_p(H, p, cap)
+    Q = sylow_subgroup(H, p, cap)
+    P = sylow_subgroup_containing(G, Q, p, cap)
+    q_set = frozenset(Q.elements())
+    containing = sum(1 for s in sylows if q_set <= s)
+    unique_containment = containing == 1
+    n_set = frozenset(normalizer(G, P, cap).elements())
+    h_set = frozenset(H.elements())
+    product_size = len(h_set) * len(n_set) // len(h_set & n_set)
+    product_covers = product_size == G.order()
+    equal = nu_H == nu_G
+    conditions = unique_containment and product_covers
+    return CheckReport("sylow-monotone", nu_H <= nu_G and (equal == conditions), {
+        "p": p,
+        "nu_G": nu_G,
+        "nu_H": nu_H,
+        "equal": equal,
+        "sylows_of_G_containing_Q": containing,
+        "unique_containment": unique_containment,
+        "product_covers_G": product_covers,
+    })
 
 
 def nu_quotient_identity_check(G: PermGroup, N: PermGroup, p: int,
@@ -124,23 +126,19 @@ def nu_quotient_identity_check(G: PermGroup, N: PermGroup, p: int,
     """Verify nu(G, p) = nu(G/N, p) * nu(PN, p) for normal N."""
     if not is_normal(G, N):
         raise NotNormal("N is not normal in G")
-    report = CheckReport("sylow-quotient-product", False)
-    with timed(report):
-        Q, _ = quotient_group(G, N, cap)
-        P = sylow_subgroup(G, p, cap)
-        PN = PermGroup(G.degree, P.generators + N.generators)
-        nu_G = nu_p(G, p, cap)
-        nu_Q = nu_p(Q, p, cap)
-        nu_PN = nu_p(PN, p, cap)
-        report.ok = nu_G == nu_Q * nu_PN
-        report.details = {
-            "p": p,
-            "nu_G": nu_G,
-            "nu_quotient": nu_Q,
-            "nu_PN": nu_PN,
-            "product": nu_Q * nu_PN,
-        }
-    return report
+    Q, _ = quotient_group(G, N, cap)
+    P = sylow_subgroup(G, p, cap)
+    PN = PermGroup(G.degree, P.generators + N.generators)
+    nu_G = nu_p(G, p, cap)
+    nu_Q = nu_p(Q, p, cap)
+    nu_PN = nu_p(PN, p, cap)
+    return CheckReport("sylow-quotient-product", nu_G == nu_Q * nu_PN, {
+        "p": p,
+        "nu_G": nu_G,
+        "nu_quotient": nu_Q,
+        "nu_PN": nu_PN,
+        "product": nu_Q * nu_PN,
+    })
 
 
 def nu_fpr_identity_check(G: PermGroup, H: PermGroup, p: int,
@@ -160,24 +158,20 @@ def nu_fpr_identity_check(G: PermGroup, H: PermGroup, p: int,
     if p_part(H.order(), p) != p_part(G.order(), p):
         raise SylowNotContained(
             "H does not contain a Sylow p-subgroup of G")
-    report = CheckReport("sylow-fpr-identity", False)
-    with timed(report):
-        P = sylow_subgroup(H, p, cap)
-        action = coset_action(G, H, cap)
-        nu_H = nu_p(H, p, cap)
-        nu_G = nu_p(G, p, cap)
-        ratio = Fraction(nu_H, nu_G)
-        fixed_ratio = fpr_subgroup(action, P)
-        report.ok = ratio == fixed_ratio
-        report.details = {
-            "p": p,
-            "nu_H": nu_H,
-            "nu_G": nu_G,
-            "sylow_ratio": ratio,
-            "fixed_point_ratio": fixed_ratio,
-            "degree": action.degree,
-        }
-    return report
+    P = sylow_subgroup(H, p, cap)
+    action = coset_action(G, H, cap)
+    nu_H = nu_p(H, p, cap)
+    nu_G = nu_p(G, p, cap)
+    ratio = Fraction(nu_H, nu_G)
+    fixed_ratio = fpr_subgroup(action, P)
+    return CheckReport("sylow-fpr-identity", ratio == fixed_ratio, {
+        "p": p,
+        "nu_H": nu_H,
+        "nu_G": nu_G,
+        "sylow_ratio": ratio,
+        "fixed_point_ratio": fixed_ratio,
+        "degree": action.degree,
+    })
 
 
 def sylow_ratio_bound_check(G: PermGroup, H: PermGroup, p: int,
@@ -198,24 +192,20 @@ def sylow_ratio_bound_check(G: PermGroup, H: PermGroup, p: int,
         raise PreconditionFailed("H must be proper")
     if p_part(H.order(), p) != p_part(G.order(), p):
         raise SylowNotContained("H does not contain a Sylow p-subgroup of G")
-    report = CheckReport("sylow-ratio-bound", False)
-    with timed(report):
-        nu_G = nu_p(G, p, cap)
-        nu_H = nu_p(H, p, cap)
-        main_bound = nu_H * (2 * p - 1) <= nu_G * (p - 1)
-        strict_bound = nu_H * (p + 1) <= nu_G if exclusions_clear else None
-        report.ok = main_bound and (strict_bound is not False)
-        report.details = {
-            "p": p,
-            "nu_G": nu_G,
-            "nu_H": nu_H,
-            "ratio": Fraction(nu_H, nu_G),
-            "bound": Fraction(p - 1, 2 * p - 1),
-            "bound_attained": nu_H * (2 * p - 1) == nu_G * (p - 1),
-            "strict_bound_checked": exclusions_clear,
-            "strict_bound_holds": strict_bound,
-        }
-    return report
+    nu_G = nu_p(G, p, cap)
+    nu_H = nu_p(H, p, cap)
+    main_bound = nu_H * (2 * p - 1) <= nu_G * (p - 1)
+    strict_bound = nu_H * (p + 1) <= nu_G if exclusions_clear else None
+    return CheckReport("sylow-ratio-bound", main_bound and (strict_bound is not False), {
+        "p": p,
+        "nu_G": nu_G,
+        "nu_H": nu_H,
+        "ratio": Fraction(nu_H, nu_G),
+        "bound": Fraction(p - 1, 2 * p - 1),
+        "bound_attained": nu_H * (2 * p - 1) == nu_G * (p - 1),
+        "strict_bound_checked": exclusions_clear,
+        "strict_bound_holds": strict_bound,
+    })
 
 
 def p_solvable_divisibility_check(G: PermGroup, p: int,
@@ -227,31 +217,27 @@ def p_solvable_divisibility_check(G: PermGroup, p: int,
 
     if not is_p_solvable(G, p, cap):
         raise NotPSolvable("G is not p-solvable")
-    report = CheckReport("p-solvable-divisibility", False)
-    with timed(report):
-        lat = subgroup_lattice(G, cap)
-        ctx = lat.ctx
-        nu_G = ctx.sylow_count_in(frozenset(range(ctx.n)), p)
-        bad_div = []
-        bad_gap = []
-        values = set()
-        for i in range(len(lat) - 1):
-            nu_H = ctx.sylow_count_in(lat.element_sets[i], p)
-            values.add(nu_H)
-            if nu_G % nu_H:
-                bad_div.append(i)
-            elif nu_H != nu_G and nu_H * (p + 1) > nu_G:
-                bad_gap.append(i)
-        report.ok = not bad_div and not bad_gap
-        report.details = {
-            "p": p,
-            "nu_G": nu_G,
-            "subgroups_checked": len(lat) - 1,
-            "nu_values": sorted(values),
-            "divisibility_failures": bad_div,
-            "gap_failures": bad_gap,
-        }
-    return report
+    lat = subgroup_lattice(G, cap)
+    ctx = lat.ctx
+    nu_G = ctx.sylow_count_in(frozenset(range(ctx.n)), p)
+    bad_div = []
+    bad_gap = []
+    values = set()
+    for i in range(len(lat) - 1):
+        nu_H = ctx.sylow_count_in(lat.element_sets[i], p)
+        values.add(nu_H)
+        if nu_G % nu_H:
+            bad_div.append(i)
+        elif nu_H != nu_G and nu_H * (p + 1) > nu_G:
+            bad_gap.append(i)
+    return CheckReport("p-solvable-divisibility", not bad_div and not bad_gap, {
+        "p": p,
+        "nu_G": nu_G,
+        "subgroups_checked": len(lat) - 1,
+        "nu_values": sorted(values),
+        "divisibility_failures": bad_div,
+        "gap_failures": bad_gap,
+    })
 
 
 def sylow_ratio_gap_scan(groups, p: int, bound: Fraction,
@@ -263,41 +249,38 @@ def sylow_ratio_gap_scan(groups, p: int, bound: Fraction,
     """
     from .lattice import subgroup_lattice
 
-    report = CheckReport("sylow-ratio-gap-scan", False)
-    with timed(report):
-        violations = []
-        scanned = 0
-        for name, G in groups:
-            try:
-                lat = subgroup_lattice(G, cap)
-            except CapExceeded as e:
-                report.notices.append(
-                    f"skipped {name}: lattice needs {e.required} > cap {e.cap}")
-                continue
-            scanned += 1
-            ctx = lat.ctx
-            nu_G = ctx.sylow_count_in(frozenset(range(ctx.n)), p)
-            for i in range(len(lat) - 1):
-                nu_H = ctx.sylow_count_in(lat.element_sets[i], p)
-                if nu_H < nu_G and nu_H > bound * nu_G:
-                    gens = [ctx.elements[g].cycle_string()
-                            for g in lat.generator_sets[i]]
-                    violations.append({
-                        "group": name,
-                        "subgroup_generators": gens,
-                        "p": p,
-                        "nu_G": nu_G,
-                        "nu_H": nu_H,
-                        "ratio_num": Fraction(nu_H, nu_G).numerator,
-                        "ratio_den": Fraction(nu_H, nu_G).denominator,
-                    })
-        violations.sort(key=lambda v: (-Fraction(v["ratio_num"], v["ratio_den"]),
-                                       v["group"], v["subgroup_generators"]))
-        report.ok = not violations
-        report.details = {
-            "p": p,
-            "bound": bound,
-            "groups_scanned": scanned,
-            "violations": violations,
-        }
-    return report
+    violations = []
+    notices = []
+    scanned = 0
+    for name, G in groups:
+        try:
+            lat = subgroup_lattice(G, cap)
+        except CapExceeded as e:
+            notices.append(
+                f"skipped {name}: lattice needs {e.required} > cap {e.cap}")
+            continue
+        scanned += 1
+        ctx = lat.ctx
+        nu_G = ctx.sylow_count_in(frozenset(range(ctx.n)), p)
+        for i in range(len(lat) - 1):
+            nu_H = ctx.sylow_count_in(lat.element_sets[i], p)
+            if nu_H < nu_G and nu_H > bound * nu_G:
+                gens = [ctx.elements[g].cycle_string()
+                        for g in lat.generator_sets[i]]
+                violations.append({
+                    "group": name,
+                    "subgroup_generators": gens,
+                    "p": p,
+                    "nu_G": nu_G,
+                    "nu_H": nu_H,
+                    "ratio_num": Fraction(nu_H, nu_G).numerator,
+                    "ratio_den": Fraction(nu_H, nu_G).denominator,
+                })
+    violations.sort(key=lambda v: (-Fraction(v["ratio_num"], v["ratio_den"]),
+                                   v["group"], v["subgroup_generators"]))
+    return CheckReport("sylow-ratio-gap-scan", not violations, {
+        "p": p,
+        "bound": bound,
+        "groups_scanned": scanned,
+        "violations": violations,
+    }, notices)

@@ -216,14 +216,6 @@ class CayleyTable:
         assert count % p == 1, "Sylow count must be 1 mod p"
         return count
 
-    def subgroup_from(self, fs: frozenset[int], gens=()) -> PermGroup:
-        """Materialize an index set as a PermGroup (generators reduced)."""
-        from .group import span_from_elements
-
-        if gens:
-            return PermGroup(self.group.degree, [self.elements[i] for i in gens])
-        return span_from_elements(self.group.degree, [self.elements[i] for i in sorted(fs)])
-
 
 def get_table(G: PermGroup, cap: int | None = None) -> CayleyTable:
     if G._table is None:

@@ -130,3 +130,39 @@ def brute_noncommuting_graph(G: PermGroup, pi) -> tuple[list[Permutation], list[
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return vertices, adj
+
+
+def quotient_route_is_p_solvable(G: PermGroup, p: int) -> bool:
+    """p-solvability by walking the upper p-series through quotient groups.
+
+    At each step the quotient's own subgroup lattice supplies its largest
+    normal p'-subgroup, or else its largest normal p-subgroup, which is
+    then factored out with ``quotient_group``.  ``group.is_p_solvable``
+    reads the same series off G's lattice alone and is tested against
+    this.
+    """
+    from sylowlab.group import quotient_group
+    from sylowlab.lattice import subgroup_lattice
+
+    def is_p_power(n: int) -> bool:
+        while n % p == 0:
+            n //= p
+        return n == 1
+
+    Q = G
+    while Q.order() > 1:
+        lat = subgroup_lattice(Q)
+        best = None
+        for i in lat.normal_indices():
+            n = lat.order_of(i)
+            if 1 < n and n % p != 0 and (best is None or n > lat.order_of(best)):
+                best = i
+        if best is None:
+            for i in lat.normal_indices():
+                n = lat.order_of(i)
+                if 1 < n and is_p_power(n) and (best is None or n > lat.order_of(best)):
+                    best = i
+        if best is None:
+            return False
+        Q, _ = quotient_group(Q, lat.subgroup(best))
+    return True

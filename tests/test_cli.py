@@ -4,14 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import sylowlab
-from sylowlab import config
+from sylowlab import cli, config
 from sylowlab.cli import main, run_check
 from sylowlab.errors import InvalidConfig
+from sylowlab.reports import CheckReport
 
 from conftest import perm
 
@@ -291,6 +293,19 @@ class TestPlumbing:
         out = json.loads(capsys.readouterr().out)
         assert rc == 1
         assert out["error"]["type"] == "NoPElement"
+
+
+class TestRuntime:
+    def test_runtime_covers_the_whole_handler(self, monkeypatch):
+        # the handler builds its report only after 60 ms of work
+        def slow(options):
+            time.sleep(0.06)
+            return CheckReport("covering-lower-bound", True)
+
+        monkeypatch.setitem(cli.CHECKS, "covering-lower-bound", slow)
+        out = run_check("covering-lower-bound", {"p": 2})
+        assert out["ok"] is True
+        assert out["runtime_ms"] >= 50
 
 
 class TestReportShape:

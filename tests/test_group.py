@@ -9,7 +9,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sylowlab.catalog import catalog_upto
+from sylowlab.catalog import catalog_upto, construct_text
 from sylowlab.errors import CapExceeded, DegreeMismatch, NotAMember, NotASubgroup, NotNormal
 from sylowlab.group import (
     PermGroup,
@@ -38,6 +38,7 @@ from conftest import (
     dihedral,
     klein_four,
     perm,
+    quotient_route_is_p_solvable,
     symmetric,
 )
 
@@ -462,6 +463,14 @@ class TestPSolvable:
     def test_prime_not_dividing_order(self):
         # trivially p-solvable: the whole group is a p'-group
         assert is_p_solvable(symmetric(3), 5)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_quotient_route(self, p):
+        groups = [e.build() for e in catalog_upto(2000)]
+        groups += [construct_text(t) for t in
+                   ("C2 wr C2 wr C2", "S4 x S3", "S3 wr C2")]
+        for G in groups:
+            assert is_p_solvable(G, p) == quotient_route_is_p_solvable(G, p), G
 
 
 @settings(deadline=None, max_examples=25)

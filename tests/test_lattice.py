@@ -15,6 +15,7 @@ from conftest import (
     klein_four,
     symmetric,
 )
+from sylowlab.catalog import catalog_upto
 from sylowlab.errors import CapExceeded, NotMaximal
 from sylowlab.lattice import subgroup_lattice
 
@@ -96,6 +97,13 @@ class TestStructure:
             fs = frozenset(lat.ctx.index[e] for e in H.elements())
             assert lat.index_of(fs) == i
         assert lat.subgroup(lat.top) is lat.parent
+
+    @pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
+    def test_subgroup_has_its_element_set(self, entry):
+        lat = subgroup_lattice(entry.build())
+        for i in range(len(lat)):
+            H = lat.subgroup(i)
+            assert frozenset(lat.ctx.index[e] for e in H.elements()) == lat.element_sets[i]
 
     def test_contains_matches_set_inclusion(self):
         lat = subgroup_lattice(symmetric(3))

@@ -16,6 +16,7 @@ import pytest
 import sylowlab
 
 from conftest import alternating, cyclic, dihedral, klein_four, perm, symmetric
+from sylowlab.catalog import catalog_upto
 from sylowlab.covering import sigma_p_cover
 from sylowlab.errors import (
     CapExceeded,
@@ -42,6 +43,17 @@ from sylowlab.sylow import (
     sylow_subgroups,
 )
 from sylowlab.tables import p_part
+
+
+def prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while n > 1:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out
 
 
 def alt5_point_subgroup():
@@ -97,6 +109,15 @@ class TestSylowSubgroup:
         with pytest.raises(CapExceeded):
             sylow_subgroups(alternating(6), 2, cap=30)
 
+    def test_enumeration_cap_with_cached_elements(self):
+        # the element list is already there, so only the orbit's own
+        # limit (45 subgroups of order 8 > 30 elements) can refuse
+        G = alternating(6)
+        G.elements()
+        with pytest.raises(CapExceeded) as info:
+            sylow_subgroups(G, 2, cap=30)
+        assert info.value.what == "Sylow subgroup enumeration"
+
 
 class TestNu:
     @pytest.mark.parametrize("make,p,count", [
@@ -139,6 +160,21 @@ class TestNu:
             by_lattice = sum(1 for i in range(len(lat))
                              if lat.order_of(i) == target)
             assert nu_p(G, p) == by_lattice
+
+    @pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
+    def test_index_orbit_and_lattice_agree(self, entry):
+        """nu_p (a normalizer index) and sylow_subgroups (a conjugation
+        orbit) must both give the lattice's subgroups of order |G|_p."""
+        G = entry.build()
+        lat = subgroup_lattice(G)
+        ctx = lat.ctx
+        for p in prime_factors(G.order()):
+            target = p_part(G.order(), p)
+            by_lattice = {frozenset(ctx.elements[e] for e in s)
+                          for s in lat.element_sets if len(s) == target}
+            orbit = sylow_subgroups(G, p)
+            assert nu_p(G, p) == len(orbit) == len(by_lattice)
+            assert set(orbit) == by_lattice
 
     def test_congruent_one_mod_p(self):
         for make in (lambda: symmetric(4), lambda: alternating(5),
