@@ -3,13 +3,16 @@
 Walks the two headline families: the alternating pair where the
 (p-1)/(2p-1) ratio is attained exactly, and the Borel subgroup of
 SL(2,8) where the ratio 2/(p+2) slips past the refined 1/(p+1) bound.
+Then checks nu_p(H)/nu_p(G) = fpr(P, G/H) for the maximal A6 < A7.
 """
 
 from fractions import Fraction
 
 from sylowlab import (
     catalog_entry,
+    construct_text,
     is_subgroup,
+    nu_fpr_identity_check,
     nu_p,
     point_stabilizer,
     sylow_ratio_bound_check,
@@ -43,6 +46,11 @@ def main():
     print("                 asserted here -- the catalog flags this group at p=7)")
     show("bound check", sylow_ratio_bound_check(
         G, B, 7, exclusions_clear=catalog_entry("SL(2,8)").exclusions_clear(7)))
+
+    print()
+    A7 = construct_text("A7")
+    show("nu_5(A6)/nu_5(A7) = fpr of a Sylow 5 on the 7 points",
+         nu_fpr_identity_check(A7, point_stabilizer(A7, 7), 5))
 
     print()
     scan = sylow_ratio_gap_scan(

@@ -79,15 +79,13 @@ class CosetAction:
     subgroup ``rep^-1 H rep``.  Point 1 is the coset H itself.
     """
 
-    __slots__ = ("group", "point_stabilizer", "degree", "action_image",
-                 "point_map", "_elt_to_point")
+    __slots__ = ("group", "point_stabilizer", "degree", "point_map",
+                 "_elt_to_point")
 
-    def __init__(self, group, point_stabilizer, degree, action_image,
-                 point_map, elt_to_point):
+    def __init__(self, group, point_stabilizer, point_map, elt_to_point):
         self.group = group
         self.point_stabilizer = point_stabilizer
-        self.degree = degree
-        self.action_image = action_image
+        self.degree = len(point_map)
         self.point_map = point_map
         self._elt_to_point = elt_to_point
 
@@ -102,15 +100,25 @@ class CosetAction:
                                  for rep in self.point_map))
 
     def fixed_points(self, x: Permutation) -> tuple[int, ...]:
-        if self._elt_to_point is None:
-            if x not in self.group:
-                raise NotAMember("element is not in the acting group")
-            return x.fixed_points()
         return self.act(x).fixed_points()
 
-    def orbit_count(self, gens) -> int:
-        """Number of orbits of the subgroup generated by ``gens``."""
-        return len(PermGroup(self.degree, [self.act(g) for g in gens]).orbits())
+    def image(self, gens) -> PermGroup:
+        """The subgroup generated by ``gens``, acting on the points."""
+        return PermGroup(self.degree, [self.act(g) for g in gens])
+
+    def is_primitive(self) -> bool:
+        """Whether the group is primitive on the points, i.e. H is maximal.
+
+        A subgroup properly above H contains <H, r> for the representative
+        r of a coset other than H, and <H, r> depends only on the H-orbit
+        of r's point.  A subgroup containing the point stabilizer H is the
+        whole group exactly when it is transitive, so one <H, r> is tested
+        per H-orbit other than {1}.
+        """
+        hgens = self.point_stabilizer.generators
+        return all(
+            self.image([*hgens, self.point_map[min(orb) - 1]]).is_transitive()
+            for orb in self.image(hgens).orbits() if 1 not in orb)
 
 
 def coset_action(G: PermGroup, H: PermGroup, cap: int | None = None) -> CosetAction:
@@ -119,14 +127,10 @@ def coset_action(G: PermGroup, H: PermGroup, cap: int | None = None) -> CosetAct
         raise NotASubgroup("H is not a subgroup of G")
     if H.order() == G.order():
         raise PreconditionFailed("H must be a proper subgroup")
-    degree = G.order() // H.order()
     point_map, elt_to_point = right_cosets(G, H, cap)
-    assert len(point_map) == degree, "coset sweep must reach the full index"
-
-    action = CosetAction(G, H, degree, None, point_map, elt_to_point)
-    action.action_image = PermGroup(
-        degree, tuple(action.act(s) for s in G.generators))
-    return action
+    assert len(point_map) * H.order() == G.order(), \
+        "coset sweep must reach the full index"
+    return CosetAction(G, H, point_map, elt_to_point)
 
 
 def natural_action(G: PermGroup) -> CosetAction:
@@ -140,7 +144,7 @@ def natural_action(G: PermGroup) -> CosetAction:
     # rep_i maps point 1 to i
     reps = orbit_map(1, G.generators, lambda pt, s: s(pt), Permutation.__mul__, G.identity())
     point_map = tuple(reps[i] for i in range(1, G.degree + 1))
-    return CosetAction(G, H, G.degree, G, point_map, None)
+    return CosetAction(G, H, point_map, None)
 
 
 def fpr_element(action: CosetAction, x: Permutation) -> Fraction:
@@ -276,7 +280,7 @@ def sylow_orbit_bound_check(action: CosetAction, p: int,
     if G.order() % p:
         raise PreconditionFailed("p must divide the group order")
     P = sylow_subgroup(G, p, cap)
-    orbits = action.orbit_count(P.generators)
+    orbits = len(action.image(P.generators).orbits())
     main_ok = orbits * (2 * p - 1) <= p * action.degree
     extra_ok = (orbits * (p + 1) <= 2 * action.degree
                 if exclusions_clear else None)

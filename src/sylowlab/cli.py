@@ -109,7 +109,11 @@ def _parse_pi(text: str) -> frozenset[int]:
 
 
 def _parse_bound(text: str) -> Fraction:
-    return Fraction(text)
+    # argparse turns only ValueError and TypeError into a usage error
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _check_primes(options) -> None:

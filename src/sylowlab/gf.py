@@ -98,9 +98,6 @@ class SmallField:
     def neg(self, a: int) -> int:
         return self._encode((-x) % self.p for x in self._digits(a))
 
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self.neg(b)]
-
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import config
 from .cliques import find_biclique, max_clique
 from .errors import CapExceeded, ExprSyntaxError, PreconditionFailed
-from .group import PermGroup, orbit_map, p_residual
+from .group import PermGroup, orbit_map
 from .perm import Permutation
 from .reports import CheckReport
 from .tables import check_prime
@@ -212,13 +212,12 @@ def sigma_le_clique_check(G: PermGroup, p: int, cap: int | None = None) -> Check
     """
     from .covering import p_elements, sigma_p
 
-    if p_residual(G, p, cap).order() != G.order():
-        raise PreconditionFailed("group must be generated by its p-elements")
+    # sigma_p first: it rejects a G not generated by its p-elements
+    sigma = sigma_p(G, p, cap)
     clique = max_noncommuting_set(G, {p}, cap)
     if len(clique) < 2:
         raise PreconditionFailed(
             "all p-elements commute; centralizer cover is degenerate")
-    sigma = sigma_p(G, p, cap)
     witness_covers = all(
         any(x * c == c * x for c in clique)
         for x in p_elements(G, p, cap))

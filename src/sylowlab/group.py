@@ -432,21 +432,17 @@ def quotient_group(G: PermGroup, N: PermGroup, cap: int | None = None
 
     Returns the quotient together with the projection homomorphism.
     """
+    from .actions import CosetAction  # local import: actions builds on this module
+
     if not is_subgroup(N, G):
         raise NotASubgroup("N is not a subgroup of G")
     if not is_normal(G, N):
         raise NotNormal("N is not normal in G")
-    reps, lookup = right_cosets(G, N, cap)
-
-    def project(g: Permutation) -> Permutation:
-        if g not in G:
-            raise NotAMember(f"{g!r} is not in the group")
-        return Permutation(tuple(lookup[(r * g).images] for r in reps))
-
-    Q = PermGroup(len(reps), [project(g) for g in G.generators])
+    action = CosetAction(G, N, *right_cosets(G, N, cap))
+    Q = action.image(G.generators)
     if Q.order() * N.order() != G.order():
         raise AssertionError("coset action does not realize the quotient")
-    return Q, project
+    return Q, action.act
 
 
 def is_p_solvable(G: PermGroup, p: int, cap: int | None = None) -> bool:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 
-from .errors import NotMaximal
 from .group import PermGroup
 from .perm import Permutation
 from .tables import CayleyTable, get_table
@@ -57,12 +56,6 @@ class SubgroupLattice:
     def generators_of(self, i: int) -> tuple[Permutation, ...]:
         return tuple(self.ctx.elements[g] for g in self.generator_sets[i])
 
-    def index_of(self, sub: frozenset[int]) -> int:
-        try:
-            return self.element_sets.index(sub)
-        except ValueError:
-            raise KeyError("not a subgroup of the parent") from None
-
     def contains(self, i: int, j: int) -> bool:
         """True when subgroup j is contained in subgroup i."""
         return self.element_sets[j] <= self.element_sets[i]
@@ -97,10 +90,6 @@ class SubgroupLattice:
                     out.append(i)
             self._maximal = tuple(out)
         return self._maximal
-
-    def check_maximal(self, i: int) -> None:
-        if i not in self.maximal_indices():
-            raise NotMaximal(f"subgroup {i} is not maximal")
 
 
 def subgroup_lattice(G: PermGroup, cap: int | None = None) -> SubgroupLattice:

@@ -21,6 +21,7 @@ from sylowlab.actions import (
     subset_fpr_formula,
     sylow_orbit_bound_check,
 )
+from sylowlab.catalog import catalog_upto
 from sylowlab.errors import (
     CapExceeded,
     NoPElement,
@@ -31,6 +32,7 @@ from sylowlab.errors import (
     PreconditionFailed,
 )
 from sylowlab.group import PermGroup
+from sylowlab.lattice import subgroup_lattice
 from sylowlab.perm import Permutation
 
 
@@ -68,8 +70,9 @@ class TestCosetAction:
         act = coset_action(alternating(5), alt5_point_subgroup())
         assert act.degree == 5
         assert act.degree * act.point_stabilizer.order() == act.group.order()
-        assert act.action_image.is_transitive()
-        assert act.action_image.order() == 60
+        image = act.image(act.group.generators)
+        assert image.is_transitive()
+        assert image.order() == 60
 
     def test_stabilizer_of_first_point(self):
         G = symmetric(4)
@@ -87,7 +90,7 @@ class TestCosetAction:
         H = PermGroup(4, [perm("(1 2 3 4)", 4), perm("(1 3)", 4)])
         act = coset_action(G, H)
         core = brute_core(G, H)
-        assert act.action_image.order() * len(core) == G.order()
+        assert act.image(act.group.generators).order() * len(core) == G.order()
 
     def test_point_map_starts_at_identity_coset(self):
         act = coset_action(symmetric(3), PermGroup(3, [perm("(1 2)", 3)]))
@@ -140,6 +143,28 @@ class TestNaturalAction:
     def test_rejects_intransitive(self):
         with pytest.raises(NotTransitive):
             natural_action(PermGroup(4, [perm("(1 2)(3 4)", 4)]))
+
+
+class TestPrimitivity:
+    @pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
+    def test_matches_lattice_maximality(self, entry):
+        lat = subgroup_lattice(entry.build())
+        maximal = set(lat.maximal_indices())
+        for members in lat.classes().values():
+            i = members[0]
+            if i == lat.top:
+                continue
+            act = coset_action(lat.parent, lat.subgroup(i))
+            assert act.is_primitive() == (i in maximal), (entry.label, i)
+
+    @pytest.mark.parametrize("G, primitive", [
+        (symmetric(4), True),
+        (alternating(5), True),
+        (dihedral(4), False),
+        (PermGroup(4, [perm("(1 2)", 4), perm("(1 3)(2 4)", 4)]), False),
+    ], ids=["S4", "A5", "D8", "C2wrC2"])
+    def test_natural_action(self, G, primitive):
+        assert natural_action(G).is_primitive() == primitive
 
 
 class TestFprElement:

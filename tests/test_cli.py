@@ -40,6 +40,14 @@ class TestVerify:
                       "--group", "A5", "--sub", "A4", "-p", "3")
         assert rc == 0 and rep["ok"]
 
+    def test_fpr_identity_above_the_lattice_cap(self, capsys):
+        # |A7| = 2520 exceeds the lattice cap; maximality comes from primitivity
+        rc, rep = run(capsys, "verify", "sylow-fpr-identity",
+                      "--group", "A7", "--sub", "A6", "-p", "5")
+        assert rc == 0 and rep["ok"]
+        assert rep["details"]["nu_H"] == 36 and rep["details"]["nu_G"] == 126
+        assert rep["details"]["sylow_ratio"] == {"num": 2, "den": 7}
+
     def test_monotone(self, capsys):
         rc, rep = run(capsys, "verify", "sylow-monotone",
                       "--group", "S3", "--sub", "C3", "-p", "3")
@@ -411,6 +419,15 @@ class TestInputValidation:
         assert rc == 1
         assert rep["error"]["type"] == "ExprSyntaxError"
         assert "line 2" in rep["error"]["message"] and "3 x" in rep["error"]["message"]
+
+    def test_zero_denominator_bound_is_a_usage_error(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(sylowlab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sylowlab.cli", "verify", "sylow-ratio-gap-scan",
+             "--group", "A4", "-p", "2", "--bound", "1/0"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "--bound" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_good_cap_environment(self, monkeypatch):
         monkeypatch.setenv("SYLOWLAB_CAP", " 5000 ")

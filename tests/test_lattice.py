@@ -16,7 +16,7 @@ from conftest import (
     symmetric,
 )
 from sylowlab.catalog import catalog_upto
-from sylowlab.errors import CapExceeded, NotMaximal
+from sylowlab.errors import CapExceeded
 from sylowlab.lattice import subgroup_lattice
 
 
@@ -95,7 +95,7 @@ class TestStructure:
             H = lat.subgroup(i)
             assert H.order() == lat.order_of(i)
             fs = frozenset(lat.ctx.index[e] for e in H.elements())
-            assert lat.index_of(fs) == i
+            assert lat.element_sets.index(fs) == i
         assert lat.subgroup(lat.top) is lat.parent
 
     @pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
@@ -135,21 +135,6 @@ class TestStructure:
         assert maximal_overgroups(lat, 0) == lat.maximal_indices()
         for i in lat.maximal_indices():
             assert maximal_overgroups(lat, i) == (i,)
-
-    def test_check_maximal(self):
-        lat = subgroup_lattice(symmetric(4))
-        for i in lat.maximal_indices():
-            lat.check_maximal(i)
-        with pytest.raises(NotMaximal):
-            lat.check_maximal(0)
-        with pytest.raises(NotMaximal):
-            lat.check_maximal(lat.top)
-
-    def test_index_of_rejects_non_subgroup(self):
-        lat = subgroup_lattice(symmetric(3))
-        # identity plus a single 3-cycle is not closed
-        with pytest.raises(KeyError):
-            lat.index_of(frozenset({0, 3}))
 
 
 class TestDeterminismAndCaps:

@@ -16,7 +16,7 @@ import pytest
 import sylowlab
 
 from conftest import alternating, cyclic, dihedral, klein_four, perm, symmetric
-from sylowlab.catalog import catalog_upto
+from sylowlab.catalog import catalog_entry, catalog_upto, construct_text
 from sylowlab.covering import sigma_p_cover
 from sylowlab.errors import (
     CapExceeded,
@@ -30,6 +30,7 @@ from sylowlab.errors import (
 )
 from sylowlab.group import PermGroup, is_subgroup, p_residual
 from sylowlab.lattice import subgroup_lattice
+from sylowlab.perm import Permutation
 from sylowlab.sylow import (
     nu_monotonicity_check,
     nu_fpr_identity_check,
@@ -315,6 +316,68 @@ class TestFprIdentity:
     def test_rejects_sylow_not_contained(self):
         with pytest.raises(SylowNotContained):
             nu_fpr_identity_check(alternating(5), alt5_point_subgroup(), 5)
+
+    @pytest.mark.parametrize("n, p", [(7, 2), (7, 3), (7, 5), (8, 3), (8, 5), (8, 7)])
+    def test_point_stabilizer_of_alternating(self, n, p):
+        # A_{n-1} fixes the point n, so the cosets are the n points and the
+        # ratio is the share of points that all of P's generators fix
+        G = alternating(n)
+        H = PermGroup(n, [Permutation(g.images + (n,))
+                          for g in alternating(n - 1).generators])
+        r = nu_fpr_identity_check(G, H, p)
+        assert r.ok
+        fixed = set(range(1, n + 1))
+        for g in sylow_subgroup(H, p).generators:
+            fixed &= set(g.fixed_points())
+        assert r.details["sylow_ratio"] == Fraction(len(fixed), n)
+        assert r.details["degree"] == n
+
+    def test_rejects_whole_group(self):
+        with pytest.raises(NotMaximal):
+            nu_fpr_identity_check(alternating(5), alternating(5), 3)
+
+    def test_rejects_non_maximal_above_the_lattice_cap(self):
+        # <(1 2 3 4 5), (1 2 3)> is A5 inside A6 < A7, and holds a Sylow 5
+        H = PermGroup(7, [perm("(1 2 3 4 5)", 7), perm("(1 2 3)", 7)])
+        with pytest.raises(NotMaximal):
+            nu_fpr_identity_check(alternating(7), H, 5)
+
+
+class TestSympyRoute:
+    """nu_p against the conjugation orbit of sympy's own Sylow subgroup
+    (the Sylow route of the benchmark's confirm script)."""
+
+    # sympy's Sylow search alone takes seconds on Borel(2,8) and Borel(2,9)
+    @pytest.mark.parametrize("label", [
+        e.label for e in catalog_upto(2000)
+        if e.label not in ("Borel(2,8)", "Borel(2,9)")] + ["A7", "A8"])
+    def test_nu_is_orbit_of_sympy_sylow(self, label):
+        pytest.importorskip("sympy")
+        from sympy.combinatorics import Permutation as SymPerm
+        from sympy.combinatorics.perm_groups import PermutationGroup
+
+        G = construct_text(label) if label in ("A7", "A8") else catalog_entry(label).build()
+        S = PermutationGroup([SymPerm([i - 1 for i in g.images]) for g in G.generators])
+        gens = [tuple(g.array_form) for g in S.generators]
+
+        def conjugate(x, g):
+            # the permutation g^-1 x g, on 0-based image tuples
+            out = [0] * len(x)
+            for i, xi in enumerate(x):
+                out[g[i]] = g[xi]
+            return tuple(out)
+
+        for p in prime_factors(G.order()):
+            start = frozenset(tuple(x.array_form) for x in S.sylow_subgroup(p).generate())
+            seen = {start}
+            queue = [start]
+            for P in queue:
+                for g in gens:
+                    Q = frozenset(conjugate(x, g) for x in P)
+                    if Q not in seen:
+                        seen.add(Q)
+                        queue.append(Q)
+            assert nu_p(G, p) == len(seen), (label, p)
 
 
 class TestRatioBound:
