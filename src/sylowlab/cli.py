@@ -98,22 +98,22 @@ class GroupInput:
 
 
 def _parse_pi(text: str) -> frozenset[int]:
-    out = set()
-    for part in text.split(","):
-        part = part.strip()
-        if part:
-            out.add(int(part))
+    try:
+        out = frozenset(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        out = frozenset()
     if not out:
-        raise ValueError("empty prime set")
-    return frozenset(out)
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated primes such as 2,3, got {text!r}")
+    return out
 
 
 def _parse_bound(text: str) -> Fraction:
-    # argparse turns only ValueError and TypeError into a usage error
     try:
         return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected NUM/DEN with a nonzero DEN, such as 1/3, got {text!r}") from None
 
 
 def _check_primes(options) -> None:
@@ -151,8 +151,9 @@ def _failure(err: Exception) -> dict:
 def _need(options, *names):
     missing = [n for n in names if options.get(n) is None]
     if missing:
+        flags = {"p": "-p", "groups": "--group"}
         raise SystemExit(
-            f"error: this check needs {', '.join('--' + n.replace('_', '-') for n in missing)}")
+            f"error: this check needs {', '.join(flags.get(n, '--' + n) for n in missing)}")
 
 
 def _check_sylow_monotone(options) -> CheckReport:

@@ -1,14 +1,18 @@
 """Sylow subgroups, Sylow counts, and the identities relating them.
 
-``nu_p`` computes nu(G, p) as the index of a normalizer, and
-``sylow_subgroups`` lists the conjugation orbit of one Sylow subgroup.
-The test suite checks both routes against each other and against the
+G acts on Syl_p(G) by conjugation, transitively, so nu(G, p) is the
+length of one Sylow subgroup's conjugation orbit.  ``nu_p``,
+``sylow_subgroups`` and the four Sylow-number checks read every count
+off such orbits and build no normalizer; the lattice-based checks count
+on the Cayley table (``CayleyTable.sylow_count_in``).  The test suite
+checks the counts against the normalizer index and against the
 subgroups of full p-power order in the subgroup lattice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, partial
 
 from . import config
 from .errors import (
@@ -25,7 +29,6 @@ from .group import (
     is_normal,
     is_p_solvable,
     is_subgroup,
-    normalizer,
     orbit_map,
     p_residual,
     quotient_group,
@@ -58,33 +61,60 @@ def sylow_subgroup_containing(G: PermGroup, Q: PermGroup, p: int,
     return PermGroup(G.degree, gens)
 
 
+def _conjugates(G: PermGroup, P: PermGroup, p: int | None = None,
+                cap: int | None = None, limit: int | None = None,
+                what: str = "orbit") -> list[tuple[tuple[int, ...], ...]]:
+    """The orbit of P under conjugation by G, each conjugate as the tuple
+    of its elements' image tables.
+
+    The conjugates share few elements, so each element met gets a number
+    and is conjugated by each generator once; a conjugate is keyed by its
+    sorted numbers.  With ``p``, P is a Sylow p-subgroup of G, and the
+    orbit's length, nu(G, p), is asserted to be 1 mod p.
+    """
+    tables = []
+    index = {}
+
+    def number(x):
+        if x not in index:
+            index[x] = len(tables)
+            tables.append(x)
+        return index[x]
+
+    def conjugate(gi, g, i):
+        x = tables[i]  # (g^-1 x g)(k) = g(x(g^-1(k)))
+        return number(tuple([g[x[k - 1] - 1] for k in gi]))
+
+    seen = orbit_map(tuple(sorted(number(x.images) for x in P.elements(cap))),
+                     [cache(partial(conjugate, g.inverse().images, g.images))
+                      for g in G.generators],
+                     lambda s, step: tuple(sorted(map(step, s))),
+                     limit=limit, what=what)
+    assert p is None or len(seen) % p == 1, "Sylow count must be 1 mod p"
+    return [tuple(map(tables.__getitem__, s)) for s in seen]
+
+
 def nu_p(G: PermGroup, p: int, cap: int | None = None) -> int:
-    """Number of Sylow p-subgroups of G (the index of a normalizer)."""
+    """Number of Sylow p-subgroups of G: the length of one Sylow
+    subgroup's conjugation orbit."""
     check_prime(p)
     if G.order() % p:
         return 1
-    P = sylow_subgroup(G, p, cap)
-    count = G.order() // normalizer(G, P, cap).order()
-    assert count % p == 1, "Sylow count must be 1 mod p"
-    return count
+    return len(_conjugates(G, sylow_subgroup(G, p, cap), p, cap))
 
 
 def sylow_subgroups(G: PermGroup, p: int, cap: int | None = None) -> tuple[frozenset, ...]:
     """Element sets of all Sylow p-subgroups, sorted.
 
-    They form the orbit of one Sylow subgroup under conjugation, so their
-    number is nu(G, p); this builds no normalizer.  Raises CapExceeded
-    when the Sylow subgroups together would hold more elements than the
-    element cap allows.
+    They form the conjugation orbit of one Sylow subgroup, the same orbit
+    ``nu_p`` counts.  Raises CapExceeded when the Sylow subgroups together
+    would hold more elements than the element cap allows.
     """
     check_prime(p)
     P = sylow_subgroup(G, p, cap)
-    seen = orbit_map(frozenset(P.elements()), G.generators,
-                     lambda s, g: frozenset(x.conjugate(g) for x in s),
-                     limit=config.element_cap(cap) // P.order(),
-                     what="Sylow subgroup enumeration")
-    assert len(seen) % p == 1, "Sylow count must be 1 mod p"
-    return tuple(sorted(seen, key=lambda s: sorted(s)))
+    seen = _conjugates(G, P, p, cap, limit=config.element_cap(cap) // P.order(),
+                       what="Sylow subgroup enumeration")
+    return tuple(frozenset(map(Permutation, s)) for s in sorted(seen, key=sorted))
 
 
 def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int,
@@ -92,23 +122,24 @@ def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int,
     """Verify nu(H, p) <= nu(G, p) and characterize the equality case.
 
     Equality holds exactly when (1) each Sylow p-subgroup of H lies in a
-    unique Sylow p-subgroup of G, and (2) G = H * N_G(P).  Both sides are
-    verified by direct enumeration.
+    unique Sylow p-subgroup of G, and (2) G = H * N_G(P).  Q in Syl_p(H)
+    and P in Syl_p(G) containing Q are grown once each; the G-orbit of P
+    gives nu(G, p) and the Sylow subgroups of G containing Q, the H-orbit
+    of Q gives nu(H, p), and (2) holds exactly when H is transitive on
+    Syl_p(G), that is when the H-orbit of P has nu(G, p) members.
     """
     if not is_subgroup(H, G):
         raise NotASubgroup("H is not a subgroup of G")
-    sylows = sylow_subgroups(G, p, cap)
-    nu_G = len(sylows)
-    nu_H = nu_p(H, p, cap)
     Q = sylow_subgroup(H, p, cap)
     P = sylow_subgroup_containing(G, Q, p, cap)
-    q_set = frozenset(Q.elements())
-    containing = sum(1 for s in sylows if q_set <= s)
+    sylows = _conjugates(G, P, p, cap)
+    nu_G = len(sylows)
+    nu_H = len(_conjugates(H, Q, p, cap))
+    q_set = frozenset(x.images for x in Q.elements())
+    containing = sum(1 for s in sylows if q_set.issubset(s))
     unique_containment = containing == 1
-    n_set = frozenset(normalizer(G, P, cap).elements())
-    h_set = frozenset(H.elements())
-    product_size = len(h_set) * len(n_set) // len(h_set & n_set)
-    product_covers = product_size == G.order()
+    # |H : N_H(P)| need not be 1 mod p, so this orbit carries no p
+    product_covers = len(_conjugates(H, P, cap=cap)) == nu_G
     equal = nu_H == nu_G
     conditions = unique_containment and product_covers
     return CheckReport("sylow-monotone", nu_H <= nu_G and (equal == conditions), {
@@ -130,9 +161,9 @@ def nu_quotient_identity_check(G: PermGroup, N: PermGroup, p: int,
     Q, _ = quotient_group(G, N, cap)
     P = sylow_subgroup(G, p, cap)
     PN = PermGroup(G.degree, P.generators + N.generators)
-    nu_G = nu_p(G, p, cap)
+    nu_G = len(_conjugates(G, P, p, cap))
     nu_Q = nu_p(Q, p, cap)
-    nu_PN = nu_p(PN, p, cap)
+    nu_PN = len(_conjugates(PN, P, p, cap))
     return CheckReport("sylow-quotient-product", nu_G == nu_Q * nu_PN, {
         "p": p,
         "nu_G": nu_G,
@@ -163,8 +194,8 @@ def nu_fpr_identity_check(G: PermGroup, H: PermGroup, p: int,
         raise SylowNotContained(
             "H does not contain a Sylow p-subgroup of G")
     P = sylow_subgroup(H, p, cap)
-    nu_H = nu_p(H, p, cap)
-    nu_G = nu_p(G, p, cap)
+    nu_H = len(_conjugates(H, P, p, cap))
+    nu_G = len(_conjugates(G, P, p, cap))
     ratio = Fraction(nu_H, nu_G)
     fixed_ratio = fpr_subgroup(action, P)
     return CheckReport("sylow-fpr-identity", ratio == fixed_ratio, {
@@ -195,8 +226,9 @@ def sylow_ratio_bound_check(G: PermGroup, H: PermGroup, p: int,
         raise PreconditionFailed("H must be proper")
     if p_part(H.order(), p) != p_part(G.order(), p):
         raise SylowNotContained("H does not contain a Sylow p-subgroup of G")
-    nu_G = nu_p(G, p, cap)
-    nu_H = nu_p(H, p, cap)
+    P = sylow_subgroup(H, p, cap)
+    nu_G = len(_conjugates(G, P, p, cap))
+    nu_H = len(_conjugates(H, P, p, cap))
     main_bound = nu_H * (2 * p - 1) <= nu_G * (p - 1)
     strict_bound = nu_H * (p + 1) <= nu_G if exclusions_clear else None
     return CheckReport("sylow-ratio-bound", main_bound and (strict_bound is not False), {

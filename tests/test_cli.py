@@ -429,6 +429,30 @@ class TestInputValidation:
         assert proc.returncode == 2
         assert "--bound" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv, form", [
+        (["verify", "sylow-ratio-gap-scan", "--group", "A4", "-p", "2", "--bound", "1/0"],
+         "NUM/DEN with a nonzero DEN"),
+        (["verify", "sylow-ratio-gap-scan", "--group", "A4", "-p", "2", "--bound", "abc"],
+         "NUM/DEN with a nonzero DEN"),
+        (["compute", "pr", "--group", "S3", "--pi", "2,x"], "comma-separated primes"),
+    ])
+    def test_usage_error_names_the_expected_form(self, capsys, argv, form):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert form in err and "_parse_" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compute", "nu", "--group", "A5"], "error: this check needs -p"),
+        (["verify", "sylow-ratio-gap-scan", "-p", "2", "--bound", "1/3"],
+         "error: this check needs --group"),
+    ])
+    def test_missing_option_names_its_flag(self, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert str(info.value) == message
+
     def test_good_cap_environment(self, monkeypatch):
         monkeypatch.setenv("SYLOWLAB_CAP", " 5000 ")
         assert config.element_cap() == config.lattice_cap() == 5000

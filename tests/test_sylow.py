@@ -1,8 +1,9 @@
 """Sylow subgroup and Sylow count tests.
 
-nu_p goes through a normalizer index; the oracle recounts subgroups of
-full p-power order straight from the subgroup lattice, so the two
-derivations are independent.
+nu_p is the length of one Sylow subgroup's conjugation orbit; the
+oracles are the normalizer index |G : N_G(P)| from ``group.normalizer``'s
+brute scan and the subgroups of full p-power order in the subgroup
+lattice, so the derivations are independent.
 """
 
 import os
@@ -28,7 +29,7 @@ from sylowlab.errors import (
     PreconditionFailed,
     SylowNotContained,
 )
-from sylowlab.group import PermGroup, is_subgroup, p_residual
+from sylowlab.group import PermGroup, is_subgroup, normalizer, p_residual
 from sylowlab.lattice import subgroup_lattice
 from sylowlab.perm import Permutation
 from sylowlab.sylow import (
@@ -118,6 +119,8 @@ class TestSylowSubgroup:
         with pytest.raises(CapExceeded) as info:
             sylow_subgroups(G, 2, cap=30)
         assert info.value.what == "Sylow subgroup enumeration"
+        # nu_p's orbit has no such limit: it counts all 45
+        assert nu_p(G, 2, cap=30) == 45
 
 
 class TestNu:
@@ -162,10 +165,17 @@ class TestNu:
                              if lat.order_of(i) == target)
             assert nu_p(G, p) == by_lattice
 
+    @pytest.mark.parametrize("label", [e.label for e in catalog_upto(2000)] + ["A7", "A8"])
+    def test_orbit_matches_normalizer_index(self, label):
+        G = construct_text(label) if label in ("A7", "A8") else catalog_entry(label).build()
+        for p in prime_factors(G.order()):
+            P = sylow_subgroup(G, p)
+            assert nu_p(G, p) == G.order() // normalizer(G, P).order(), (label, p)
+
     @pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
     def test_index_orbit_and_lattice_agree(self, entry):
-        """nu_p (a normalizer index) and sylow_subgroups (a conjugation
-        orbit) must both give the lattice's subgroups of order |G|_p."""
+        """nu_p and sylow_subgroups (both the conjugation orbit of one
+        Sylow subgroup) must give the lattice's subgroups of order |G|_p."""
         G = entry.build()
         lat = subgroup_lattice(G)
         ctx = lat.ctx
@@ -258,6 +268,32 @@ class TestMonotonicity:
     def test_rejects_non_subgroup(self):
         with pytest.raises(NotASubgroup):
             nu_monotonicity_check(alternating(5), symmetric(5), 5)
+
+    @pytest.mark.parametrize("entry", catalog_upto(168), ids=lambda e: e.label)
+    def test_details_match_independent_routes(self, entry):
+        """For one subgroup H per lattice class: both counts against the
+        table's normalizer index, the Sylow subgroups of G containing Q
+        against the lattice, and G = H N_G(P) against |H||N|/|H n N| with
+        the brute normalizer.  Neither of the last two depends on which
+        Sylow subgroups Q of H and P of G are taken."""
+        G = entry.build()
+        lat = subgroup_lattice(G)
+        ctx = lat.ctx
+        for p in prime_factors(G.order()):
+            target = p_part(G.order(), p)
+            sylows = [s for s in lat.element_sets if len(s) == target]
+            N = frozenset(map(ctx.index.__getitem__,
+                              normalizer(G, sylow_subgroup(G, p)).elements()))
+            for members in lat.classes().values():
+                h = lat.element_sets[members[0]]
+                Q = next(s for s in lat.element_sets
+                         if len(s) == p_part(len(h), p) and s <= h)
+                d = nu_monotonicity_check(G, lat.subgroup(members[0]), p).details
+                assert d["nu_H"] == ctx.sylow_count_in(h, p)
+                assert d["nu_G"] == ctx.sylow_count_in(lat.element_sets[lat.top], p)
+                assert d["sylows_of_G_containing_Q"] == sum(1 for s in sylows if Q <= s)
+                assert d["product_covers_G"] == (
+                    len(h) * len(N) // len(h & N) == G.order())
 
 
 class TestQuotientIdentity:
