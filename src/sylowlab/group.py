@@ -90,6 +90,8 @@ class _Chain:
     def _sift_from(self, g: Permutation, start: int) -> tuple[Permutation, int]:
         for i in range(start, len(self.base)):
             beta = g._images[self.base[i] - 1]
+            if beta == self.base[i]:
+                continue
             pair = self.orbits[i].get(beta)
             if pair is None:
                 return g, i
@@ -146,6 +148,31 @@ class _Chain:
                     self._insert(residue, j)
                     return j
         return None
+
+    def least(self, pred: Callable[[Permutation], bool]) -> Permutation | None:
+        """The least element, by image table, satisfying ``pred``, or None.
+
+        Needs the base to be 1, 2, ..., k.  An element is a product
+        u_k * ... * u_1 of one transversal element per level, and its
+        image of i is the image of u_i(i) under u_(i-1) * ... * u_1, so a
+        depth-first walk that takes each level's orbit in the order of
+        that image meets the elements in ascending order and stops at the
+        first that satisfies ``pred``.
+        """
+        assert self.base == list(range(1, len(self.base) + 1))
+        levels = [orb for orb in self.orbits if len(orb) > 1]
+
+        def walk(i: int, w: Permutation) -> Permutation | None:
+            if i == len(levels):
+                return w if pred(w) else None
+            orb, images = levels[i], w._images
+            for beta in sorted(orb, key=lambda b: images[b - 1]):
+                found = walk(i + 1, orb[beta][0] * w)
+                if found is not None:
+                    return found
+            return None
+
+        return walk(0, Permutation.identity(self.degree))
 
     def elements(self) -> list[Permutation]:
         out = [Permutation.identity(self.degree)]
@@ -229,13 +256,19 @@ class PermGroup:
 
     # -- enumeration -------------------------------------------------------
 
-    def elements(self, cap: int | None = None) -> tuple[Permutation, ...]:
-        """All elements, sorted lexicographically by image table."""
+    def check_element_cap(self, cap: int | None = None) -> None:
+        """The refusal of ``elements``: raise CapExceeded unless the
+        elements are listed already or the order fits the element cap."""
         if self._elements is None:
             limit = config.element_cap(cap)
             n = self.order()
             if n > limit:
                 raise CapExceeded("element enumeration", n, limit)
+
+    def elements(self, cap: int | None = None) -> tuple[Permutation, ...]:
+        """All elements, sorted lexicographically by image table."""
+        if self._elements is None:
+            self.check_element_cap(cap)
             self._elements = tuple(sorted(self.chain().elements()))
         return self._elements
 

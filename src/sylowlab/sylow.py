@@ -1,12 +1,19 @@
 """Sylow subgroups, Sylow counts, and the identities relating them.
 
+A Sylow subgroup is grown as a normalizer tower without listing G: from
+P = 1 (or a given p-subgroup), ``grow_sylow`` adjoins the least
+p-element of N_G(P) outside P, where N_G(P) is the stabilizer of P in
+its conjugation orbit, sifted into a chain on the base 1..degree from
+Schreier generators and walked in image-table order (``_Chain.least``).
+
 G acts on Syl_p(G) by conjugation, transitively, so nu(G, p) is the
 length of one Sylow subgroup's conjugation orbit.  ``nu_p``,
 ``sylow_subgroups`` and the four Sylow-number checks read every count
-off such orbits and build no normalizer; the lattice-based checks count
-on the Cayley table (``CayleyTable.sylow_count_in``).  The test suite
-checks the counts against the normalizer index and against the
-subgroups of full p-power order in the subgroup lattice.
+off such orbits; the lattice-based checks count on the Cayley table
+(``CayleyTable.sylow_count_in``).  The test suite checks the counts
+against the normalizer index and against the subgroups of full p-power
+order in the subgroup lattice, and the tower against the same rule
+applied to the sorted element list.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .errors import (
 )
 from .group import (
     PermGroup,
+    _Chain,
     is_normal,
     is_p_solvable,
     is_subgroup,
@@ -39,38 +47,54 @@ from .tables import check_prime, grow_sylow, p_part
 
 
 def sylow_subgroup(G: PermGroup, p: int, cap: int | None = None) -> PermGroup:
-    """A Sylow p-subgroup of G, deterministically chosen by ``grow_sylow``."""
+    """A Sylow p-subgroup of G, deterministically chosen by ``grow_sylow``:
+    from P = 1, the least p-element of N_G(P) outside P is adjoined until
+    P is Sylow."""
     return sylow_subgroup_containing(G, PermGroup(G.degree), p, cap)
-
-
-def _normalizes(gens, y: Permutation, P: frozenset[Permutation]) -> bool:
-    return all(g.conjugate(y) in P for g in gens)
 
 
 def sylow_subgroup_containing(G: PermGroup, Q: PermGroup, p: int,
                               cap: int | None = None) -> PermGroup:
-    """A Sylow p-subgroup of G containing the p-subgroup Q."""
+    """A Sylow p-subgroup of G containing the p-subgroup Q.
+
+    No step lists G, but G must still fit the element cap that
+    ``G.elements`` would apply.
+    """
     check_prime(p)
     target = p_part(G.order(), p)
     if Q.order() == target:
         return Q
+    G.check_element_cap(cap)
+
+    def least_normalizing(P, gens, pred):
+        # N_G(P) is the stabilizer of P in its conjugation orbit: Schreier
+        # generators are sifted into a chain on the base 1..degree until it
+        # has order |G| / (orbit length); ``least`` walks it in table order
+        orbit, _, schreier = _orbit(G, PermGroup(G.degree, gens), cap)
+        N = _Chain(G.degree, tuple(range(1, G.degree + 1)))
+        for s in schreier:
+            if N.order() * len(orbit) == G.order():
+                break
+            N.add_gen(s)
+        return N.least(pred)
+
     _, gens = grow_sylow(
-        G.elements(cap), p, target, Q.element_set(cap), Q.generators,
-        Permutation.order, _normalizes,
+        p, target, Q.element_set(cap), Q.generators, Permutation.order, least_normalizing,
         lambda P, gens, y: PermGroup(G.degree, [*gens, y]).element_set(cap))
     return PermGroup(G.degree, gens)
 
 
-def _conjugates(G: PermGroup, P: PermGroup, p: int | None = None,
-                cap: int | None = None, limit: int | None = None,
-                what: str = "orbit") -> list[tuple[tuple[int, ...], ...]]:
-    """The orbit of P under conjugation by G, each conjugate as the tuple
-    of its elements' image tables.
+def _orbit(G: PermGroup, P: PermGroup, cap: int | None = None,
+           limit: int | None = None, what: str = "orbit"):
+    """The orbit of P under conjugation by G, with its Schreier generators.
 
     The conjugates share few elements, so each element met gets a number
     and is conjugated by each generator once; a conjugate is keyed by its
-    sorted numbers.  With ``p``, P is a Sylow p-subgroup of G, and the
-    orbit's length, nu(G, p), is asserted to be 1 mod p.
+    sorted numbers.  Returns the orbit (a dict from each key to an element
+    of G conjugating P to that conjugate, from ``orbit_map``'s
+    transversal), the image table of each number, and an iterator over
+    the Schreier generators u * g * u'^-1 of N_G(P), for each conjugate's
+    transversal element u and each generator g of G.
     """
     tables = []
     index = {}
@@ -85,11 +109,26 @@ def _conjugates(G: PermGroup, P: PermGroup, p: int | None = None,
         x = tables[i]  # (g^-1 x g)(k) = g(x(g^-1(k)))
         return number(tuple([g[x[k - 1] - 1] for k in gi]))
 
-    seen = orbit_map(tuple(sorted(number(x.images) for x in P.elements(cap))),
-                     [cache(partial(conjugate, g.inverse().images, g.images))
-                      for g in G.generators],
-                     lambda s, step: tuple(sorted(map(step, s))),
-                     limit=limit, what=what)
+    def act(s, gen):
+        return tuple(sorted(map(gen[0], s)))
+
+    gens = [(cache(partial(conjugate, g.inverse().images, g.images)), g)
+            for g in G.generators]
+    orbit = orbit_map(tuple(sorted(number(x.images) for x in P.elements(cap))), gens,
+                      act, lambda u, gen: u * gen[1], G.identity(), limit, what)
+    schreier = (u * gen[1] * orbit[act(s, gen)].inverse()
+                for s, u in orbit.items() for gen in gens)
+    return orbit, tables, schreier
+
+
+def _conjugates(G: PermGroup, P: PermGroup, p: int | None = None,
+                cap: int | None = None, limit: int | None = None,
+                what: str = "orbit") -> list[tuple[tuple[int, ...], ...]]:
+    """The orbit of P under conjugation by G, each conjugate as the tuple
+    of its elements' image tables.  With ``p``, P is a Sylow p-subgroup
+    of G, and the orbit's length, nu(G, p), is asserted to be 1 mod p.
+    """
+    seen, tables, _ = _orbit(G, P, cap, limit, what)
     assert p is None or len(seen) % p == 1, "Sylow count must be 1 mod p"
     return [tuple(map(tables.__getitem__, s)) for s in seen]
 

@@ -56,37 +56,29 @@ def check_prime(p: int) -> None:
         raise OutOfDomain(f"expected a prime, got {p}")
 
 
-def grow_sylow(candidates, p: int, target: int, P, gens, order, normalizes, extend):
+def grow_sylow(p: int, target: int, P, gens, order, least_normalizing, extend):
     """Grow the p-subgroup ``P = <gens>`` to a Sylow p-subgroup of order ``target``.
 
     This is the one rule that picks a Sylow subgroup, for permutations and
-    for table indices alike.  ``candidates`` lists the ambient group in
-    ascending order.  A trivial ``P`` first becomes the cyclic group of
-    the least element of largest p-power order; then the least p-element
-    outside ``P`` that normalizes it is adjoined until ``|P| = target``.
+    for table indices alike: while ``|P| < target``, adjoin the least
+    p-element of N(P) outside ``P``, least by image table (table indices
+    are numbered in that order).  Sylow's theorem guarantees one while P
+    is not Sylow.
 
     ``P`` is an element set, ``order(x)`` the order of ``x``,
-    ``normalizes(gens, y, P)`` tests that ``y`` normalizes ``P = <gens>``
-    and ``extend(P, gens, y)`` returns the element set of ``<P, y>``.
-    Returns the element set and generator list of the Sylow subgroup.
+    ``least_normalizing(P, gens, pred)`` returns the least element of the
+    ambient group that normalizes ``P = <gens>`` and satisfies ``pred``
+    (or None), and ``extend(P, gens, y)`` returns the element set of
+    ``<P, y>``.  Returns the element set and generator list of the Sylow
+    subgroup.
     """
     gens = list(gens)
-    if not gens and len(P) < target:
-        best, best_ord = None, 1
-        for x in candidates:
-            o = order(x)
-            if o > best_ord and is_p_power(o, p):
-                best, best_ord = x, o
-        P = extend(P, gens, best)
-        gens.append(best)
     while len(P) < target:
-        for y in candidates:
-            if y not in P and is_p_power(order(y), p) and normalizes(gens, y, P):
-                P = extend(P, gens, y)
-                gens.append(y)
-                break
-        else:  # pragma: no cover - impossible by Sylow theory
+        y = least_normalizing(P, gens, lambda x: x not in P and is_p_power(order(x), p))
+        if y is None:  # pragma: no cover - impossible by Sylow theory
             raise AssertionError("Sylow extension stalled")
+        P = extend(P, gens, y)
+        gens.append(y)
     return P, gens
 
 
@@ -198,8 +190,14 @@ class CayleyTable:
     def sylow_in(self, sub: frozenset[int], p: int) -> tuple[frozenset[int], tuple[int, ...]]:
         """A Sylow p-subgroup of the subgroup ``sub``, with its generators,
         chosen by ``grow_sylow``."""
-        P, gens = grow_sylow(sorted(sub), p, p_part(len(sub), p), frozenset((0,)), (),
-                             self.elt_order.__getitem__, self.normalizes, self.extend)
+        candidates = sorted(sub)
+
+        def least_normalizing(P, gens, pred):
+            return next((y for y in candidates
+                         if pred(y) and self.normalizes(gens, y, P)), None)
+
+        P, gens = grow_sylow(p, p_part(len(sub), p), frozenset((0,)), (),
+                             self.elt_order.__getitem__, least_normalizing, self.extend)
         return P, tuple(gens)
 
     def normalizer_in(self, sub, gens, target: frozenset[int]) -> list[int]:

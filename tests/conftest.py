@@ -72,6 +72,35 @@ def brute_closure(degree: int, gens) -> set[Permutation]:
     return els
 
 
+def sylow_by_scan(G: PermGroup, p: int, gens=()) -> list[Permutation]:
+    """Generators of a Sylow p-subgroup of G containing <gens>, by the
+    library's rule applied to the sorted element list.
+
+    From P = <gens>, the least element of ``sorted(G.elements())`` that
+    has p-power order, lies outside P and normalizes P is adjoined until
+    |P| is the p-part of |G|.  P is closed by ``brute_closure``, and no
+    normalizer or stabilizer chain of P is built.
+    """
+    def is_p_power(n):
+        while n % p == 0:
+            n //= p
+        return n == 1
+
+    n, target = len(G.elements()), 1
+    while n % p == 0:
+        n //= p
+        target *= p
+    els = sorted(G.elements())
+    gens = list(gens)
+    P = brute_closure(G.degree, gens)
+    while len(P) < target:
+        y = next(y for y in els if y not in P and is_p_power(y.order())
+                 and all(y.inverse() * h * y in P for h in gens))
+        gens.append(y)
+        P = brute_closure(G.degree, gens)
+    return gens
+
+
 def brute_all_subgroups(degree: int, elements) -> set[frozenset[Permutation]]:
     """Every subgroup of a tiny group, from closures of small subsets.
 

@@ -453,6 +453,12 @@ class TestInputValidation:
             main(argv)
         assert str(info.value) == message
 
+    def test_sylow_count_above_the_element_cap_is_refused(self, capsys):
+        rc, rep = run(capsys, "compute", "nu", "--group", "A10", "-p", "5")
+        assert rc == 1 and not rep["ok"]
+        assert rep["error"] == {"type": "CapExceeded", "message":
+                                "element enumeration: needs 1814400, cap is 1000000"}
+
     def test_good_cap_environment(self, monkeypatch):
         monkeypatch.setenv("SYLOWLAB_CAP", " 5000 ")
         assert config.element_cap() == config.lattice_cap() == 5000

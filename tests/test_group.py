@@ -13,6 +13,7 @@ from sylowlab.catalog import catalog_upto, construct_text
 from sylowlab.errors import CapExceeded, DegreeMismatch, NotAMember, NotASubgroup, NotNormal
 from sylowlab.group import (
     PermGroup,
+    _Chain,
     centralizer,
     conjugacy_class,
     is_normal,
@@ -128,6 +129,20 @@ class TestElements:
             alternating(5).elements()
         # explicit argument wins over the environment
         assert len(alternating(5).elements(cap=60)) == 60
+
+
+@pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
+def test_least_walks_in_sorted_order(entry):
+    """The depth-first walk of a chain on the base 1..degree returns the
+    first element of the sorted element list that satisfies the predicate."""
+    G = entry.build()
+    chain = _Chain(G.degree, tuple(range(1, G.degree + 1)))
+    for g in G.generators:
+        chain.add_gen(g)
+    els = sorted(G.elements())
+    top = max(x.order() for x in els)
+    for pred in (lambda x: x.order() == top, lambda x: x.images[-1] == 1):
+        assert chain.least(pred) == min((x for x in els if pred(x)), default=None)
 
 
 class TestOrbits:

@@ -3,7 +3,9 @@
 nu_p is the length of one Sylow subgroup's conjugation orbit; the
 oracles are the normalizer index |G : N_G(P)| from ``group.normalizer``'s
 brute scan and the subgroups of full p-power order in the subgroup
-lattice, so the derivations are independent.
+lattice, so the derivations are independent.  The Sylow subgroup the
+normalizer tower picks is checked against ``sylow_by_scan``, the same
+rule applied to the sorted element list.
 """
 
 import os
@@ -16,7 +18,15 @@ import pytest
 
 import sylowlab
 
-from conftest import alternating, cyclic, dihedral, klein_four, perm, symmetric
+from conftest import (
+    alternating,
+    cyclic,
+    dihedral,
+    klein_four,
+    perm,
+    sylow_by_scan,
+    symmetric,
+)
 from sylowlab.catalog import catalog_entry, catalog_upto, construct_text
 from sylowlab.covering import sigma_p_cover
 from sylowlab.errors import (
@@ -121,6 +131,27 @@ class TestSylowSubgroup:
         assert info.value.what == "Sylow subgroup enumeration"
         # nu_p's orbit has no such limit: it counts all 45
         assert nu_p(G, 2, cap=30) == 45
+
+    @pytest.mark.parametrize("label", [e.label for e in catalog_upto(2000)] + ["A7", "A8"])
+    def test_tower_matches_scan(self, label):
+        """The normalizer tower picks the generators that ``sylow_by_scan``
+        picks from the sorted element list, from P = 1 and from Q = <x>
+        for the largest p-element x of G."""
+        G = construct_text(label) if label in ("A7", "A8") else catalog_entry(label).build()
+        for p in prime_factors(G.order()):
+            assert sylow_subgroup(G, p).generators == PermGroup(
+                G.degree, sylow_by_scan(G, p)).generators, (label, p)
+            x = next(y for y in reversed(G.elements()) if p_part(y.order(), p) == y.order())
+            Q = PermGroup(G.degree, [x])
+            assert sylow_subgroup_containing(G, Q, p).generators == PermGroup(
+                G.degree, sylow_by_scan(G, p, [x])).generators, (label, p)
+
+    def test_tower_keeps_the_element_cap(self):
+        # the tower lists no element of G, but refuses where listing G would
+        with pytest.raises(CapExceeded) as info:
+            sylow_subgroup(construct_text("A10"), 5)
+        assert (info.value.what, info.value.required, info.value.cap) == (
+            "element enumeration", 1814400, 10**6)
 
 
 class TestNu:
