@@ -2,38 +2,49 @@
 
 Graphs are given as loop-free adjacency bitmasks: adj[v] has bit w set
 iff v and w are joined.  The clique solver is branch and bound with a
-greedy-coloring upper bound; the biclique search is a pruned backtrack.
-Both are deterministic.
+greedy-coloring upper bound; its preprocessing works on whole rows, as
+binary strings and byte strings, never bit by bit.  The biclique search
+is a pruned backtrack.  Both are deterministic.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter, sub
 
-def _merge_twins(n: int, adj: list[int]) -> list[int]:
-    """One representative per adjacency mask.
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
-    Equal masks force non-adjacency (a loop would be needed otherwise),
-    so such vertices are interchangeable in any clique and all but the
-    lowest-numbered one can be dropped without changing the maximum.
+
+def _permute(rows: list[int], n: int, order: list[int]) -> list[int]:
+    """Each n-bit row with bit i of the result taken from bit order[i].
+
+    A row is written as at least n binary digits, most significant
+    first, so bit v is digit -1 - v: the new digits are picked in one
+    step and parsed back with ``int``.
     """
-    seen: dict[int, int] = {}
-    reps = []
-    for v in range(n):
-        if adj[v] not in seen:
-            seen[adj[v]] = v
-            reps.append(v)
-    return reps
+    pick = itemgetter(*[-1 - v for v in reversed(order)])
+    return [int("".join(pick(f"{row:0{n}b}")), 2) for row in rows]
+
+
+def _bits(row: int, m: int) -> bytes:
+    """Bit i of an m-bit row as byte i, 0 or 1."""
+    return f"{row:0{m}b}"[::-1].encode().translate(_BITS)
 
 
 def _degeneracy_order(m: int, adj: list[int]) -> list[int]:
-    """Vertices in smallest-last order; reversing it colors dense parts first."""
-    alive = (1 << m) - 1
+    """Vertices in smallest-last order; reversing it colors dense parts first.
+
+    Each step removes the vertex of least degree among those left, the
+    lowest-numbered one on a tie.  Degrees are kept in a list: the
+    removed vertex's row, one byte per bit, is subtracted from it, and
+    the vertex itself is parked above every degree still possible.
+    """
+    deg = [row.bit_count() for row in adj]
     out = []
     for _ in range(m):
-        v = min((x for x in range(m) if alive >> x & 1),
-                key=lambda x: ((adj[x] & alive).bit_count(), x))
+        v = deg.index(min(deg))
         out.append(v)
-        alive &= ~(1 << v)
+        deg = list(map(sub, deg, _bits(adj[v], m)))
+        deg[v] = 2 * m
     out.reverse()
     return out
 
@@ -42,45 +53,41 @@ def max_clique(n: int, adj: list[int]) -> tuple[int, tuple[int, ...]]:
     """Size and vertex set of a maximum clique.
 
     Twin vertices are merged first and the rest relabeled in degeneracy
-    order.  Candidates are greedily colored each step; a branch is cut
-    when the current clique plus the color count cannot beat the
-    incumbent, which is seeded with a greedy clique.
+    order; each relabeling is one ``_permute`` of the rows.  Candidates are
+    greedily colored each step; a branch is cut when the current clique
+    plus the color count cannot beat the incumbent, which is seeded with
+    a greedy clique.
     """
     if n == 0:
         return 0, ()
-    reps = _merge_twins(n, adj)
-    pos = {v: i for i, v in enumerate(reps)}
+    # twins (equal rows) are non-adjacent and interchangeable in any
+    # clique, so only the lowest-numbered vertex of each row is kept
+    first: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        first.setdefault(row, v)
+    reps = list(first.values())
     m = len(reps)
-    small = [0] * m
-    for i, v in enumerate(reps):
-        mask = adj[v]
-        while mask:
-            w = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            if w in pos:
-                small[i] |= 1 << pos[w]
+    small = _permute([adj[v] for v in reps], n, reps)
     label = _degeneracy_order(m, small)
     back = [reps[v] for v in label]
-    inv = [0] * m
-    for i, v in enumerate(label):
-        inv[v] = i
-    g = [0] * m
-    for i, v in enumerate(label):
-        mask = small[v]
-        while mask:
-            w = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            g[i] |= 1 << inv[w]
+    g = _permute([small[v] for v in label], m, label)
 
-    # greedy warm start: always take the candidate of highest residual degree
-    best_set: tuple[int, ...] = ()
+    # greedy warm start: always take the candidate of highest residual
+    # degree, the lowest-numbered one on a tie; degrees are kept as in
+    # _degeneracy_order, with dropped candidates parked below zero
+    deg = [row.bit_count() for row in g]
     cand = (1 << m) - 1
     seed = []
     while cand:
-        v = max((x for x in range(m) if cand >> x & 1),
-                key=lambda x: ((g[x] & cand).bit_count(), -x))
+        v = deg.index(max(deg))
         seed.append(v)
+        gone = cand & ~g[v]
         cand &= g[v]
+        while gone:
+            w = (gone & -gone).bit_length() - 1
+            gone &= gone - 1
+            deg = list(map(sub, deg, _bits(g[w], m)))
+            deg[w] = -2 * m
     best = len(seed)
     best_set = tuple(seed)
 

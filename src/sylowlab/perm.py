@@ -12,10 +12,18 @@ from __future__ import annotations
 
 import re
 from math import lcm
+from operator import itemgetter
 
 from .errors import DegreeMismatch, InvalidPermutation
 
 _CYCLE_RE = re.compile(r"\(\s*((?:\d+[\s,]*)*)\)")
+
+
+def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Image table of ``a * b`` (a first, then b): one ``itemgetter`` picks
+    a's images from b shifted by one place.  At degree 1 both are (1,), and
+    a one-key ``itemgetter`` would return a bare int."""
+    return itemgetter(*a)((0,) + b) if len(a) > 1 else b
 
 
 class Permutation:
@@ -96,7 +104,7 @@ class Permutation:
         if len(a) != len(b):
             raise DegreeMismatch(f"degree {len(a)} vs {len(b)}")
         out = Permutation.__new__(Permutation)
-        out._images = tuple(b[x - 1] for x in a)
+        out._images = compose(a, b)
         return out
 
     def inverse(self) -> "Permutation":

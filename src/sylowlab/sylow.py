@@ -41,7 +41,7 @@ from .group import (
     p_residual,
     quotient_group,
 )
-from .perm import Permutation
+from .perm import Permutation, compose
 from .reports import CheckReport
 from .tables import check_prime, grow_sylow, p_part
 
@@ -106,8 +106,7 @@ def _orbit(G: PermGroup, P: PermGroup, cap: int | None = None,
         return index[x]
 
     def conjugate(gi, g, i):
-        x = tables[i]  # (g^-1 x g)(k) = g(x(g^-1(k)))
-        return number(tuple([g[x[k - 1] - 1] for k in gi]))
+        return number(compose(gi, compose(tables[i], g)))  # g^-1 * x * g
 
     def act(s, gen):
         return tuple(sorted(map(gen[0], s)))

@@ -20,7 +20,7 @@ from math import isqrt
 from . import config
 from .errors import CapExceeded, OutOfDomain
 from .group import PermGroup, orbit_map
-from .perm import Permutation
+from .perm import compose
 
 
 def _check_base(p: int) -> None:
@@ -96,10 +96,7 @@ class CayleyTable:
         index = {im: i for i, im in enumerate(imgs)}
         gen_idx = tuple(index[g.images] for g in group.generators)
         # left_maps[k][x] is the index of gens[k] * x
-        left_maps = []
-        for g in group.generators:
-            s = g.images
-            left_maps.append([index[tuple(b[y - 1] for y in s)] for b in imgs])
+        left_maps = [[index[compose(g.images, b)] for b in imgs] for g in group.generators]
         table = [None] * n
         table[0] = list(range(n))
         queue = [0]

@@ -161,6 +161,116 @@ def brute_noncommuting_graph(G: PermGroup, pi) -> tuple[list[Permutation], list[
     return vertices, adj
 
 
+def _merge_twins_reference(n: int, adj: list[int]) -> list[int]:
+    """One representative per adjacency mask.
+
+    Equal masks force non-adjacency (a loop would be needed otherwise),
+    so such vertices are interchangeable in any clique and all but the
+    lowest-numbered one can be dropped without changing the maximum.
+    """
+    seen: dict[int, int] = {}
+    reps = []
+    for v in range(n):
+        if adj[v] not in seen:
+            seen[adj[v]] = v
+            reps.append(v)
+    return reps
+
+
+def _degeneracy_order_reference(m: int, adj: list[int]) -> list[int]:
+    """Vertices in smallest-last order; reversing it colors dense parts first."""
+    alive = (1 << m) - 1
+    out = []
+    for _ in range(m):
+        v = min((x for x in range(m) if alive >> x & 1),
+                key=lambda x: ((adj[x] & alive).bit_count(), x))
+        out.append(v)
+        alive &= ~(1 << v)
+    out.reverse()
+    return out
+
+
+def max_clique_reference(n: int, adj: list[int]) -> tuple[int, tuple[int, ...]]:
+    """Size and vertex set of a maximum clique, relabeling bit by bit.
+
+    The solver as ``cliques.max_clique`` had it before its relabelings
+    and degree updates moved to whole-row string and list operations;
+    the new one must return the identical (size, witness) pair.
+
+    Twin vertices are merged first and the rest relabeled in degeneracy
+    order.  Candidates are greedily colored each step; a branch is cut
+    when the current clique plus the color count cannot beat the
+    incumbent, which is seeded with a greedy clique.
+    """
+    if n == 0:
+        return 0, ()
+    reps = _merge_twins_reference(n, adj)
+    pos = {v: i for i, v in enumerate(reps)}
+    m = len(reps)
+    small = [0] * m
+    for i, v in enumerate(reps):
+        mask = adj[v]
+        while mask:
+            w = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            if w in pos:
+                small[i] |= 1 << pos[w]
+    label = _degeneracy_order_reference(m, small)
+    back = [reps[v] for v in label]
+    inv = [0] * m
+    for i, v in enumerate(label):
+        inv[v] = i
+    g = [0] * m
+    for i, v in enumerate(label):
+        mask = small[v]
+        while mask:
+            w = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            g[i] |= 1 << inv[w]
+
+    # greedy warm start: always take the candidate of highest residual degree
+    best_set: tuple[int, ...] = ()
+    cand = (1 << m) - 1
+    seed = []
+    while cand:
+        v = max((x for x in range(m) if cand >> x & 1),
+                key=lambda x: ((g[x] & cand).bit_count(), -x))
+        seed.append(v)
+        cand &= g[v]
+    best = len(seed)
+    best_set = tuple(seed)
+
+    def expand(chosen: list[int], cand: int) -> None:
+        nonlocal best, best_set
+        if not cand:
+            if len(chosen) > best:
+                best = len(chosen)
+                best_set = tuple(chosen)
+            return
+        order: list[int] = []
+        bounds: list[int] = []
+        uncolored = cand
+        color = 0
+        while uncolored:
+            color += 1
+            avail = uncolored
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                avail &= ~g[v] & ~(1 << v)
+                uncolored &= ~(1 << v)
+                order.append(v)
+                bounds.append(color)
+        for i in range(len(order) - 1, -1, -1):
+            if len(chosen) + bounds[i] <= best:
+                return
+            v = order[i]
+            expand(chosen + [v], cand & g[v])
+            cand &= ~(1 << v)
+
+    expand([], (1 << m) - 1)
+    return best, tuple(sorted(back[v] for v in best_set))
+
+
 def quotient_route_is_p_solvable(G: PermGroup, p: int) -> bool:
     """p-solvability by walking the upper p-series through quotient groups.
 

@@ -5,6 +5,7 @@ brute-force runs: Bron-Kerbosch enumeration for cliques, direct ordered
 pair counting for probabilities.
 """
 
+import hashlib
 import os
 import random
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 
 import sylowlab
 from sylowlab.catalog import catalog_upto, construct_text
-from sylowlab.cliques import find_biclique, max_clique
+from sylowlab.cliques import _degeneracy_order, find_biclique, max_clique
 from sylowlab.errors import CapExceeded, OutOfDomain, PreconditionFailed
 from sylowlab.graphs import (
     BitGraph,
@@ -37,6 +38,7 @@ from conftest import (
     brute_noncommuting_graph,
     cyclic,
     klein_four,
+    max_clique_reference,
     perm,
     symmetric,
 )
@@ -89,6 +91,29 @@ def random_graph(rng, n, density):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
+
+
+def twin_graph(rng, n, k, density):
+    """A random graph on k classes blown up to n vertices: vertices of one
+    class are pairwise non-adjacent twins with the same neighbourhood."""
+    base = random_graph(rng, k, density)
+    cls = [rng.randrange(k) for _ in range(n)]
+    return [sum(1 << w for w in range(n) if base[cls[v]] >> cls[w] & 1)
+            for v in range(n)]
+
+
+def smallest_last_by_definition(n, adj):
+    """Smallest-last order from its definition: repeatedly remove the
+    vertex with fewest neighbours among those left, the least such
+    vertex on a tie, counting neighbours pair by pair; then reverse."""
+    left = list(range(n))
+    out = []
+    while left:
+        degree = [sum(1 for w in left if adj[v] >> w & 1) for v in left]
+        v = left[degree.index(min(degree))]
+        out.append(v)
+        left.remove(v)
+    return out[::-1]
 
 
 def complete_graph(n):
@@ -399,6 +424,85 @@ class TestMaxCliqueSolver:
         adj = random_graph(rng, 14, 0.5)
         assert max_clique(14, list(adj)) == max_clique(14, list(adj))
 
+
+class TestDegeneracyOrder:
+    @pytest.mark.parametrize("density", [0.1, 0.3, 0.5, 0.8])
+    def test_random_graphs_match_definition(self, density):
+        rng = random.Random(int(density * 10))
+        for n in (1, 2, 3, 4, 6, 10, 16, 25, 40):
+            for _ in range(3):
+                adj = random_graph(rng, n, density)
+                assert _degeneracy_order(n, adj) == smallest_last_by_definition(n, adj)
+
+    def test_ties_go_to_the_lowest_index(self):
+        # edgeless and complete graphs: every step is a tie
+        assert _degeneracy_order(5, [0] * 5) == [4, 3, 2, 1, 0]
+        assert _degeneracy_order(4, list(complete_graph(4).adj)) == [3, 2, 1, 0]
+        # path 0-1-2: 0 and 2 tie at degree 1, then 1 and 2 tie at degree 1
+        assert _degeneracy_order(3, [0b010, 0b101, 0b010]) == [2, 1, 0]
+        # star centred at 3: the leaves go first, lowest index first
+        star = [0b1000, 0b1000, 0b1000, 0b0111]
+        assert _degeneracy_order(4, star) == [3, 2, 1, 0]
+
+    def test_twins_match_definition(self):
+        rng = random.Random(7)
+        for n, k in [(12, 4), (30, 9), (50, 20)]:
+            adj = twin_graph(rng, n, k, 0.6)
+            assert _degeneracy_order(n, adj) == smallest_last_by_definition(n, adj)
+
+
+# (size, sha256 of repr(witness)) from ``max_clique_reference`` where it
+# takes about a second or more per graph
+REFERENCE_WITNESS = {
+    ("S7", (2,)): (315, "b97f015c5aa61d96cd87a38c485292531c22f135071164c98580e42df8f64354"),
+    ("S7", (2, 3)): (945, "32bf797a8b7a0260bbbee72e6f69263b265171490cde809ff2a92f1d876a25cd"),
+    ("A7", (2, 3)): (420, "12c48a19d2f7c7b0dbbe297483d124027cd4ada66383b4dc1d1837f21f677fea"),
+}
+
+
+class TestMaxCliqueMatchesReference:
+    """``max_clique`` returns the identical (size, witness) pair as
+    ``max_clique_reference``, the same algorithm relabeling bit by bit,
+    so no clique number or clique witness in a report moves."""
+
+    @pytest.mark.parametrize("density", [0.2, 0.5, 0.9])
+    def test_random_graphs(self, density):
+        rng = random.Random(int(density * 10))
+        for n in (0, 1, 2, 3, 5, 9, 17, 33, 50, 80):
+            for _ in range(3):
+                adj = random_graph(rng, n, density)
+                assert max_clique(n, list(adj)) == max_clique_reference(n, adj)
+
+    @pytest.mark.parametrize("density", [0.2, 0.5, 0.9])
+    def test_graphs_with_twins(self, density):
+        rng = random.Random(int(density * 10))
+        for n, k in [(2, 1), (7, 3), (20, 6), (45, 15), (80, 30)]:
+            adj = twin_graph(rng, n, k, density)
+            assert max_clique(n, list(adj)) == max_clique_reference(n, adj)
+
+    def test_bits_at_or_above_n_are_ignored(self):
+        rng = random.Random(3)
+        for n in (1, 2, 7, 20):
+            adj = [row | rng.getrandbits(5) << n for row in random_graph(rng, n, 0.5)]
+            assert max_clique(n, list(adj)) == max_clique_reference(n, adj)
+
+    @pytest.mark.parametrize("pi", [(2,), (3,), (2, 3)], ids=str)
+    def test_catalog_noncommuting_graphs(self, pi):
+        for entry in catalog_upto(500):
+            g = noncommuting_graph(entry.build(), pi)
+            assert max_clique(g.n, list(g.adj)) == max_clique_reference(g.n, list(g.adj))
+
+    @pytest.mark.parametrize("label, pi", [
+        ("S7", (2,)), ("S7", (3,)), ("S7", (2, 3)),
+        ("A7", (2,)), ("A7", (3,)), ("A7", (2, 3))], ids=str)
+    def test_s7_and_a7(self, label, pi):
+        g = noncommuting_graph(construct_text(label), pi)
+        size, witness = max_clique(g.n, list(g.adj))
+        if (label, pi) in REFERENCE_WITNESS:
+            digest = hashlib.sha256(repr(witness).encode()).hexdigest()
+            assert (size, digest) == REFERENCE_WITNESS[label, pi]
+        else:
+            assert (size, witness) == max_clique_reference(g.n, list(g.adj))
 
 class TestBicliqueSolver:
     def test_complete_bipartite(self):

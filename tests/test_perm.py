@@ -1,12 +1,16 @@
 """Permutation arithmetic, parsing and printing."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from sylowlab.errors import DegreeMismatch, InvalidPermutation
-from sylowlab.perm import Permutation, parse_permutation
+from sylowlab.catalog import construct_text
+from sylowlab.perm import Permutation, compose, parse_permutation
+from sylowlab.tables import CayleyTable
 
-from conftest import perm
+from conftest import perm, symmetric
 
 
 def cycle_type(x):
@@ -146,6 +150,36 @@ class TestComposition:
                 for p in (x, g))
         assert cycle_type(x.conjugate(g)) == cycle_type(x)
 
+
+
+class TestCompositionKernel:
+    """``perm.compose`` is the one composition routine: products,
+    Cayley-table left maps and conjugation orbits all go through it.
+    Each product is checked point by point through ``__call__``, which
+    reads the image table without composing."""
+
+    @pytest.mark.parametrize("degree", range(1, 13))
+    def test_product_applies_left_factor_first(self, degree):
+        rng = random.Random(degree)
+        points = range(1, degree + 1)
+        perms = [Permutation.identity(degree)] + [
+            Permutation(rng.sample(points, degree)) for _ in range(6)]
+        for a in perms:
+            for b in perms:
+                c = a * b
+                assert [c(i) for i in points] == [b(a(i)) for i in points]
+                assert type(c.images) is tuple
+                assert compose(a.images, b.images) == c.images
+
+    @pytest.mark.parametrize("group", [
+        symmetric(1), symmetric(2), construct_text("S4"), construct_text("SL(2,3)"),
+        construct_text("A5"), construct_text("D10")], ids=lambda G: f"order{G.order()}")
+    def test_cayley_table_matches_pointwise_products(self, group):
+        ctx = CayleyTable(group)
+        index = {e.images: i for i, e in enumerate(ctx.elements)}
+        points = range(1, group.degree + 1)
+        for a, row in zip(ctx.elements, ctx.table):
+            assert row == [index[tuple(b(a(i)) for i in points)] for b in ctx.elements]
 
 class TestStructure:
     def test_cycles(self):
