@@ -23,6 +23,7 @@ from .errors import (
 )
 from .group import (
     PermGroup,
+    _Chain,
     conjugacy_class,
     is_subgroup,
     orbit_map,
@@ -31,7 +32,7 @@ from .group import (
 )
 from .perm import Permutation
 from .reports import CheckReport
-from .tables import is_p_power
+from .tables import check_prime, is_p_power
 
 # cross-check fpr against the conjugacy-class formula up to this order
 _CROSS_CHECK_LIMIT = 10_000
@@ -240,26 +241,30 @@ def min_fpr_p_element(action: CosetAction, p: int,
                       cap: int | None = None) -> tuple[Permutation, Fraction]:
     """A nontrivial p-element with the smallest fixed point ratio.
 
-    One representative per conjugacy class is scanned (the ratio is a
-    class function).  Ties break toward smaller element order, then
-    lexicographically smaller image table.
+    The ratio and the element order are class functions, and every
+    p-element is conjugate into a Sylow p-subgroup P, so the least
+    (ratio, order) is read off P's nontrivial elements.  The returned
+    element is the least of G, by image table, with that ratio and
+    order, found by walking a chain of G on the base 1..degree
+    (``_Chain.least``): ties break toward smaller element order, then
+    lexicographically smaller image table.  G is never listed.
     """
+    from .sylow import sylow_subgroup
+
+    check_prime(p)
     G = action.group
     if G.order() % p:
         raise NoPElement(f"p={p} does not divide the group order")
-    best: tuple[Fraction, int, tuple[int, ...]] | None = None
-    best_elt = None
-    for rep, _ in G.conjugacy_classes(cap):
-        o = rep.order()
-        if o == 1 or not is_p_power(o, p):
-            continue
-        ratio = Fraction(len(action.fixed_points(rep)), action.degree)
-        key = (ratio, o, rep.images)
-        if best is None or key < best:
-            best, best_elt = key, rep
-    if best_elt is None:  # pragma: no cover - p | |G| gives a p-element
-        raise NoPElement("no nontrivial p-element found")
-    return best_elt, best[0]
+
+    def ratio(x: Permutation) -> Fraction:
+        return Fraction(len(action.fixed_points(x)), action.degree)
+
+    P = sylow_subgroup(G, p, cap)
+    best, o = min((ratio(x), x.order()) for x in P.elements(cap) if not x.is_identity())
+    x = _Chain.ordered(G.degree, G.generators).least(
+        lambda x: x.order() == o and ratio(x) == best)
+    assert x is not None, "a conjugate of a Sylow element must be met"
+    return x, best
 
 
 def sylow_orbit_bound_check(action: CosetAction, p: int,

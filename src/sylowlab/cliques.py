@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from operator import itemgetter, sub
 
+from .errors import OutOfDomain
+
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -56,8 +58,11 @@ def max_clique(n: int, adj: list[int]) -> tuple[int, tuple[int, ...]]:
     order; each relabeling is one ``_permute`` of the rows.  Candidates are
     greedily colored each step; a branch is cut when the current clique
     plus the color count cannot beat the incumbent, which is seeded with
-    a greedy clique.
+    a greedy clique.  A row with its own bit (a loop) raises OutOfDomain:
+    the greedy seed would never shrink its candidates.
     """
+    if any(row >> v & 1 for v, row in enumerate(adj)):
+        raise OutOfDomain("loops are not allowed")
     if n == 0:
         return 0, ()
     # twins (equal rows) are non-adjacent and interchangeable in any

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import config
 from .cliques import find_biclique, max_clique
-from .errors import CapExceeded, ExprSyntaxError, PreconditionFailed
+from .errors import CapExceeded, ExprSyntaxError, OutOfDomain, PreconditionFailed
 from .group import PermGroup, orbit_map
 from .perm import Permutation
 from .reports import CheckReport
@@ -37,10 +37,13 @@ class BitGraph:
     def __init__(self, n: int, adj):
         self.n = n
         self.adj = tuple(adj)
-        assert len(self.adj) == n
+        if len(self.adj) != n:
+            raise OutOfDomain(f"{len(self.adj)} rows for {n} vertices")
         for v, row in enumerate(self.adj):
-            assert not row & (1 << v), "loops are not allowed"
-            assert row >> n == 0
+            if row >> v & 1:
+                raise OutOfDomain("loops are not allowed")
+            if row >> n:
+                raise OutOfDomain(f"row {v} has a bit above vertex {n - 1}")
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2

@@ -75,6 +75,15 @@ class _Chain:
         for b in forced_base:
             self.orbits.append({b: (ident, ident)})
 
+    @classmethod
+    def ordered(cls, degree: int, gens: Iterable[Permutation] = ()) -> "_Chain":
+        """A chain on the base 1..degree, the shape ``least`` walks, with
+        ``gens`` sifted in."""
+        chain = cls(degree, tuple(range(1, degree + 1)))
+        for g in gens:
+            chain.add_gen(g)
+        return chain
+
     def order(self) -> int:
         n = 1
         for orb in self.orbits:
@@ -186,13 +195,14 @@ class PermGroup:
     """A permutation group on {1..degree} given by generators.
 
     Instances are immutable; expensive results (chain, element list,
-    conjugacy classes, and the Cayley table and subgroup lattice built by
-    other modules) are computed on first use and cached on the instance.
+    conjugacy classes, and the Cayley table, subgroup lattice and element
+    numbering of the conjugation orbits built by other modules) are
+    computed on first use and cached on the instance.
     """
 
     __slots__ = (
         "_degree", "_generators", "_chain", "_elements", "_element_set",
-        "_classes", "_lattice", "_table",
+        "_classes", "_lattice", "_table", "_numbering",
     )
 
     def __init__(self, degree: int, generators: Iterable[Permutation] = (), *,
@@ -216,6 +226,7 @@ class PermGroup:
         self._classes = None
         self._lattice = None
         self._table = None
+        self._numbering = None
 
     # -- basics ------------------------------------------------------------
 

@@ -7,7 +7,10 @@ its conjugation orbit, sifted into a chain on the base 1..degree from
 Schreier generators and walked in image-table order (``_Chain.least``).
 
 G acts on Syl_p(G) by conjugation, transitively, so nu(G, p) is the
-length of one Sylow subgroup's conjugation orbit.  ``nu_p``,
+length of one Sylow subgroup's conjugation orbit.  Every conjugation
+orbit under G, the tower's and the count's, numbers its elements in one
+numbering kept on G (``_numbering``), so each element is conjugated at
+most once by each generator of G.  ``nu_p``,
 ``sylow_subgroups`` and the four Sylow-number checks read every count
 off such orbits; the lattice-based checks count on the Cayley table
 (``CayleyTable.sylow_count_in``).  The test suite checks the counts
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
+from typing import Callable, NamedTuple
 
 from . import config
 from .errors import (
@@ -58,20 +62,21 @@ def sylow_subgroup_containing(G: PermGroup, Q: PermGroup, p: int,
     """A Sylow p-subgroup of G containing the p-subgroup Q.
 
     No step lists G, but G must still fit the element cap that
-    ``G.elements`` would apply.
+    ``G.elements`` would apply, even when Q is Sylow already, so that
+    every Sylow request refuses the same groups.
     """
     check_prime(p)
+    G.check_element_cap(cap)
     target = p_part(G.order(), p)
     if Q.order() == target:
         return Q
-    G.check_element_cap(cap)
 
     def least_normalizing(P, gens, pred):
         # N_G(P) is the stabilizer of P in its conjugation orbit: Schreier
         # generators are sifted into a chain on the base 1..degree until it
         # has order |G| / (orbit length); ``least`` walks it in table order
         orbit, _, schreier = _orbit(G, PermGroup(G.degree, gens), cap)
-        N = _Chain(G.degree, tuple(range(1, G.degree + 1)))
+        N = _Chain.ordered(G.degree)
         for s in schreier:
             if N.order() * len(orbit) == G.order():
                 break
@@ -84,40 +89,67 @@ def sylow_subgroup_containing(G: PermGroup, Q: PermGroup, p: int,
     return PermGroup(G.degree, gens)
 
 
+class _Numbering(NamedTuple):
+    """The element numbering of G's conjugation orbits, kept on G.
+
+    ``tables[i]`` is the image table of element number i, ``number``
+    returns an image table's number (giving it the next one if it has
+    none), and ``gens`` pairs each generator g of G with a cached map
+    from a number to the number of its conjugate g^-1 * x * g.
+    """
+
+    tables: list
+    number: Callable[[tuple[int, ...]], int]
+    gens: list
+
+
+def _numbering(G: PermGroup) -> _Numbering:
+    """G's numbering, built on first use, like G's table and lattice."""
+    if G._numbering is None:
+        tables = []
+        index = {}
+
+        def number(x):
+            if x not in index:
+                index[x] = len(tables)
+                tables.append(x)
+            return index[x]
+
+        def conjugate(gi, g, i):
+            return number(compose(gi, compose(tables[i], g)))  # g^-1 * x * g
+
+        G._numbering = _Numbering(tables, number, [
+            (cache(partial(conjugate, g.inverse().images, g.images)), g)
+            for g in G.generators])
+    return G._numbering
+
+
 def _orbit(G: PermGroup, P: PermGroup, cap: int | None = None,
            limit: int | None = None, what: str = "orbit"):
     """The orbit of P under conjugation by G, with its Schreier generators.
 
     The conjugates share few elements, so each element met gets a number
-    and is conjugated by each generator once; a conjugate is keyed by its
-    sorted numbers.  Returns the orbit (a dict from each key to an element
-    of G conjugating P to that conjugate, from ``orbit_map``'s
+    in G's one numbering (``_numbering``), which every orbit under G
+    shares: a tower's steps P_1 < ... < P_k and the final Sylow orbit
+    all lie in the union of the Sylow subgroups, and each element there
+    is conjugated at most once by each generator.  A conjugate is keyed
+    by its sorted numbers.  Returns the orbit (a dict from each key to an
+    element of G conjugating P to that conjugate, from ``orbit_map``'s
     transversal), the image table of each number, and an iterator over
     the Schreier generators u * g * u'^-1 of N_G(P), for each conjugate's
     transversal element u and each generator g of G.
     """
-    tables = []
-    index = {}
-
-    def number(x):
-        if x not in index:
-            index[x] = len(tables)
-            tables.append(x)
-        return index[x]
-
-    def conjugate(gi, g, i):
-        return number(compose(gi, compose(tables[i], g)))  # g^-1 * x * g
+    numbering = _numbering(G)
 
     def act(s, gen):
         return tuple(sorted(map(gen[0], s)))
 
-    gens = [(cache(partial(conjugate, g.inverse().images, g.images)), g)
-            for g in G.generators]
-    orbit = orbit_map(tuple(sorted(number(x.images) for x in P.elements(cap))), gens,
-                      act, lambda u, gen: u * gen[1], G.identity(), limit, what)
+    gens = numbering.gens
+    seed = tuple(sorted(numbering.number(x.images) for x in P.elements(cap)))
+    orbit = orbit_map(seed, gens, act, lambda u, gen: u * gen[1], G.identity(), limit, what)
     schreier = (u * gen[1] * orbit[act(s, gen)].inverse()
                 for s, u in orbit.items() for gen in gens)
-    return orbit, tables, schreier
+    return orbit, numbering.tables, schreier
 
 
 def _conjugates(G: PermGroup, P: PermGroup, p: int | None = None,

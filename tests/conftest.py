@@ -8,11 +8,14 @@ the fast paths are checked against something independent.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
+from sylowlab.errors import NoPElement
 from sylowlab.perm import Permutation
 from sylowlab.group import PermGroup
+from sylowlab.tables import is_p_power
 
 
 def perm(cycles, degree):
@@ -53,6 +56,17 @@ def dihedral(n: int) -> PermGroup:
 
 def klein_four() -> PermGroup:
     return PermGroup(4, [perm("(1 2)(3 4)", 4), perm("(1 3)(2 4)", 4)])
+
+
+def prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while n > 1:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out
 
 
 def brute_closure(degree: int, gens) -> set[Permutation]:
@@ -305,3 +319,30 @@ def quotient_route_is_p_solvable(G: PermGroup, p: int) -> bool:
             return False
         Q, _ = quotient_group(Q, lat.subgroup(best))
     return True
+
+
+def min_fpr_by_classes(action, p: int,
+                       cap: int | None = None) -> tuple[Permutation, Fraction]:
+    """A nontrivial p-element with the smallest fixed point ratio.
+
+    One representative per conjugacy class is scanned (the ratio is a
+    class function).  Ties break toward smaller element order, then
+    lexicographically smaller image table.  This is the class scan that
+    ``actions.min_fpr_p_element`` replaced; it lists G and its classes.
+    """
+    G = action.group
+    if G.order() % p:
+        raise NoPElement(f"p={p} does not divide the group order")
+    best: tuple[Fraction, int, tuple[int, ...]] | None = None
+    best_elt = None
+    for rep, _ in G.conjugacy_classes(cap):
+        o = rep.order()
+        if o == 1 or not is_p_power(o, p):
+            continue
+        ratio = Fraction(len(action.fixed_points(rep)), action.degree)
+        key = (ratio, o, rep.images)
+        if best is None or key < best:
+            best, best_elt = key, rep
+    if best_elt is None:  # pragma: no cover - p | |G| gives a p-element
+        raise NoPElement("no nontrivial p-element found")
+    return best_elt, best[0]

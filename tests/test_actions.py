@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import alternating, cyclic, dihedral, perm, symmetric
+from conftest import (
+    alternating,
+    cyclic,
+    dihedral,
+    min_fpr_by_classes,
+    perm,
+    prime_factors,
+    symmetric,
+)
 from sylowlab.actions import (
     CosetAction,
     PadicProfile,
@@ -21,7 +29,7 @@ from sylowlab.actions import (
     subset_fpr_formula,
     sylow_orbit_bound_check,
 )
-from sylowlab.catalog import catalog_upto
+from sylowlab.catalog import catalog_upto, construct_text
 from sylowlab.errors import (
     CapExceeded,
     NoPElement,
@@ -34,6 +42,7 @@ from sylowlab.errors import (
 from sylowlab.group import PermGroup
 from sylowlab.lattice import subgroup_lattice
 from sylowlab.perm import Permutation
+from sylowlab.sylow import sylow_subgroup
 
 
 def alt5_point_subgroup():
@@ -367,6 +376,35 @@ class TestMinFpr:
     def test_rejects_prime_not_dividing(self):
         with pytest.raises(NoPElement):
             min_fpr_p_element(natural_action(symmetric(3)), 7)
+
+    def test_matches_class_scan_over_catalog(self):
+        """Read off a Sylow subgroup, the least (ratio, order) and its least
+        element of G are the ones the class scan finds, on the natural
+        action and on the coset action of every proper Sylow subgroup."""
+        for entry in catalog_upto(2000):
+            G = entry.build()
+            if not G.is_transitive():
+                continue
+            primes = prime_factors(G.order())
+            actions = [natural_action(G)] + [
+                coset_action(G, S) for S in (sylow_subgroup(G, q) for q in primes)
+                if S.order() < G.order()]
+            for action in actions:
+                for p in primes:
+                    assert min_fpr_p_element(action, p) == min_fpr_by_classes(action, p), (
+                        entry.label, action.degree, p)
+
+    @pytest.mark.parametrize("label", ["A7", "S7", "A8"])
+    def test_matches_class_scan_on_larger_groups(self, label):
+        action = natural_action(construct_text(label))
+        for p in prime_factors(action.group.order()):
+            assert min_fpr_p_element(action, p) == min_fpr_by_classes(action, p), p
+
+    def test_never_lists_the_group(self):
+        G = construct_text("A8")
+        x, ratio = min_fpr_p_element(natural_action(G), 5)
+        assert (x.cycle_string(), ratio) == ("(4 5 6 7 8)", Fraction(3, 8))
+        assert G._elements is None and G._classes is None
 
 
 def _plog(n, p):

@@ -459,6 +459,18 @@ class TestInputValidation:
         assert rep["error"] == {"type": "CapExceeded", "message":
                                 "element enumeration: needs 1814400, cap is 1000000"}
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "sylow-monotone", "--group", "A10", "--sub", "A9", "-p", "3"],
+        ["compute", "nu", "--group", "A10", "-p", "3"],
+    ])
+    def test_sylow_requests_refuse_alike(self, capsys, argv):
+        # a Sylow 3-subgroup of A9 is Sylow in A10 too, and the monotone
+        # check once answered from it with no bound on its orbit
+        rc, rep = run(capsys, *argv)
+        assert rc == 1 and not rep["ok"]
+        assert rep["error"] == {"type": "CapExceeded", "message":
+                                "element enumeration: needs 1814400, cap is 1000000"}
+
     def test_good_cap_environment(self, monkeypatch):
         monkeypatch.setenv("SYLOWLAB_CAP", " 5000 ")
         assert config.element_cap() == config.lattice_cap() == 5000

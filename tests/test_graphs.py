@@ -121,6 +121,20 @@ def complete_graph(n):
     return BitGraph(n, [full & ~(1 << v) for v in range(n)])
 
 
+def refusal_in_child_process(code: str, *flags: str) -> str:
+    """The OutOfDomain message that ``code`` raises in a fresh interpreter
+    started with ``flags``, which must end within 5 s."""
+    code = ("from sylowlab.errors import OutOfDomain\n"
+            "try:\n" + "".join(f"    {line}\n" for line in code.splitlines()) +
+            "except OutOfDomain as err:\n"
+            "    print(err)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sylowlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestBitGraph:
     def test_triangle_basics(self):
         g = BitGraph(3, [0b110, 0b101, 0b011])
@@ -129,8 +143,21 @@ class TestBitGraph:
         assert has_edge(g, 0, 1) and has_edge(g, 1, 0)
 
     def test_loop_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(OutOfDomain, match="loops are not allowed"):
             BitGraph(2, [0b01, 0b10])
+
+    @pytest.mark.parametrize("n, adj", [(2, [0b10, 0b101]), (2, [0b10]), (1, [0, 0])])
+    def test_stray_bit_and_row_count_rejected(self, n, adj):
+        with pytest.raises(OutOfDomain):
+            BitGraph(n, adj)
+
+    def test_loop_refused_under_optimization(self):
+        # with ``python -O`` a loop once got past BitGraph's asserts, and
+        # max_clique never returned on it, hence the timeout
+        assert refusal_in_child_process(
+            "from sylowlab.graphs import BitGraph, turan_bound_check\n"
+            "assert not __debug__\n"
+            "turan_bound_check(BitGraph(2, [0b11, 0b01]))\n", "-O") == "loops are not allowed"
 
     def test_edge_list_round_trip(self):
         g = BitGraph(4, [0b0110, 0b0101, 0b0011, 0b0000])
@@ -407,6 +434,13 @@ class TestMaxCliqueSolver:
         for i, v in enumerate(verts):
             for w in verts[i + 1:]:
                 assert adj[v] >> w & 1
+
+    def test_loop_refused(self):
+        # the greedy seed never shrank its candidates on a loop, hence the
+        # child process and its timeout
+        assert refusal_in_child_process(
+            "from sylowlab.cliques import max_clique\n"
+            "max_clique(1, [1])\n") == "loops are not allowed"
 
     def test_empty_and_tiny(self):
         assert max_clique(0, []) == (0, ())

@@ -24,9 +24,11 @@ from conftest import (
     dihedral,
     klein_four,
     perm,
+    prime_factors,
     sylow_by_scan,
     symmetric,
 )
+from sylowlab.actions import min_fpr_p_element, natural_action
 from sylowlab.catalog import catalog_entry, catalog_upto, construct_text
 from sylowlab.covering import sigma_p_cover
 from sylowlab.errors import (
@@ -55,17 +57,6 @@ from sylowlab.sylow import (
     sylow_subgroups,
 )
 from sylowlab.tables import p_part
-
-
-def prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while n > 1:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    return out
 
 
 def alt5_point_subgroup():
@@ -218,6 +209,19 @@ class TestNu:
             assert nu_p(G, p) == len(orbit) == len(by_lattice)
             assert set(orbit) == by_lattice
 
+    @pytest.mark.parametrize("p, union_size", [(2, 4096), (3, 1233)])
+    def test_numbering_holds_the_union_of_the_sylow_subgroups(self, p, union_size):
+        """The tower's steps and the final orbit share G's one numbering,
+        so it holds exactly the p-elements of G: 1 + 210 + 105 + 2520 +
+        1260 at p = 2, and 1 + 112 + 1120 at p = 3."""
+        G = construct_text("A8")
+        nu_p(G, p)
+        union = frozenset().union(*sylow_subgroups(construct_text("A8"), p))
+        assert len(union) == union_size
+        tables = G._numbering.tables
+        assert len(tables) == len(set(tables)) == len(union)
+        assert {Permutation(t) for t in tables} == union
+
     def test_congruent_one_mod_p(self):
         for make in (lambda: symmetric(4), lambda: alternating(5),
                      lambda: alternating(6), lambda: dihedral(9)):
@@ -240,8 +244,9 @@ class TestPrimeValidation:
         lambda p: sylow_subgroups(alternating(5), p),
         lambda p: p_residual(alternating(5), p),
         lambda p: sigma_p_cover(alternating(5), p),
+        lambda p: min_fpr_p_element(natural_action(alternating(5)), p),
     ], ids=["nu_p", "sylow_subgroup", "sylow_subgroup_containing",
-            "sylow_subgroups", "p_residual", "sigma_p_cover"])
+            "sylow_subgroups", "p_residual", "sigma_p_cover", "min_fpr_p_element"])
     def test_non_prime_is_out_of_domain(self, call, p):
         with pytest.raises(OutOfDomain, match=f"expected a prime, got {p}"):
             call(p)
