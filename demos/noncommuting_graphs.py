@@ -8,8 +8,6 @@ satisfies Pr_pi * n_pi >= 1.
 
 from sylowlab import (
     catalog_entry,
-    find_biclique,
-    c_pi_membership,
     n_pi,
     noncommuting_graph,
     pr_pi,
@@ -37,15 +35,6 @@ def main():
     rep = turan_bound_check(noncommuting_graph(A5, frozenset({5})))
     print("edge bound on the 5-element graph of A5:",
           rep.details["edges"], "edges <=", rep.details["bound"])
-
-    # does every pair of 2x2 subsets of 2-elements of S3 contain a
-    # commuting cross pair?  A crossing K_{2,2} in the graph says no.
-    held, witness = c_pi_membership(S3, frozenset({2}), 2, 2)
-    print("S3 satisfies the (2,2) commuting-cross condition:", held)
-    g = noncommuting_graph(S3, frozenset({2, 3}))
-    found = find_biclique(g.n, g.adj, 2, 2)
-    print("crossing K_{2,2} among all elements of S3:",
-          "found" if found else "none")
 
 
 if __name__ == "__main__":

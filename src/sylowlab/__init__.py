@@ -23,7 +23,6 @@ from .errors import (
 )
 from .group import (
     PermGroup,
-    centralizer,
     conjugacy_class,
     is_normal,
     is_p_solvable,
@@ -56,7 +55,7 @@ from .catalog import (
     parse_group_expr,
     predicted_order,
 )
-from .cliques import find_biclique, max_clique
+from .cliques import max_clique
 from .covering import (
     class_cover,
     class_cover_number,
@@ -68,7 +67,6 @@ from .covering import (
 from .gf import SmallField, field
 from .graphs import (
     BitGraph,
-    c_pi_membership,
     max_noncommuting_set,
     n_pi,
     noncommuting_graph,

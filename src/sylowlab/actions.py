@@ -189,6 +189,7 @@ def canonical_p_element(n: int, p: int) -> Permutation:
     digit(i) cycles of length 2^i for i <= f-2.  Cycles occupy
     consecutive points starting at 1, longest first.
     """
+    check_prime(p)
     if n < p:
         raise NoPElement(f"no p-element available: n={n} < p={p}")
     prof = PadicProfile.of(n, p)
@@ -223,6 +224,7 @@ def subset_fpr_formula(n: int, k: int, p: int) -> Fraction:
     place; the remaining p=2 case has no such closed form and is
     rejected (count fixed subsets directly instead).
     """
+    check_prime(p)
     if not 1 <= k < Fraction(n, 2):
         raise OutOfDomain("need 1 <= k < n/2")
     prof = PadicProfile.of(n, p)

@@ -1,10 +1,9 @@
-"""Exact maximum clique and complete-bipartite search on bitset graphs.
+"""Exact maximum clique search on bitset graphs.
 
 Graphs are given as loop-free adjacency bitmasks: adj[v] has bit w set
 iff v and w are joined.  The clique solver is branch and bound with a
 greedy-coloring upper bound; its preprocessing works on whole rows, as
-binary strings and byte strings, never bit by bit.  The biclique search
-is a pruned backtrack.  Both are deterministic.
+binary strings and byte strings, never bit by bit.  It is deterministic.
 """
 
 from __future__ import annotations
@@ -126,44 +125,3 @@ def max_clique(n: int, adj: list[int]) -> tuple[int, tuple[int, ...]]:
     expand([], (1 << m) - 1)
     return best, tuple(sorted(back[v] for v in best_set))
 
-
-def find_biclique(n: int, adj: list[int], m: int, k: int):
-    """A pair of disjoint vertex sets, sizes m and k, with every cross
-    pair joined; None when no such pair exists.
-
-    The two sides need not be cliques themselves.  The search grows the
-    first side in ascending vertex order and tracks the common
-    neighborhood, so the returned witness is canonical.
-    """
-    if m > k:
-        swapped = find_biclique(n, adj, k, m)
-        if swapped is None:
-            return None
-        return swapped[1], swapped[0]
-    found = None
-
-    def rec(start: int, chosen: list[int], common: int) -> None:
-        nonlocal found
-        if found is not None:
-            return
-        if len(chosen) == m:
-            avail = common
-            for v in chosen:
-                avail &= ~(1 << v)
-            if avail.bit_count() >= k:
-                side = []
-                while len(side) < k:
-                    v = (avail & -avail).bit_length() - 1
-                    side.append(v)
-                    avail &= avail - 1
-                found = (tuple(chosen), tuple(side))
-            return
-        for v in range(start, n):
-            nxt = common & adj[v]
-            if nxt.bit_count() >= k:
-                rec(v + 1, chosen + [v], nxt)
-                if found is not None:
-                    return
-
-    rec(0, [], (1 << n) - 1)
-    return found

@@ -22,6 +22,7 @@ from .tables import check_prime, is_p_power
 
 def p_elements(G: PermGroup, p: int, cap: int | None = None) -> frozenset[Permutation]:
     """All elements of p-power order, including the identity."""
+    check_prime(p)
     return frozenset(x for x in G.elements(cap) if is_p_power(x.order(), p))
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import config
-from .cliques import find_biclique, max_clique
+from .cliques import max_clique
 from .errors import CapExceeded, ExprSyntaxError, OutOfDomain, PreconditionFailed
 from .group import PermGroup, orbit_map
 from .perm import Permutation
@@ -232,28 +232,3 @@ def sigma_le_clique_check(G: PermGroup, p: int, cap: int | None = None) -> Check
         "clique": [x.cycle_string() for x in clique],
     })
 
-
-def c_pi_membership(G: PermGroup, pi, m: int, n: int, cap: int | None = None):
-    """Whether every pair of pi-element subsets of sizes m and n contains
-    a commuting cross pair.
-
-    Returns (True, None) or (False, (side_m, side_n)) where the witness
-    sides are disjoint tuples of elements with no commuting cross pair.
-    A shared element would commute with itself, so only disjoint sides
-    can witness failure.
-    """
-    if m < 1 or n < 1:
-        raise PreconditionFailed("side sizes must be at least 1")
-    if m > 6 or n > 6:
-        raise PreconditionFailed("side sizes above 6 are not supported")
-    limit = cap if cap is not None else 64
-    verts = pi_elements(G, pi)
-    if len(verts) > limit:
-        raise CapExceeded("pi-elements for biclique search", len(verts), limit)
-    graph = noncommuting_graph(G, pi)
-    hit = find_biclique(graph.n, list(graph.adj), m, n)
-    if hit is None:
-        return True, None
-    side_m, side_n = hit
-    return False, (tuple(graph.vertices[v] for v in side_m),
-                   tuple(graph.vertices[v] for v in side_n))

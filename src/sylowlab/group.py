@@ -6,8 +6,7 @@ explored breadth-first, and each new base point is the smallest point
 moved by the residue that created it), so repeated runs agree exactly.
 
 Enumeration-heavy helpers (element lists, conjugacy classes, brute-force
-centralizers and normalizers) respect the element cap from
-:mod:`sylowlab.config`.
+normalizers) respect the element cap from :mod:`sylowlab.config`.
 """
 
 from __future__ import annotations
@@ -351,14 +350,6 @@ def conjugacy_class(G: PermGroup, x: Permutation, cap: int | None = None) -> fro
     pairs = [(g.inverse(), g) for g in G.generators]
     return frozenset(orbit_map(x, pairs, lambda y, gg: gg[0] * y * gg[1],
                                limit=limit, what="conjugacy class"))
-
-
-def centralizer(G: PermGroup, x: Permutation, cap: int | None = None) -> PermGroup:
-    """Centralizer of x in G by brute scan over the element list."""
-    if x not in G:
-        raise NotAMember(f"{x!r} is not in the group")
-    found = [g for g in G.elements(cap) if g * x == x * g]
-    return span_from_elements(G.degree, found)
 
 
 def normalizer(G: PermGroup, H: PermGroup, cap: int | None = None) -> PermGroup:

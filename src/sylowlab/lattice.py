@@ -72,6 +72,16 @@ class SubgroupLattice:
             sizes[c] = sizes.get(c, 0) + 1
         return tuple(i for i, c in enumerate(self.class_ids) if sizes[c] == 1)
 
+    def sylow_counts(self, p: int) -> tuple[int, ...]:
+        """nu_p of every subgroup, by index.  nu_p is a class function, so
+        it is counted once per conjugacy class, on its first member."""
+        by_class: dict[int, int] = {}
+        for i, c in enumerate(self.class_ids):
+            if c not in by_class:
+                by_class[c] = self.ctx.sylow_count_in(
+                    self.element_sets[i], self.generator_sets[i], p)
+        return tuple(by_class[c] for c in self.class_ids)
+
     def maximal_indices(self) -> tuple[int, ...]:
         """Indices of maximal proper subgroups."""
         if self._maximal is None:

@@ -12,8 +12,9 @@ orbit under G, the tower's and the count's, numbers its elements in one
 numbering kept on G (``_numbering``), so each element is conjugated at
 most once by each generator of G.  ``nu_p``,
 ``sylow_subgroups`` and the four Sylow-number checks read every count
-off such orbits; the lattice-based checks count on the Cayley table
-(``CayleyTable.sylow_count_in``).  The test suite checks the counts
+off such orbits.  The lattice-based checks take the same orbit on the
+Cayley table, once per conjugacy class of subgroups
+(``SubgroupLattice.sylow_counts``).  The test suite checks the counts
 against the normalizer index and against the subgroups of full p-power
 order in the subgroup lattice, and the tower against the same rule
 applied to the sorted element list.
@@ -322,15 +323,10 @@ def p_solvable_divisibility_check(G: PermGroup, p: int,
 
     if not is_p_solvable(G, p, cap):
         raise NotPSolvable("G is not p-solvable")
-    lat = subgroup_lattice(G, cap)
-    ctx = lat.ctx
-    nu_G = ctx.sylow_count_in(frozenset(range(ctx.n)), p)
+    *nus, nu_G = subgroup_lattice(G, cap).sylow_counts(p)
     bad_div = []
     bad_gap = []
-    values = set()
-    for i in range(len(lat) - 1):
-        nu_H = ctx.sylow_count_in(lat.element_sets[i], p)
-        values.add(nu_H)
+    for i, nu_H in enumerate(nus):
         if nu_G % nu_H:
             bad_div.append(i)
         elif nu_H != nu_G and nu_H * (p + 1) > nu_G:
@@ -338,8 +334,8 @@ def p_solvable_divisibility_check(G: PermGroup, p: int,
     return CheckReport("p-solvable-divisibility", not bad_div and not bad_gap, {
         "p": p,
         "nu_G": nu_G,
-        "subgroups_checked": len(lat) - 1,
-        "nu_values": sorted(values),
+        "subgroups_checked": len(nus),
+        "nu_values": sorted(set(nus)),
         "divisibility_failures": bad_div,
         "gap_failures": bad_gap,
     })
@@ -354,6 +350,7 @@ def sylow_ratio_gap_scan(groups, p: int, bound: Fraction,
     """
     from .lattice import subgroup_lattice
 
+    check_prime(p)
     violations = []
     notices = []
     scanned = 0
@@ -365,13 +362,10 @@ def sylow_ratio_gap_scan(groups, p: int, bound: Fraction,
                 f"skipped {name}: lattice needs {e.required} > cap {e.cap}")
             continue
         scanned += 1
-        ctx = lat.ctx
-        nu_G = ctx.sylow_count_in(frozenset(range(ctx.n)), p)
-        for i in range(len(lat) - 1):
-            nu_H = ctx.sylow_count_in(lat.element_sets[i], p)
+        *nus, nu_G = lat.sylow_counts(p)
+        for i, nu_H in enumerate(nus):
             if nu_H < nu_G and nu_H > bound * nu_G:
-                gens = [ctx.elements[g].cycle_string()
-                        for g in lat.generator_sets[i]]
+                gens = [g.cycle_string() for g in lat.generators_of(i)]
                 violations.append({
                     "group": name,
                     "subgroup_generators": gens,

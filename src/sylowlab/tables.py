@@ -201,13 +201,13 @@ class CayleyTable:
         """Elements of ``sub`` normalizing the subgroup ``target = <gens>``."""
         return [g for g in sorted(sub) if self.normalizes(gens, g, target)]
 
-    def sylow_count_in(self, sub: frozenset[int], p: int) -> int:
-        """Number of Sylow p-subgroups of the subgroup ``sub``."""
+    def sylow_count_in(self, sub: frozenset[int], gens, p: int) -> int:
+        """Number of Sylow p-subgroups of the subgroup ``sub = <gens>``: the
+        length of one Sylow subgroup's conjugation orbit under ``gens``."""
         if len(sub) % p:
             return 1
-        P, gens = self.sylow_in(sub, p)
-        norm = self.normalizer_in(sub, gens, P)
-        count = len(sub) // len(norm)
+        P, _ = self.sylow_in(sub, p)
+        count = len(orbit_map(P, gens, self.conj_set))
         assert count % p == 1, "Sylow count must be 1 mod p"
         return count
 

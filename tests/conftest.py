@@ -12,9 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from sylowlab.errors import NoPElement
+from sylowlab.errors import NoPElement, NotAMember
 from sylowlab.perm import Permutation
-from sylowlab.group import PermGroup
+from sylowlab.group import PermGroup, span_from_elements
 from sylowlab.tables import is_p_power
 
 
@@ -113,6 +113,27 @@ def sylow_by_scan(G: PermGroup, p: int, gens=()) -> list[Permutation]:
         gens.append(y)
         P = brute_closure(G.degree, gens)
     return gens
+
+
+def centralizer(G: PermGroup, x: Permutation, cap: int | None = None) -> PermGroup:
+    """Centralizer of x in G by brute scan over the element list."""
+    if x not in G:
+        raise NotAMember(f"{x!r} is not in the group")
+    found = [g for g in G.elements(cap) if g * x == x * g]
+    return span_from_elements(G.degree, found)
+
+
+def nu_by_normalizer_index(ctx, sub: frozenset[int], p: int) -> int:
+    """Number of Sylow p-subgroups of the table subgroup ``sub``, as the
+    index |sub : N_sub(P)| of a brute normalizer scan of ``sub``.  The
+    library counts the conjugation orbit of P instead."""
+    if len(sub) % p:
+        return 1
+    P, gens = ctx.sylow_in(sub, p)
+    norm = ctx.normalizer_in(sub, gens, P)
+    count = len(sub) // len(norm)
+    assert count % p == 1, "Sylow count must be 1 mod p"
+    return count
 
 
 def brute_all_subgroups(degree: int, elements) -> set[frozenset[Permutation]]:

@@ -17,11 +17,10 @@ import pytest
 
 import sylowlab
 from sylowlab.catalog import catalog_upto, construct_text
-from sylowlab.cliques import _degeneracy_order, find_biclique, max_clique
+from sylowlab.cliques import _degeneracy_order, max_clique
 from sylowlab.errors import CapExceeded, OutOfDomain, PreconditionFailed
 from sylowlab.graphs import (
     BitGraph,
-    c_pi_membership,
     max_noncommuting_set,
     n_pi,
     noncommuting_graph,
@@ -318,9 +317,8 @@ class TestPiValidation:
         lambda pi: pr_pi(symmetric(4), pi),
         lambda pi: n_pi(symmetric(4), pi),
         lambda pi: max_noncommuting_set(symmetric(4), pi),
-        lambda pi: c_pi_membership(symmetric(4), pi, 1, 1),
     ], ids=["pi_elements", "noncommuting_graph", "pr_pi", "n_pi",
-            "max_noncommuting_set", "c_pi_membership"])
+            "max_noncommuting_set"])
     def test_non_prime_is_out_of_domain(self, call, pi):
         bad = min(p for p in pi if p not in (2, 3))
         with pytest.raises(OutOfDomain, match=f"expected a prime, got {bad}"):
@@ -331,10 +329,9 @@ class TestPiValidation:
         code = (
             "from sylowlab.catalog import construct_text\n"
             "from sylowlab.errors import OutOfDomain\n"
-            "from sylowlab.graphs import c_pi_membership, n_pi, pr_pi\n"
+            "from sylowlab.graphs import n_pi, pr_pi\n"
             "G = construct_text('S4')\n"
-            "for call in (lambda: pr_pi(G, {1}), lambda: n_pi(G, {1, 2}),\n"
-            "             lambda: c_pi_membership(G, {1}, 1, 1)):\n"
+            "for call in (lambda: pr_pi(G, {1}), lambda: n_pi(G, {1, 2})):\n"
             "    try:\n"
             "        print(call())\n"
             "    except OutOfDomain as err:\n"
@@ -344,7 +341,7 @@ class TestPiValidation:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["expected a prime, got 1"] * 3
+        assert proc.stdout.splitlines() == ["expected a prime, got 1"] * 2
 
 
 class TestCliqueNumberFrozen:
@@ -538,30 +535,6 @@ class TestMaxCliqueMatchesReference:
         else:
             assert (size, witness) == max_clique_reference(g.n, list(g.adj))
 
-class TestBicliqueSolver:
-    def test_complete_bipartite(self):
-        # K_{3,3}: sides {0,1,2} and {3,4,5}
-        low, high = 0b111000, 0b000111
-        adj = [low, low, low, high, high, high]
-        hit = find_biclique(6, adj, 3, 3)
-        assert hit is not None
-        a, b = hit
-        assert len(a) == 3 and len(b) == 3
-        assert not set(a) & set(b)
-        for v in a:
-            for w in b:
-                assert adj[v] >> w & 1
-
-    def test_path_has_two_one_split(self):
-        adj = [0b010, 0b101, 0b010]
-        assert find_biclique(3, adj, 2, 1) == ((0, 2), (1,))
-
-    def test_edgeless_has_none(self):
-        assert find_biclique(2, [0, 0], 1, 1) is None
-
-    def test_sides_larger_than_graph(self):
-        assert find_biclique(3, [0b010, 0b101, 0b010], 2, 2) is None
-
 
 class TestTuranBound:
     def test_complete_graph_attains(self):
@@ -657,58 +630,3 @@ class TestSigmaLeClique:
     def test_not_generated_by_p_elements_rejected(self):
         with pytest.raises(PreconditionFailed):
             sigma_le_clique_check(symmetric(3), 3)
-
-
-class TestCPiMembership:
-    def test_s3_fails_at_one_one(self):
-        ok, witness = c_pi_membership(symmetric(3), {2}, 1, 1)
-        assert not ok
-        (x,), (y,) = witness
-        assert x != y and x * y != y * x
-        assert x.order() == 2 and y.order() == 2
-
-    def test_s3_holds_at_two_two(self):
-        assert c_pi_membership(symmetric(3), {2}, 2, 2) == (True, None)
-
-    def test_abelian_always_holds(self):
-        G = cyclic(6)
-        for m in range(1, 4):
-            for n in range(1, 4):
-                assert c_pi_membership(G, {2, 3}, m, n) == (True, None)
-
-    def test_monotone_in_side_sizes(self):
-        G = symmetric(4)
-        table = {}
-        for m in range(1, 4):
-            for n in range(1, 4):
-                ok, witness = c_pi_membership(G, {2}, m, n)
-                table[m, n] = ok
-                if not ok:
-                    a, b = witness
-                    assert len(a) == m and len(b) == n
-                    assert not set(a) & set(b)
-                    for x in a:
-                        for y in b:
-                            assert x * y != y * x
-        for m in range(1, 4):
-            for n in range(1, 4):
-                if table[m, n]:
-                    # holding at (m, n) forces holding at larger sizes
-                    for m2 in range(m, 4):
-                        for n2 in range(n, 4):
-                            assert table[m2, n2]
-
-    def test_symmetric_in_sides(self):
-        G = symmetric(4)
-        for m, n in [(1, 2), (2, 3), (1, 3)]:
-            assert (c_pi_membership(G, {2}, m, n)[0]
-                    == c_pi_membership(G, {2}, n, m)[0])
-
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            c_pi_membership(alternating(5), {2}, 2, 2, cap=10)
-
-    @pytest.mark.parametrize("m, n", [(0, 1), (1, 0), (7, 1), (1, 7)])
-    def test_bad_side_sizes(self, m, n):
-        with pytest.raises(PreconditionFailed):
-            c_pi_membership(symmetric(3), {2}, m, n)

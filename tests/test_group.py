@@ -14,7 +14,6 @@ from sylowlab.errors import CapExceeded, DegreeMismatch, NotAMember, NotASubgrou
 from sylowlab.group import (
     PermGroup,
     _Chain,
-    centralizer,
     conjugacy_class,
     is_normal,
     is_p_solvable,
@@ -35,6 +34,7 @@ from sylowlab.tables import get_table
 from conftest import (
     alternating,
     brute_closure,
+    centralizer,
     cyclic,
     dihedral,
     klein_four,

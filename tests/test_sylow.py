@@ -23,14 +23,20 @@ from conftest import (
     cyclic,
     dihedral,
     klein_four,
+    nu_by_normalizer_index,
     perm,
     prime_factors,
     sylow_by_scan,
     symmetric,
 )
-from sylowlab.actions import min_fpr_p_element, natural_action
+from sylowlab.actions import (
+    canonical_p_element,
+    min_fpr_p_element,
+    natural_action,
+    subset_fpr_formula,
+)
 from sylowlab.catalog import catalog_entry, catalog_upto, construct_text
-from sylowlab.covering import sigma_p_cover
+from sylowlab.covering import p_elements, sigma_p_cover
 from sylowlab.errors import (
     CapExceeded,
     NotASubgroup,
@@ -56,7 +62,7 @@ from sylowlab.sylow import (
     sylow_subgroup_containing,
     sylow_subgroups,
 )
-from sylowlab.tables import p_part
+from sylowlab.tables import CayleyTable, p_part
 
 
 def alt5_point_subgroup():
@@ -231,10 +237,46 @@ class TestNu:
                     assert nu_p(G, p) % p == 1
 
 
+class TestLatticeSylowCounts:
+    """``SubgroupLattice.sylow_counts``, one conjugation orbit on the
+    Cayley table per class of subgroups, against the normalizer index of
+    every subgroup."""
+
+    @pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
+    def test_every_subgroup_matches_normalizer_index(self, entry):
+        G = entry.build()
+        lat = subgroup_lattice(G)
+        for p in prime_factors(G.order()):
+            counts = lat.sylow_counts(p)
+            assert len(counts) == len(lat)
+            for i, sub in enumerate(lat.element_sets):
+                assert counts[i] == nu_by_normalizer_index(lat.ctx, sub, p), (i, p)
+
+    @pytest.mark.parametrize("entry", catalog_upto(500), ids=lambda e: e.label)
+    def test_one_count_per_class(self, entry, monkeypatch):
+        G = entry.build()
+        lat = subgroup_lattice(G)
+        position = {sub: i for i, sub in enumerate(lat.element_sets)}
+        counted = []
+        count = CayleyTable.sylow_count_in
+
+        def counting(self, sub, gens, p):
+            counted.append(lat.class_ids[position[sub]])
+            return count(self, sub, gens, p)
+
+        monkeypatch.setattr(CayleyTable, "sylow_count_in", counting)
+        for p in prime_factors(G.order()):
+            counted.clear()
+            lat.sylow_counts(p)
+            assert sorted(counted) == sorted(set(lat.class_ids))
+
+
 class TestPrimeValidation:
     """Library entry points refuse a p that is not a prime before any
     early return.  Before, nu_p(A5, 4) answered 5, nu_p(A5, 6) failed an
-    internal assertion and p_residual(A5, 4) returned a group."""
+    internal assertion and p_residual(A5, 4) returned a group; the gap
+    scan at p = 9 reported no violations, p_elements(A5, 4) returned the
+    identity alone and subset_fpr_formula(7, 2, 4) answered 1/7."""
 
     @pytest.mark.parametrize("p", [0, 1, 4, 6, 9])
     @pytest.mark.parametrize("call", [
@@ -245,8 +287,14 @@ class TestPrimeValidation:
         lambda p: p_residual(alternating(5), p),
         lambda p: sigma_p_cover(alternating(5), p),
         lambda p: min_fpr_p_element(natural_action(alternating(5)), p),
+        lambda p: sylow_ratio_gap_scan([("A5", alternating(5))], p, Fraction(1, 2)),
+        lambda p: p_elements(alternating(5), p),
+        lambda p: canonical_p_element(10, p),
+        lambda p: subset_fpr_formula(7, 2, p),
     ], ids=["nu_p", "sylow_subgroup", "sylow_subgroup_containing",
-            "sylow_subgroups", "p_residual", "sigma_p_cover", "min_fpr_p_element"])
+            "sylow_subgroups", "p_residual", "sigma_p_cover", "min_fpr_p_element",
+            "sylow_ratio_gap_scan", "p_elements", "canonical_p_element",
+            "subset_fpr_formula"])
     def test_non_prime_is_out_of_domain(self, call, p):
         with pytest.raises(OutOfDomain, match=f"expected a prime, got {p}"):
             call(p)
@@ -325,8 +373,8 @@ class TestMonotonicity:
                 Q = next(s for s in lat.element_sets
                          if len(s) == p_part(len(h), p) and s <= h)
                 d = nu_monotonicity_check(G, lat.subgroup(members[0]), p).details
-                assert d["nu_H"] == ctx.sylow_count_in(h, p)
-                assert d["nu_G"] == ctx.sylow_count_in(lat.element_sets[lat.top], p)
+                assert d["nu_H"] == nu_by_normalizer_index(ctx, h, p)
+                assert d["nu_G"] == nu_by_normalizer_index(ctx, lat.element_sets[lat.top], p)
                 assert d["sylows_of_G_containing_Q"] == sum(1 for s in sylows if Q <= s)
                 assert d["product_covers_G"] == (
                     len(h) * len(N) // len(h & N) == G.order())

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import alternating, brute_closure, symmetric
+from conftest import alternating, brute_closure, nu_by_normalizer_index, symmetric
 from sylowlab.catalog import catalog_upto, construct, parse_group_expr
 from sylowlab.errors import OutOfDomain
 from sylowlab.group import PermGroup
@@ -44,7 +44,7 @@ def test_sylow_in_matches_permutation_route(entry):
         _, gens = ctx.sylow_in(everything, p)
         from_table = PermGroup(G.degree, [ctx.elements[i] for i in gens])
         assert sylow_subgroup(G, p).generators == from_table.generators
-        assert nu_p(G, p) == ctx.sylow_count_in(everything, p)
+        assert nu_p(G, p) == nu_by_normalizer_index(ctx, everything, p)
 
 
 @pytest.mark.parametrize("make, seed", [
