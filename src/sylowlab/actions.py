@@ -94,6 +94,10 @@ class CosetAction:
         """The permutation of 1..degree induced by x."""
         if x not in self.group:
             raise NotAMember("element is not in the acting group")
+        return self._induced(x)
+
+    def _induced(self, x: Permutation) -> Permutation:
+        """``act`` without its membership test, for x known to lie in the group."""
         if self._elt_to_point is None:
             return x
         lookup = self._elt_to_point
@@ -259,7 +263,7 @@ def min_fpr_p_element(action: CosetAction, p: int,
         raise NoPElement(f"p={p} does not divide the group order")
 
     def ratio(x: Permutation) -> Fraction:
-        return Fraction(len(action.fixed_points(x)), action.degree)
+        return Fraction(len(action._induced(x).fixed_points()), action.degree)
 
     P = sylow_subgroup(G, p, cap)
     best, o = min((ratio(x), x.order()) for x in P.elements(cap) if not x.is_identity())

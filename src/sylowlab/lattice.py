@@ -8,13 +8,16 @@ cyclic, so induction over maximal chains makes the sweep exhaustive.
 Cyclic subgroups conjugate under the normalizer of H give conjugate
 extensions, so only the first cyclic subgroup of each normalizer orbit
 is adjoined (``CayleyTable.extend``); the others would register nothing.
+The normalizer has order |G| / |class of H|, known once the class is
+registered, so ``CayleyTable.normalizer`` stops as soon as it reaches
+that order, and the orbits are taken under its few generators.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .group import PermGroup
+from .group import PermGroup, orbit_map
 from .perm import Permutation
 from .tables import CayleyTable, get_table
 
@@ -115,59 +118,43 @@ def subgroup_lattice(G: PermGroup, cap: int | None = None) -> SubgroupLattice:
     # cyc_of[x] is the position in cyclics of the subgroup x generates
     cyc_of = {x: k for k, (_, cfs) in enumerate(cyclics)
               for x in cfs if ctx.elt_order[x] == len(cfs)}
-    table, inv = ctx.table, ctx.inv
+    table, inv, full = ctx.table, ctx.inv, ctx.n
 
     all_subs: dict[frozenset[int], tuple[int, ...]] = {}
-    cls_of: dict[frozenset[int], int] = {}
-    n_classes = 0
-    pending: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+    # the class of each subgroup, named by the member that registered it
+    cls_of: dict[frozenset[int], frozenset[int]] = {}
+    pending: list[tuple[int, tuple[int, ...], frozenset[int], tuple[int, ...], int]] = []
 
     def register(fs: frozenset[int], gens: tuple[int, ...]) -> None:
-        nonlocal n_classes
         if fs in all_subs:
             return
-        cid = n_classes
-        n_classes += 1
         members = ctx.subgroup_class(fs)
         for m, conjor in members:
-            if conjor:
-                mg = tuple(sorted(ctx.conj(g, conjor) for g in gens))
-            else:
-                mg = gens
-            all_subs[m] = mg
-            cls_of[m] = cid
+            all_subs[m] = tuple(sorted(ctx.conj(g, conjor) for g in gens)) if conjor else gens
+            cls_of[m] = fs
         rep = min((m for m, _ in members), key=sorted)
-        heapq.heappush(pending, (len(rep), tuple(sorted(rep)), all_subs[rep]))
+        # |N_G(rep)| = |G| / |class|, and the normalizer is built from that
+        heapq.heappush(pending, (len(rep), tuple(sorted(rep)), rep, all_subs[rep], full // len(members)))
 
-    trivial = frozenset((0,))
-    register(trivial, ())
-    full = ctx.n
+    register(frozenset((0,)), ())
     while pending:
-        size, key, gens = heapq.heappop(pending)
+        size, _, fs, gens, norm_order = heapq.heappop(pending)
         if size == full:
             continue
-        fs = frozenset(key)
-        norm = ctx.normalizer_in(range(full), gens, fs)
+        _, ngens = ctx.normalizer(fs, gens, norm_order)
         done = set()
         for k, (cgen, cfs) in enumerate(cyclics):
             if k in done or cfs <= fs:
                 continue
-            # <fs, c^h> = <fs, c>^h for h normalizing fs: it is registered
-            # together with <fs, c>, so later members of c's orbit are skipped
-            done.update([cyc_of[table[table[inv[h]][cgen]][h]] for h in norm])
+            # <fs, c^h> = <fs, c>^h for h normalizing fs: it is registered together
+            # with <fs, c>, so the rest of c's orbit under N(fs) is skipped
+            done.update(orbit_map(k, ngens, lambda j, h: cyc_of[table[table[inv[h]][cyclics[j][0]]][h]]))
             register(ctx.extend(fs, gens, cgen), gens + (cgen,))
 
     order = sorted(all_subs, key=lambda s: (len(s), sorted(s)))
-    # renumber classes by first appearance in the sorted order
-    remap: dict[int, int] = {}
-    class_ids = []
-    for s in order:
-        c = cls_of[s]
-        if c not in remap:
-            remap[c] = len(remap)
-        class_ids.append(remap[c])
-    G._lattice = SubgroupLattice(G, ctx,
-                                 tuple(order),
-                                 tuple(all_subs[s] for s in order),
-                                 tuple(class_ids))
+    # number the classes by first appearance in the sorted order
+    remap: dict[frozenset[int], int] = {}
+    class_ids = tuple(remap.setdefault(cls_of[s], len(remap)) for s in order)
+    G._lattice = SubgroupLattice(G, ctx, tuple(order), tuple(all_subs[s] for s in order),
+                                 class_ids)
     return G._lattice

@@ -9,13 +9,19 @@ The table is built from the generators rather than from all n^2
 products: one left-multiplication map ``L_s`` per generator ``s`` (n
 permutation products each) gives row ``s*a`` as ``L_s`` applied to row
 ``a``, so a breadth-first walk from the identity row fills every row
-with integer lookups.  Subgroup closures use ``extend`` (Dimino's coset
-extension), which adds whole cosets of a known subgroup at a time.
+with integer lookups.  One walk over the powers of each cyclic subgroup
+gives element orders, inverses and the cyclic subgroups, and one
+conjugation map per generator conjugates a subgroup with one ``map``.
+Subgroup closures use ``extend`` (Dimino's coset extension), which adds
+whole cosets of a known subgroup at a time, and ``normalizer`` grows
+N(H) to an order known from the size of H's class.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from itertools import filterfalse
+from math import gcd, isqrt
+from operator import itemgetter
 
 from . import config
 from .errors import CapExceeded, OutOfDomain
@@ -83,7 +89,8 @@ def grow_sylow(p: int, target: int, P, gens, order, least_normalizing, extend):
 
 
 class CayleyTable:
-    __slots__ = ("group", "elements", "index", "table", "inv", "elt_order", "gen_idx")
+    __slots__ = ("group", "elements", "index", "table", "inv", "elt_order", "gen_idx",
+                 "conj_maps", "_cyclics")
 
     def __init__(self, group: PermGroup, cap: int | None = None):
         limit = config.lattice_cap(cap)
@@ -104,20 +111,36 @@ class CayleyTable:
             row = table[a]
             for left in left_maps:
                 b = left[a]
-                if table[b] is None:
-                    table[b] = list(map(left.__getitem__, row))
+                if table[b] is None:  # never at n = 1, where itemgetter gives a bare int
+                    table[b] = list(itemgetter(*row)(left))
                     queue.append(b)
         assert len(queue) == n, "generators do not reach every element"
-        inv = [0] * n
-        for i, e in enumerate(els):
-            inv[i] = index[e.inverse().images]
+        # one walk over the powers of each cyclic subgroup <x>, from its least
+        # generator x, gives order and inverse of every generator x^j of it
+        inv, elt_order, cyclics = [0] * n, [1] + [0] * (n - 1), []
+        for x in range(1, n):
+            if elt_order[x]:
+                continue
+            row, powers, cur = table[x], [0], x
+            while cur:
+                powers.append(cur)
+                cur = row[cur]
+            o = len(powers)
+            for j in range(1, o):
+                if gcd(j, o) == 1:
+                    elt_order[powers[j]], inv[powers[j]] = o, powers[o - j]
+            cyclics.append((x, frozenset(powers)))
         self.group = group
         self.elements = els
         self.index = {e: i for i, e in enumerate(els)}
         self.table = table
         self.inv = inv
-        self.elt_order = [e.order() for e in els]
+        self.elt_order = elt_order
         self.gen_idx = gen_idx
+        self._cyclics = sorted(cyclics, key=lambda t: (len(t[1]), sorted(t[1])))
+        # conj_maps[g][x] is the index of g^-1 * x * g, for each generator g
+        self.conj_maps = {g: list(map([r[g] for r in table].__getitem__, table[inv[g]]))
+                          for g in gen_idx}
 
     @property
     def n(self) -> int:
@@ -142,47 +165,50 @@ class CayleyTable:
         if g in sub:
             return sub
         table = self.table
-        base = list(sub)
-        els = set(base)
+        els = set(sub)
+        # the coset e*sub, picked from row e; key 0 keeps it a tuple for trivial sub
+        coset = itemgetter(0, *sub)
         gen_rows = [table[s] for s in (*gens, g)]
         reps = [0]
         for r in reps:
             for row in gen_rows:
                 e = row[r]
                 if e not in els:
-                    els.update(map(table[e].__getitem__, base))
+                    els.update(coset(table[e]))
                     reps.append(e)
         return frozenset(els)
 
-    def conj_set(self, sub: frozenset[int], g: int) -> frozenset[int]:
-        table = self.table
-        gi_row = table[self.inv[g]]
-        return frozenset(table[gi_row[x]][g] for x in sub)
-
     def subgroup_class(self, sub: frozenset[int]) -> list[tuple[frozenset[int], int]]:
         """Conjugacy class of a subgroup, as (conjugate, conjugating element) pairs."""
-        table = self.table
-        return list(orbit_map(sub, self.gen_idx, self.conj_set,
+        table, maps = self.table, self.conj_maps
+        return list(orbit_map(sub, self.gen_idx, lambda s, g: frozenset(map(maps[g].__getitem__, s)),
                               lambda c, g: table[c][g], 0).items())
 
     def normalizes(self, gens, g: int, sub: frozenset[int]) -> bool:
         return all(self.conj(x, g) in sub for x in gens)
 
+    def normalizer(self, sub: frozenset[int], gens, order: int):
+        """N(sub) as (element set, generators), for ``sub = <gens>`` with |N(sub)| = ``order``.
+
+        N grows from sub by each g, in index order, that normalizes sub; each g
+        that does not rules out its coset g*N.  The walk stops at |N| = ``order``.
+        """
+        norm, ngens, seen = sub, tuple(gens), set(sub)
+        for g in filterfalse(seen.__contains__, range(self.n)):
+            if len(norm) == order:
+                break
+            if self.normalizes(gens, g, sub):
+                norm = self.extend(norm, ngens, g)
+                ngens += (g,)
+                seen.update(norm)
+            else:
+                seen.update(map(self.table[g].__getitem__, norm))
+        assert len(norm) == order, "normalizer must have index the class size"
+        return norm, ngens
+
     def cyclic_subgroups(self) -> list[tuple[int, frozenset[int]]]:
         """All nontrivial cyclic subgroups as (least generator, element set)."""
-        seen: dict[frozenset[int], int] = {}
-        table = self.table
-        for x in range(1, self.n):
-            acc = [0]
-            cur = x
-            while cur != 0:
-                acc.append(cur)
-                cur = table[cur][x]
-            fs = frozenset(acc)
-            if fs not in seen:
-                seen[fs] = x
-        return sorted(((g, fs) for fs, g in seen.items()),
-                      key=lambda t: (len(t[1]), sorted(t[1])))
+        return self._cyclics
 
     def sylow_in(self, sub: frozenset[int], p: int) -> tuple[frozenset[int], tuple[int, ...]]:
         """A Sylow p-subgroup of the subgroup ``sub``, with its generators,
@@ -197,17 +223,13 @@ class CayleyTable:
                              self.elt_order.__getitem__, least_normalizing, self.extend)
         return P, tuple(gens)
 
-    def normalizer_in(self, sub, gens, target: frozenset[int]) -> list[int]:
-        """Elements of ``sub`` normalizing the subgroup ``target = <gens>``."""
-        return [g for g in sorted(sub) if self.normalizes(gens, g, target)]
-
     def sylow_count_in(self, sub: frozenset[int], gens, p: int) -> int:
         """Number of Sylow p-subgroups of the subgroup ``sub = <gens>``: the
         length of one Sylow subgroup's conjugation orbit under ``gens``."""
         if len(sub) % p:
             return 1
         P, _ = self.sylow_in(sub, p)
-        count = len(orbit_map(P, gens, self.conj_set))
+        count = len(orbit_map(P, gens, lambda s, g: frozenset(self.conj(x, g) for x in s)))
         assert count % p == 1, "Sylow count must be 1 mod p"
         return count
 

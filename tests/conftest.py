@@ -123,6 +123,13 @@ def centralizer(G: PermGroup, x: Permutation, cap: int | None = None) -> PermGro
     return span_from_elements(G.degree, found)
 
 
+def normalizer_in(ctx, sub, gens, target: frozenset[int]) -> list[int]:
+    """Elements of the table subgroup ``sub`` normalizing ``target = <gens>``,
+    by a scan of all of ``sub``.  The lattice grows each normalizer to the
+    order given by the class size instead (``CayleyTable.normalizer``)."""
+    return [g for g in sorted(sub) if ctx.normalizes(gens, g, target)]
+
+
 def nu_by_normalizer_index(ctx, sub: frozenset[int], p: int) -> int:
     """Number of Sylow p-subgroups of the table subgroup ``sub``, as the
     index |sub : N_sub(P)| of a brute normalizer scan of ``sub``.  The
@@ -130,7 +137,7 @@ def nu_by_normalizer_index(ctx, sub: frozenset[int], p: int) -> int:
     if len(sub) % p:
         return 1
     P, gens = ctx.sylow_in(sub, p)
-    norm = ctx.normalizer_in(sub, gens, P)
+    norm = normalizer_in(ctx, sub, gens, P)
     count = len(sub) // len(norm)
     assert count % p == 1, "Sylow count must be 1 mod p"
     return count

@@ -31,6 +31,22 @@ def test_table_matches_raw_products(entry):
 
 
 @pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
+def test_orders_and_cyclic_subgroups_match_raw_products(entry):
+    """The power walk's orders and cyclic subgroups against
+    `Permutation.order` and `brute_closure` of each element."""
+    G = entry.build()
+    ctx = CayleyTable(G)
+    els = ctx.elements
+    assert ctx.elt_order == [e.order() for e in els]
+    least: dict[frozenset[int], int] = {}
+    for i in range(1, ctx.n):
+        cyc = frozenset(ctx.index[x] for x in brute_closure(G.degree, [els[i]]))
+        least.setdefault(cyc, i)
+    expect = sorted(((g, c) for c, g in least.items()), key=lambda t: (len(t[1]), sorted(t[1])))
+    assert ctx.cyclic_subgroups() == expect
+
+
+@pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
 def test_sylow_in_matches_permutation_route(entry):
     """`sylow_in` on table indices and `sylow_subgroup` on permutations
     pick the same Sylow subgroup, so no caller depends on whether a
