@@ -16,10 +16,11 @@ import re
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .actions import min_fpr_p_element, natural_action, coset_action, sylow_orbit_bound_check
 from .catalog import CATALOG, construct, parse_group_expr
-from .covering import sigma_lower_bound_check, sigma_p, sigma_p_cover
+from .covering import sigma_lower_bound_check, sigma_p_cover
 from .errors import ExprSyntaxError, InvalidConfig, SylowlabError
 from .graphs import (
     BitGraph,
@@ -146,36 +147,49 @@ def _failure(err: Exception) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# check registry
+# the checks and quantities, each with the options it reads
 
-def _need(options, *names):
-    missing = [n for n in names if options.get(n) is None]
-    if missing:
-        flags = {"p": "-p", "groups": "--group"}
-        raise SystemExit(
-            f"error: this check needs {', '.join(flags.get(n, '--' + n) for n in missing)}")
-
-
-def _check_sylow_monotone(options) -> CheckReport:
-    _need(options, "group", "sub", "p")
-    return nu_monotonicity_check(
-        options["group"].group, options["sub"].group, options["p"], options["cap"])
+# option name -> its flag; "groups" is the whole --group list in one report,
+# where "group" gives one report per --group
+_FLAGS = {"group": "--group", "groups": "--group", "sub": "--sub", "p": "-p",
+          "pi": "--pi", "bound": "--bound", "refined": "--refined",
+          "edge_list": "--edge-list"}
 
 
-def _check_quotient_product(options) -> CheckReport:
-    _need(options, "group", "sub", "p")
-    return nu_quotient_identity_check(
-        options["group"].group, options["sub"].group, options["p"], options["cap"])
+class _Entry(NamedTuple):
+    """One check or quantity: its handler, the options it needs and the
+    options it may also take; it refuses every other option.
+
+    ``forms`` holds alternative sets of needed options: a request uses
+    the first that any of its options belongs to, or else the last.
+    """
+
+    run: Callable[[dict], object]
+    forms: tuple[tuple[str, ...], ...]
+    may: tuple[str, ...]
 
 
-def _check_fpr_identity(options) -> CheckReport:
-    _need(options, "group", "sub", "p")
-    return nu_fpr_identity_check(
-        options["group"].group, options["sub"].group, options["p"], options["cap"])
+def _entry(run, needs: str, may: str = "") -> _Entry:
+    """``needs`` names options separated by spaces, and forms by ``|``."""
+    return _Entry(run, tuple(tuple(f.split()) for f in needs.split("|")), tuple(may.split()))
+
+
+def _library(fn, needs: str, key: str | None = None) -> _Entry:
+    """An entry that passes its needed options, in order, and the cap to
+    ``fn``; a quantity stores the result under ``key``."""
+    names = needs.split()
+
+    def run(options):
+        args = [options[n].group if n in ("group", "sub") else options[n] for n in names]
+        # through this module's binding of fn, so that a tracer that
+        # rebinds it sees the call
+        out = globals()[fn.__name__](*args, options["cap"])
+        return out if key is None else {key: out}
+
+    return _entry(run, needs)
 
 
 def _check_ratio_bound(options) -> CheckReport:
-    _need(options, "group", "sub", "p")
     g, p = options["group"], options["p"]
     return sylow_ratio_bound_check(
         g.group, options["sub"].group, p,
@@ -184,19 +198,11 @@ def _check_ratio_bound(options) -> CheckReport:
 
 
 def _check_gap_scan(options) -> CheckReport:
-    _need(options, "groups", "p", "bound")
     named = [(g.text, g.group) for g in options["groups"]]
     return sylow_ratio_gap_scan(named, options["p"], options["bound"], options["cap"])
 
 
-def _check_p_solvable(options) -> CheckReport:
-    _need(options, "group", "p")
-    return p_solvable_divisibility_check(
-        options["group"].group, options["p"], options["cap"])
-
-
 def _check_orbit_bound(options) -> CheckReport:
-    _need(options, "group", "p")
     g, p = options["group"], options["p"]
     action = natural_action(g.group)
     return sylow_orbit_bound_check(
@@ -205,84 +211,17 @@ def _check_orbit_bound(options) -> CheckReport:
         cap=options["cap"])
 
 
-def _check_covering_lower(options) -> CheckReport:
-    _need(options, "group", "p")
-    return sigma_lower_bound_check(options["group"].group, options["p"], options["cap"])
-
-
-def _check_covering_clique(options) -> CheckReport:
-    _need(options, "group", "p")
-    return sigma_le_clique_check(options["group"].group, options["p"], options["cap"])
-
-
-def _check_pr_clique(options) -> CheckReport:
-    _need(options, "group", "pi")
-    return pr_times_clique_check(options["group"].group, options["pi"], options["cap"])
-
-
 def _check_turan(options) -> CheckReport:
-    if options.get("edge_list"):
+    if "edge_list" in options:
         with open(options["edge_list"]) as fh:
             graph = BitGraph.from_edge_list(fh.read())
     else:
-        _need(options, "group", "pi")
         graph = noncommuting_graph(
             options["group"].group, options["pi"], options["cap"])
     return turan_bound_check(graph)
 
 
-CHECKS = {
-    "sylow-monotone": _check_sylow_monotone,
-    "sylow-quotient-product": _check_quotient_product,
-    "sylow-fpr-identity": _check_fpr_identity,
-    "sylow-ratio-bound": _check_ratio_bound,
-    "sylow-ratio-gap-scan": _check_gap_scan,
-    "p-solvable-divisibility": _check_p_solvable,
-    "sylow-orbit-bound": _check_orbit_bound,
-    "covering-lower-bound": _check_covering_lower,
-    "covering-clique-bound": _check_covering_clique,
-    "probability-clique-product": _check_pr_clique,
-    "clique-edge-bound": _check_turan,
-}
-
-# checks that consume the whole --group list in a single report
-_LIST_CHECKS = frozenset({"sylow-ratio-gap-scan"})
-
-
-def run_check(check: str, options: dict) -> dict:
-    """Execute one registered check; errors become structured entries.
-
-    ``runtime_ms`` is the wall time of the whole handler call, its
-    precondition work included.
-    """
-    if check not in CHECKS:
-        raise KeyError(f"unknown check {check!r}")
-    out = _envelope("check", check, options)
-    try:
-        _check_primes(options)
-        start = time.perf_counter()
-        report = CHECKS[check](options)
-        runtime_ms = int((time.perf_counter() - start) * 1000)
-    except (SylowlabError, OSError) as err:
-        return out | _failure(err)
-    return out | {
-        "ok": report.ok,
-        "details": encode_value(report.details),
-        "notices": list(report.notices),
-        "runtime_ms": runtime_ms,
-    }
-
-
-# ---------------------------------------------------------------------------
-# compute subcommand
-
-def _compute_nu(options) -> dict:
-    _need(options, "group", "p")
-    return {"value": nu_p(options["group"].group, options["p"], options["cap"])}
-
-
 def _compute_sigma(options) -> dict:
-    _need(options, "group", "p")
     size, members = sigma_p_cover(options["group"].group, options["p"], options["cap"])
     return {
         "value": "infinity" if size == float("inf") else size,
@@ -291,9 +230,8 @@ def _compute_sigma(options) -> dict:
 
 
 def _compute_fpr(options) -> dict:
-    _need(options, "group", "p")
     G = options["group"].group
-    if options.get("sub") is not None:
+    if options["sub"] is not None:
         action = coset_action(G, options["sub"].group, options["cap"])
     else:
         action = natural_action(G)
@@ -302,33 +240,67 @@ def _compute_fpr(options) -> dict:
 
 
 def _compute_clique(options) -> dict:
-    _need(options, "group", "pi")
     clique = max_noncommuting_set(options["group"].group, options["pi"], options["cap"])
     return {"value": len(clique), "clique": [x.cycle_string() for x in clique]}
 
 
-def _compute_pr(options) -> dict:
-    _need(options, "group", "pi")
-    return {"value": pr_pi(options["group"].group, options["pi"], options["cap"])}
-
-
-QUANTITIES = {
-    "nu": _compute_nu,
-    "sigma": _compute_sigma,
-    "fpr": _compute_fpr,
-    "clique": _compute_clique,
-    "pr": _compute_pr,
+_ENTRIES = {
+    "check": {
+        "sylow-monotone": _library(nu_monotonicity_check, "group sub p"),
+        "sylow-quotient-product": _library(nu_quotient_identity_check, "group sub p"),
+        "sylow-fpr-identity": _library(nu_fpr_identity_check, "group sub p"),
+        "sylow-ratio-bound": _entry(_check_ratio_bound, "group sub p", may="refined"),
+        "sylow-ratio-gap-scan": _entry(_check_gap_scan, "groups p bound"),
+        "p-solvable-divisibility": _library(p_solvable_divisibility_check, "group p"),
+        "sylow-orbit-bound": _entry(_check_orbit_bound, "group p", may="refined"),
+        "covering-lower-bound": _library(sigma_lower_bound_check, "group p"),
+        "covering-clique-bound": _library(sigma_le_clique_check, "group p"),
+        "probability-clique-product": _library(pr_times_clique_check, "group pi"),
+        "clique-edge-bound": _entry(_check_turan, "edge_list | group pi"),
+    },
+    "quantity": {
+        "nu": _library(nu_p, "group p", key="value"),
+        "sigma": _entry(_compute_sigma, "group p"),
+        "fpr": _entry(_compute_fpr, "group p", may="sub"),
+        "clique": _entry(_compute_clique, "group pi"),
+        "pr": _library(pr_pi, "group pi", key="value"),
+    },
 }
 
+# the handlers, by id; a tracer may replace them
+CHECKS = {name: e.run for name, e in _ENTRIES["check"].items()}
+QUANTITIES = {name: e.run for name, e in _ENTRIES["quantity"].items()}
 
-def run_compute(quantity: str, options: dict) -> dict:
-    """Compute one registered quantity; errors become structured entries."""
-    out = _envelope("quantity", quantity, options)
+
+def _report(kind: str, name: str, options: dict) -> dict:
+    """Run one check or quantity on resolved options; errors become
+    structured entries.  An unknown id raises KeyError.
+
+    A check's ``runtime_ms`` is the wall time of the whole handler call,
+    its precondition work included.
+    """
+    run = (CHECKS if kind == "check" else QUANTITIES)[name]
+    out = _envelope(kind, name, options)
     try:
         _check_primes(options)
-        return out | encode_value(QUANTITIES[quantity](options)) | {"ok": True}
-    except SylowlabError as err:
+        start = time.perf_counter()
+        result = run(options)
+        runtime_ms = int((time.perf_counter() - start) * 1000)
+    except (SylowlabError, OSError) as err:
         return out | _failure(err)
+    if kind == "quantity":
+        return out | encode_value(result) | {"ok": True}
+    return out | {
+        "ok": result.ok,
+        "details": encode_value(result.details),
+        "notices": list(result.notices),
+        "runtime_ms": runtime_ms,
+    }
+
+
+def run_check(check: str, options: dict) -> dict:
+    """Execute one registered check; raises KeyError for an unknown id."""
+    return _report("check", check, options)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--group", action="append", default=[],
+        p.add_argument("--group", action="append",
                        help="group expression, catalog label, or @generator-file "
                             "(repeatable)")
         p.add_argument("--sub", help="subgroup expression (same forms as --group)")
@@ -357,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(v)
     v.add_argument("--bound", type=_parse_bound,
                    help="ratio bound NUM/DEN for the gap scan")
-    v.add_argument("--refined", action="store_true",
+    v.add_argument("--refined", action="store_true", default=None,
                    help="assert the refined bound even without catalog metadata")
     v.add_argument("--edge-list", dest="edge_list",
                    help="edge list file for the clique-edge bound")
@@ -368,33 +340,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_groups(args) -> dict:
-    options = {
-        "p": args.p,
-        "pi": args.pi,
-        "cap": args.cap,
-        "refined": getattr(args, "refined", False),
-        "bound": getattr(args, "bound", None),
-        "edge_list": getattr(args, "edge_list", None),
-        "group": None,
-        "groups": None,
-        "sub": None,
-    }
+def _declared(parser, args) -> tuple[str, str, tuple[str, ...]]:
+    """The kind and id of the requested entry and the options it reads,
+    checked before any group is built: a missing option ends the run
+    with ``error: this check needs ...``, an option the entry does not
+    take with a usage error."""
+    kind, name = (("check", args.check) if args.command == "verify"
+                  else ("quantity", args.quantity))
+    entry = _ENTRIES[kind][name]
+    given = {flag for key, flag in _FLAGS.items() if getattr(args, key, None) is not None}
+    form = next((f for f in entry.forms if given & {_FLAGS[n] for n in f}), entry.forms[-1])
+    missing = [_FLAGS[n] for n in form if _FLAGS[n] not in given]
+    if missing:
+        raise SystemExit(f"error: this check needs {', '.join(missing)}")
+    taken = {_FLAGS[n] for n in form + entry.may}
+    unused = [f for f in dict.fromkeys(_FLAGS.values()) if f in given - taken]
+    if unused:
+        with_form = f" with {' '.join(_FLAGS[n] for n in form)}" if len(entry.forms) > 1 else ""
+        parser.error(f"{args.command} {name} does not take {', '.join(unused)}{with_form}")
+    return kind, name, form + entry.may
+
+
+def _resolve(args, names) -> dict:
+    """The cap and the options ``names``, each --group and --sub built."""
     if args.cap is not None and args.cap <= 0:
         raise InvalidConfig(f"--cap must be a positive integer, got {args.cap}")
-    groups = [GroupInput(text, args.cap) for text in args.group]
-    if groups:
-        options["group"] = groups[0]
-        options["groups"] = groups
-    if args.sub:
-        options["sub"] = GroupInput(args.sub, args.cap)
+    options = {"cap": args.cap}
+    for n in names:
+        if n in ("group", "groups"):
+            options[n] = [GroupInput(text, args.cap) for text in args.group]
+        elif n == "sub" and args.sub is not None:
+            options[n] = GroupInput(args.sub, args.cap)
+        else:
+            options[n] = getattr(args, n)
     return options
 
 
-def _sub_for(sub: GroupInput | None, group: GroupInput | None) -> GroupInput | None:
+def _sub_for(sub: GroupInput | None, group: GroupInput) -> GroupInput | None:
     """``--sub`` embedded in the degree of the job's group by fixing the
     extra points."""
-    if sub is None or group is None or sub.group.degree >= group.group.degree:
+    if sub is None or sub.group.degree >= group.group.degree:
         return sub
     H, degree = sub.group, group.group.degree
     tail = tuple(range(H.degree + 1, degree + 1))
@@ -432,9 +417,10 @@ def _summarize(result: dict) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return _run(args)
+        return _run(parser, args)
     except BrokenPipeError:
         # the reader closed stdout (e.g. `| head -1`): send what is still
         # buffered to devnull, so the interpreter's last flush is silent
@@ -442,25 +428,22 @@ def main(argv=None) -> int:
         return 1
 
 
-def _run(args) -> int:
+def _run(parser, args) -> int:
+    kind, name, names = _declared(parser, args)
     try:
-        options = _resolve_groups(args)
+        options = _resolve(args, names)
     except (ExprSyntaxError, SylowlabError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        key, name = (("check", args.check) if args.command == "verify"
-                     else ("quantity", args.quantity))
-        _emit([_envelope(key, name, {}) | _failure(err)], args.json_path)
+        _emit([_envelope(kind, name, {}) | _failure(err)], args.json_path)
         return 1
 
-    run, name = ((run_check, args.check) if args.command == "verify"
-                 else (run_compute, args.quantity))
-    if name in _LIST_CHECKS:
-        jobs = [dict(options, group=None, sub=_sub_for(options["sub"], options["group"]))]
-    else:
+    if "group" in options:
         # one report per group, in input order
-        jobs = [dict(options, group=g, groups=None, sub=_sub_for(options["sub"], g))
-                for g in options["groups"] or [None]]
-    results = [run(name, o) for o in jobs]
+        jobs = [dict(options, group=g, sub=_sub_for(options.get("sub"), g))
+                for g in options["group"]]
+    else:
+        jobs = [options]
+    results = [_report(kind, name, o) for o in jobs]
 
     if not _emit(results, args.json_path):
         return 1
@@ -468,7 +451,7 @@ def _run(args) -> int:
     if args.json_path and args.json_path != "-":
         for r in results:
             label = r.get("group", {}).get("expr", "")
-            print(f"{r.get('check', r.get('quantity'))} {label}: {_summarize(r)}")
+            print(f"{name} {label}: {_summarize(r)}")
     return 0 if ok else 1
 
 

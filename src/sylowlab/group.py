@@ -200,7 +200,7 @@ class PermGroup:
     """
 
     __slots__ = (
-        "_degree", "_generators", "_chain", "_elements", "_element_set",
+        "_degree", "_generators", "_chain", "_elements",
         "_classes", "_lattice", "_table", "_numbering",
     )
 
@@ -221,7 +221,6 @@ class PermGroup:
         self._generators = tuple(sorted(gens))
         self._chain = _chain
         self._elements = None
-        self._element_set = None
         self._classes = None
         self._lattice = None
         self._table = None
@@ -281,12 +280,6 @@ class PermGroup:
             self.check_element_cap(cap)
             self._elements = tuple(sorted(self.chain().elements()))
         return self._elements
-
-    def element_set(self, cap: int | None = None) -> frozenset[Permutation]:
-        if self._element_set is None:
-            es = frozenset(self.elements(cap))
-            self._element_set = es
-        return self._element_set
 
     def orbit(self, point: int) -> frozenset[int]:
         if not 1 <= point <= self._degree:
@@ -360,7 +353,7 @@ def normalizer(G: PermGroup, H: PermGroup, cap: int | None = None) -> PermGroup:
     if not hgens:
         return G
     els = G.elements(cap)
-    hset = H.element_set(cap)
+    hset = frozenset(H.elements(cap))
     found = []
     for g in els:
         gi = g.inverse()

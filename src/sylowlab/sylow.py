@@ -85,8 +85,9 @@ def sylow_subgroup_containing(G: PermGroup, Q: PermGroup, p: int,
         return N.least(pred)
 
     _, gens = grow_sylow(
-        p, target, Q.element_set(cap), Q.generators, Permutation.order, least_normalizing,
-        lambda P, gens, y: PermGroup(G.degree, [*gens, y]).element_set(cap))
+        p, target, frozenset(Q.elements(cap)), Q.generators, Permutation.order,
+        least_normalizing,
+        lambda P, gens, y: frozenset(PermGroup(G.degree, [*gens, y]).elements(cap)))
     return PermGroup(G.degree, gens)
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -474,3 +475,139 @@ class TestInputValidation:
     def test_good_cap_environment(self, monkeypatch):
         monkeypatch.setenv("SYLOWLAB_CAP", " 5000 ")
         assert config.element_cap() == config.lattice_cap() == 5000
+
+
+def _usage_error(capsys, argv):
+    """The stderr of a run that ends as a usage error, with no report."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    return captured.err
+
+
+def _workload_argvs():
+    """Every WORKLOADS and EXCLUDED argv of the benchmark, read-only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    requests = [r for reqs in module.WORKLOADS.values() for r in reqs] + module.EXCLUDED
+    return [r["argv"] for r in requests]
+
+
+class TestDeclarations:
+    """Each check and quantity reads exactly the options it declares: a
+    missing one ends the run before any group is built, any other one is
+    a usage error, so no report echoes an input the computation ignored."""
+
+    # a valid value for every option, and the options each kind may get
+    VALUES = {"--group": ["--group", "A5"], "--sub": ["--sub", "A4"], "-p": ["-p", "3"],
+              "--pi": ["--pi", "2"], "--bound": ["--bound", "1/3"],
+              "--refined": ["--refined"], "--edge-list": ["--edge-list", "edges.txt"]}
+    KINDS = {"check": ("verify", list(VALUES)),
+             "quantity": ("compute", ["--group", "--sub", "-p", "--pi"])}
+
+    @staticmethod
+    def flags(names):
+        return [cli._FLAGS[n] for n in names]
+
+    @pytest.fixture(autouse=True)
+    def no_group_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a group was built")
+        monkeypatch.setattr(cli, "GroupInput", refuse)
+
+    def entries(self):
+        for kind, table in cli._ENTRIES.items():
+            for name, entry in table.items():
+                yield kind, name, entry
+
+    def argv(self, kind, name, flags):
+        command, _ = self.KINDS[kind]
+        return [command, name] + [a for f in flags for a in self.VALUES[f]]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["compute", "pr", "--group", "A5", "--pi", "2", "-p", "3"], "-p"),
+        (["verify", "clique-edge-bound", "--edge-list", "edges.txt",
+          "--group", "A5", "--pi", "2"], "--group, --pi"),
+        (["compute", "nu", "--group", "A5", "--sub", "A4", "-p", "2"], "--sub"),
+        (["verify", "sylow-ratio-gap-scan", "--group", "A5", "--group", "S4",
+          "-p", "2", "--bound", "1/3", "--sub", "A4"], "--sub"),
+        (["verify", "sylow-orbit-bound", "--group", "A5", "--sub", "A4", "-p", "3"], "--sub"),
+    ])
+    def test_unread_option_is_a_usage_error(self, capsys, argv, flag):
+        assert f"does not take {flag}" in _usage_error(capsys, argv)
+
+    def test_every_undeclared_flag_is_refused(self, capsys):
+        for kind, name, entry in self.entries():
+            declared = {f for form in entry.forms for f in self.flags(form)}
+            declared |= set(self.flags(entry.may))
+            for extra in self.KINDS[kind][1]:
+                if extra not in declared:
+                    argv = self.argv(kind, name, self.flags(entry.forms[-1]) + [extra])
+                    assert f"does not take {extra}" in _usage_error(capsys, argv), argv
+
+    def test_each_missing_flag_gives_its_message(self):
+        for kind, name, entry in self.entries():
+            needs = self.flags(entry.forms[-1])
+            for missing in needs:
+                argv = self.argv(kind, name, [f for f in needs if f != missing])
+                with pytest.raises(SystemExit) as info:
+                    main(argv)
+                assert str(info.value) == f"error: this check needs {missing}", argv
+
+    @pytest.mark.parametrize("flags", [
+        ["--edge-list", "--group", "--pi"], ["--edge-list", "--group"], ["--edge-list", "--pi"],
+    ])
+    def test_edge_list_or_group_never_both(self, capsys, flags):
+        err = _usage_error(capsys, self.argv("check", "clique-edge-bound", flags))
+        assert "with --edge-list" in err
+
+    def test_edge_bound_without_a_graph(self):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "clique-edge-bound"])
+        assert str(info.value) == "error: this check needs --group, --pi"
+
+    def test_every_benchmark_request_passes_its_declaration(self):
+        parser = cli.build_parser()
+        argvs = _workload_argvs()
+        assert len(argvs) > 20
+        for argv in argvs:
+            cli._declared(parser, parser.parse_args(argv + ["--json", "-"]))
+
+
+def test_zero_prime_and_zero_bound_reach_the_computation(capsys):
+    rc, rep = run(capsys, "compute", "nu", "--group", "A5", "-p", "0")
+    assert rc == 1 and rep["error"]["type"] == "OutOfDomain"
+    rc, rep = run(capsys, "verify", "sylow-ratio-gap-scan", "--group", "A4",
+                  "-p", "2", "--bound", "0")
+    assert rep["details"]["bound"] == {"num": 0, "den": 1} and "error" not in rep
+
+
+def test_library_handlers_call_through_the_module_binding(capsys, monkeypatch):
+    # perfbench/tracer.py rebinds cli.nu_p to time it; a handler holding
+    # its own reference to nu_p would hide the call from the trace
+    calls = []
+    original = cli.nu_p
+    monkeypatch.setattr(cli, "nu_p", lambda *args: calls.append(args) or original(*args))
+    rc, rep = run(capsys, "compute", "nu", "--group", "A5", "-p", "5")
+    assert rc == 0 and rep["value"] == 6 and len(calls) == 1
+
+
+def test_readme_option_table_matches_the_declarations():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if line.startswith("| `verify ") or line.startswith("| `compute "):
+            rows[cells[0]] = cells[1:]
+    command = {"check": "verify", "quantity": "compute"}
+    expected = {}
+    for kind, table in cli._ENTRIES.items():
+        for name, entry in table.items():
+            needs = ", or ".join(
+                "`" + " ".join(cli._FLAGS[n] for n in form) + "`" for form in entry.forms)
+            may = " ".join(f"`{cli._FLAGS[n]}`" for n in entry.may)
+            expected[f"`{command[kind]} {name}`"] = [needs, may]
+    assert rows == expected
