@@ -95,9 +95,6 @@ class SmallField:
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
 
-    def neg(self, a: int) -> int:
-        return self._encode((-x) % self.p for x in self._digits(a))
-
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
@@ -108,17 +105,6 @@ class SmallField:
 
     def div(self, a: int, b: int) -> int:
         return self._mul[a][self.inv(b)]
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul[r][a]
-            a = self._mul[a][a]
-            e >>= 1
-        return r
 
     def elements(self) -> range:
         return range(self.q)

@@ -86,9 +86,6 @@ class ElementGraph(BitGraph):
         super().__init__(len(vertices), adj)
         self.vertices = tuple(vertices)
 
-    def index_of(self, x: Permutation) -> int:
-        return self.vertices.index(x)
-
 
 def pi_elements(G: PermGroup, pi, cap: int | None = None) -> tuple[Permutation, ...]:
     """Elements whose order only involves primes from pi, sorted."""

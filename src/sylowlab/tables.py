@@ -90,7 +90,7 @@ def grow_sylow(p: int, target: int, P, gens, order, least_normalizing, extend):
 
 class CayleyTable:
     __slots__ = ("group", "elements", "index", "table", "inv", "elt_order", "gen_idx",
-                 "conj_maps", "_cyclics")
+                 "conj_maps", "_cyclics", "_proper_max", "_whole")
 
     def __init__(self, group: PermGroup, cap: int | None = None):
         limit = config.lattice_cap(cap)
@@ -141,6 +141,11 @@ class CayleyTable:
         # conj_maps[g][x] is the index of g^-1 * x * g, for each generator g
         self.conj_maps = {g: list(map([r[g] for r in table].__getitem__, table[inv[g]]))
                           for g in gen_idx}
+        # a proper subgroup has index at least the least prime q dividing n,
+        # so a subset of a subgroup with more than n / q elements spans G
+        q = next((d for d in range(2, n + 1) if n % d == 0), 1)
+        self._proper_max = n // q
+        self._whole = frozenset(range(n))
 
     @property
     def n(self) -> int:
@@ -161,10 +166,12 @@ class CayleyTable:
         ``r*sub``, and ``s*r*sub`` is again one for each generator ``s``,
         so the cosets are found breadth-first from ``sub`` and each new
         element costs one lookup in the row of its coset representative.
+        Once more than |G| / q elements are found, for q the least prime
+        dividing |G|, no proper subgroup holds them, and G is returned.
         """
         if g in sub:
             return sub
-        table = self.table
+        table, proper_max = self.table, self._proper_max
         els = set(sub)
         # the coset e*sub, picked from row e; key 0 keeps it a tuple for trivial sub
         coset = itemgetter(0, *sub)
@@ -175,6 +182,8 @@ class CayleyTable:
                 e = row[r]
                 if e not in els:
                     els.update(coset(table[e]))
+                    if len(els) > proper_max:
+                        return self._whole
                     reps.append(e)
         return frozenset(els)
 

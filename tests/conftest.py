@@ -143,6 +143,11 @@ def nu_by_normalizer_index(ctx, sub: frozenset[int], p: int) -> int:
     return count
 
 
+def order_of(lat, i: int) -> int:
+    """Order of subgroup i of a lattice."""
+    return len(lat.element_sets[i])
+
+
 def brute_all_subgroups(degree: int, elements) -> set[frozenset[Permutation]]:
     """Every subgroup of a tiny group, from closures of small subsets.
 
@@ -335,13 +340,13 @@ def quotient_route_is_p_solvable(G: PermGroup, p: int) -> bool:
         lat = subgroup_lattice(Q)
         best = None
         for i in lat.normal_indices():
-            n = lat.order_of(i)
-            if 1 < n and n % p != 0 and (best is None or n > lat.order_of(best)):
+            n = order_of(lat, i)
+            if 1 < n and n % p != 0 and (best is None or n > order_of(lat, best)):
                 best = i
         if best is None:
             for i in lat.normal_indices():
-                n = lat.order_of(i)
-                if 1 < n and is_p_power(n) and (best is None or n > lat.order_of(best)):
+                n = order_of(lat, i)
+                if 1 < n and is_p_power(n) and (best is None or n > order_of(lat, best)):
                     best = i
         if best is None:
             return False

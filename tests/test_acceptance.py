@@ -50,7 +50,7 @@ from sylowlab.errors import (
 from sylowlab.setcover import min_cover
 from sylowlab.tables import p_part
 
-from conftest import min_cover_exhaustive
+from conftest import min_cover_exhaustive, order_of
 from test_graphs import bron_kerbosch_max, complete_graph, random_graph
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
@@ -95,7 +95,7 @@ class TestRatioEqualsFixedPointRatio:
             for p in prime_divisors(G.order()):
                 target = p_part(G.order(), p)
                 for i in lat.maximal_indices():
-                    if p_part(lat.order_of(i), p) != target:
+                    if p_part(order_of(lat, i), p) != target:
                         continue
                     H = lat.subgroup(i)
                     rep = nu_fpr_identity_check(G, H, p)
@@ -157,7 +157,7 @@ class TestCharacteristicTwoPair:
         lat = subgroup_lattice(G)
         found = 0
         for i in range(len(lat)):
-            if lat.order_of(i) != 6:
+            if order_of(lat, i) != 6:
                 continue
             H = lat.subgroup(i)
             assert any(x * y != y * x

@@ -6,11 +6,14 @@ which is an independent route through the search space.  The SL(2,8)
 rows have their own routes, noted beside them.
 """
 
+import json
 import math
+import time
 
 import pytest
 
-from sylowlab.catalog import catalog_entry, construct, parse_group_expr
+from sylowlab.catalog import catalog_entry, construct, construct_text, parse_group_expr
+from sylowlab.cli import main
 from sylowlab.covering import (
     _cover_instance,
     _sigma_instance,
@@ -151,6 +154,50 @@ class TestSigmaCoverWitness:
     def test_deterministic(self):
         G = alternating(5)
         assert sigma_p_cover(G, 5) == sigma_p_cover(G, 5)
+
+
+class TestSympyCoverRoute:
+    """The covers `compute sigma` prints, checked by sympy alone (the cover
+    route of the benchmark's confirm script): each printed generator list
+    generates a proper subgroup, and together they hold every p-element."""
+
+    @pytest.mark.parametrize("label, p, sigma", [
+        ("PSL(2,11)", 2, 6),
+        ("A6", 2, 9),
+        ("A6", 3, 7),
+        ("PSL(2,7)", 2, 7),
+        ("PSL(2,7)", 3, 7),
+    ])
+    def test_printed_cover_covers_every_p_element(self, capsys, label, p, sigma):
+        pytest.importorskip("sympy")
+        from sympy.combinatorics import Permutation as SymPerm
+        from sympy.combinatorics.named_groups import AlternatingGroup
+        from sympy.combinatorics.perm_groups import PermutationGroup
+
+        start = time.monotonic()
+        assert main(["compute", "sigma", "--group", label, "-p", str(p), "--json", "-"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["value"] == sigma == len(report["cover"])
+        degree = report["group"]["degree"]
+
+        def sym_perm(cycle_string):
+            cycles = [[int(v) - 1 for v in c.split()]
+                      for c in cycle_string.strip("()").split(")(") if c]
+            return SymPerm(cycles, size=degree)
+
+        # sympy's own A6, so that group does not come from the catalog
+        if label == "A6":
+            G = AlternatingGroup(6)
+        else:
+            G = PermutationGroup([SymPerm([i - 1 for i in g.images])
+                                  for g in construct_text(label).generators])
+        members = [PermutationGroup([sym_perm(c) for c in gens]) for gens in report["cover"]]
+        for M in members:
+            assert M.is_subgroup(G) and M.order() < G.order()
+        for x in G.generate():
+            if x.order() > 1 and is_p_power(x.order(), p):
+                assert any(M.contains(x) for M in members), x
+        assert time.monotonic() - start < 60.0
 
 
 class TestMinCoverFrozen:

@@ -184,7 +184,7 @@ class TestNoncommutingGraph:
         g = noncommuting_graph(G, {2})
         assert g.n == 4
         assert g.edge_count() == 3
-        e = g.index_of(G.identity())
+        e = g.vertices.index(G.identity())
         assert g.degree(e) == 0
         others = [v for v in range(4) if v != e]
         for v in others:

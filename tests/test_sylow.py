@@ -24,6 +24,7 @@ from conftest import (
     dihedral,
     klein_four,
     nu_by_normalizer_index,
+    order_of,
     perm,
     prime_factors,
     sylow_by_scan,
@@ -190,7 +191,7 @@ class TestNu:
                 continue
             target = p_part(G.order(), p)
             by_lattice = sum(1 for i in range(len(lat))
-                             if lat.order_of(i) == target)
+                             if order_of(lat, i) == target)
             assert nu_p(G, p) == by_lattice
 
     @pytest.mark.parametrize("label", [e.label for e in catalog_upto(2000)] + ["A7", "A8"])
