@@ -214,7 +214,7 @@ def _check_orbit_bound(options) -> CheckReport:
 def _check_turan(options) -> CheckReport:
     if "edge_list" in options:
         with open(options["edge_list"]) as fh:
-            graph = BitGraph.from_edge_list(fh.read())
+            graph = BitGraph.from_edge_list(fh.read(), options["cap"])
     else:
         graph = noncommuting_graph(
             options["group"].group, options["pi"], options["cap"])

@@ -7,26 +7,41 @@ largest pairwise-noncommuting set of pi-elements; the commuting
 probability is the exact proportion of ordered commuting pairs.
 
 Both are built from conjugacy classes, not from all pairs of vertices.
-The vertex set V is closed under conjugation, so for each class X with
-least element x, one sweep finds C_V(x), the vertices commuting with x.
-A transversal of X then gives every other row: the neighbours of
-y = t^-1 x t are V minus t^-1 C_V(x) t, that is |C_V(x)| conjugations
-instead of |V| commutation tests.  By the class equation the number of
-commuting ordered pairs is the sum over the classes of |X| * |C_V(x)|,
-so the commuting probability needs no graph at all.
+The vertex set V is closed under conjugation, so a ``group.Numbering``
+of G seeded with the sorted vertices numbers them by position and, once
+closed, maps each position to its conjugate's under each generator of
+G.  For each class X with least element x, one sweep finds C_V(x), the
+vertices commuting with x.  A breadth-first walk of X then gives every
+other row: y = g^-1 z g, reached from z by the generator g, commutes
+exactly with g^-1 C_V(z) g, which is z's list mapped through g's
+conjugation list, so the row costs |C_V(x)| lookups instead of |V|
+commutation tests.  By the class equation the number of commuting
+ordered pairs is the sum over the classes of |X| * |C_V(x)|, so the
+commuting probability needs no graph at all; where a graph is built
+anyway, it is read off the rows.  Element orders, which pick the
+vertices, come from one power walk per cyclic subgroup
+(``group.element_orders``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from . import config
 from .cliques import max_clique
 from .errors import CapExceeded, ExprSyntaxError, OutOfDomain, PreconditionFailed
-from .group import PermGroup, orbit_map
+from .group import Numbering, PermGroup, element_orders, orbit_map
 from .perm import Permutation
 from .reports import CheckReport
 from .tables import check_prime
+
+
+def _check_vertices(n: int, cap: int | None, what: str = "noncommuting graph vertices") -> None:
+    """The vertex limit of every graph built here: the element cap."""
+    limit = config.element_cap(cap)
+    if n > limit:
+        raise CapExceeded(what, n, limit)
 
 
 class BitGraph:
@@ -52,8 +67,11 @@ class BitGraph:
         return self.adj[v].bit_count()
 
     @classmethod
-    def from_edge_list(cls, text: str) -> "BitGraph":
-        """Parse `u v` lines (1-based); blank lines and # comments skipped."""
+    def from_edge_list(cls, text: str, cap: int | None = None) -> "BitGraph":
+        """Parse `u v` lines (1-based); blank lines and # comments skipped.
+
+        The largest vertex number must fit the vertex limit of the
+        noncommuting graphs, checked before any row is allocated."""
         edges = []
         top = 0
         for lineno, raw in enumerate(text.splitlines(), 1):
@@ -70,6 +88,7 @@ class BitGraph:
                     "distinct positive vertex numbers", 0)
             top = max(top, u, v)
             edges.append((u - 1, v - 1))
+        _check_vertices(top, cap, "edge list vertices")
         adj = [0] * top
         for u, v in edges:
             adj[u] |= 1 << v
@@ -99,59 +118,68 @@ def pi_elements(G: PermGroup, pi, cap: int | None = None) -> tuple[Permutation, 
                 n //= p
         return n == 1
 
-    return tuple(x for x in G.elements(cap) if is_pi_number(x.order()))
+    orders = element_orders(G, cap)
+    is_pi = {o: is_pi_number(o) for o in set(orders)}
+    return tuple(x for x, o in zip(G.elements(cap), orders) if is_pi[o])
 
 
 def _vertices(G: PermGroup, pi, cap: int | None) -> tuple[Permutation, ...]:
     verts = pi_elements(G, pi, cap)
-    limit = config.element_cap(cap)
-    if len(verts) > limit:
-        raise CapExceeded("noncommuting graph vertices", len(verts), limit)
+    _check_vertices(len(verts), cap)
     return verts
 
 
-def _pi_classes(G: PermGroup, verts):
+def _pi_classes(G: PermGroup, verts, each: bool = True):
     """Each conjugacy class of G among the sorted pi-elements ``verts``.
 
-    Yields ``(cent, transversal)`` per class, in order of the least
-    element x of the class: ``cent`` lists the vertices that commute
-    with x, and ``transversal`` maps each y in the class to a t with
-    y = t^-1 x t.
+    The vertices are numbered by position in one ``Numbering`` of G,
+    which they close, being a union of classes.  Yields, per class in
+    order of its least element x, a dict from each member's position to
+    the positions of the vertices commuting with it.  x's list comes from
+    one commutation sweep; each other member y = g^-1 z g, reached from
+    its BFS parent z by the generator g, commutes exactly with g^-1 C_V(z) g,
+    so its list is z's mapped through g's conjugation list.  With
+    ``each`` false, every member gets x's list, which has the same length.
     """
-    pairs = [(g.inverse(), g) for g in G.generators]
-    seen: set[Permutation] = set()
-    for x in verts:
-        if x in seen:
+    numbering = Numbering(G, (x.images for x in verts))
+    numbering.close()
+    assert len(numbering.tables) == len(verts), "pi-elements are closed under conjugation"
+    conj = numbering.conj
+    step = (lambda cent, k: list(map(conj[k].__getitem__, cent))) if each else None
+    seen = bytearray(len(verts))
+    for x, xt in enumerate(numbering.tables):
+        if seen[x]:
             continue
-        transversal = orbit_map(x, pairs, lambda y, gg: gg[0] * y * gg[1],
-                                step=lambda t, gg: t * gg[1], label=G.identity())
-        seen.update(transversal)
-        yield [y for y in verts if x * y == y * x], transversal
+        x_of, x_shifted = itemgetter(*xt), (0,) + xt
+        cent = [j for j, yt in enumerate(numbering.tables)
+                if x_of((0,) + yt) == itemgetter(*yt)(x_shifted)]
+        members = orbit_map(x, range(len(conj)), lambda y, k: conj[k][y], step, cent)
+        for y in members:
+            seen[y] = 1
+        yield members
 
 
 def noncommuting_graph(G: PermGroup, pi, cap: int | None = None) -> ElementGraph:
     """Loop-free graph on the pi-elements, joined iff they do not commute."""
     verts = _vertices(G, pi, cap)
-    index = {x: i for i, x in enumerate(verts)}
+    bit = [1 << j for j in range(len(verts))]
     full = (1 << len(verts)) - 1
     adj = [0] * len(verts)
-    for cent, transversal in _pi_classes(G, verts):
-        for y, t in transversal.items():
-            # y = t^-1 x t commutes exactly with t^-1 C_V(x) t
-            t_inv = t.inverse()
-            mask = 0
-            for c in cent:
-                mask |= 1 << index[t_inv * c * t]
-            adj[index[y]] = full ^ mask
+    for members in _pi_classes(G, verts):
+        for y, cent in members.items():
+            adj[y] = full ^ sum(map(bit.__getitem__, cent))
     return ElementGraph(verts, adj)
+
+
+def _max_clique(graph: ElementGraph) -> tuple[Permutation, ...]:
+    _, verts = max_clique(graph.n, list(graph.adj))
+    return tuple(graph.vertices[v] for v in verts)
 
 
 def max_noncommuting_set(G: PermGroup, pi,
                          cap: int | None = None) -> tuple[Permutation, ...]:
     """A maximum set of pairwise noncommuting pi-elements."""
-    graph = noncommuting_graph(G, pi, cap)
-    _, verts = max_clique(graph.n, list(graph.adj))
-    return tuple(graph.vertices[v] for v in verts)
+    return _max_clique(noncommuting_graph(G, pi, cap))
 
 
 def n_pi(G: PermGroup, pi, cap: int | None = None) -> int:
@@ -167,8 +195,8 @@ def pr_pi(G: PermGroup, pi, cap: int | None = None) -> Fraction:
     the classes X of pi-elements.
     """
     verts = _vertices(G, pi, cap)
-    commuting = sum(len(cent) * len(transversal)
-                    for cent, transversal in _pi_classes(G, verts))
+    commuting = sum(len(cent) for members in _pi_classes(G, verts, each=False)
+                    for cent in members.values())
     return Fraction(commuting, len(verts) ** 2)
 
 
@@ -191,8 +219,10 @@ def turan_bound_check(graph: BitGraph) -> CheckReport:
 
 def pr_times_clique_check(G: PermGroup, pi, cap: int | None = None) -> CheckReport:
     """Commuting probability times clique number is at least 1."""
-    pr = pr_pi(G, pi, cap)
-    k = n_pi(G, pi, cap)
+    # one graph gives both: its rows hold the noncommuting ordered pairs
+    graph = noncommuting_graph(G, pi, cap)
+    pr = Fraction(graph.n ** 2 - 2 * graph.edge_count(), graph.n ** 2)
+    k = len(_max_clique(graph))
     return CheckReport("probability-clique-product", pr * k >= 1, {
         "pi": sorted(pi),
         "probability": pr,

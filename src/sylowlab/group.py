@@ -11,6 +11,8 @@ normalizers) respect the element cap from :mod:`sylowlab.config`.
 
 from __future__ import annotations
 
+from math import gcd
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from . import config
@@ -21,7 +23,7 @@ from .errors import (
     NotASubgroup,
     NotNormal,
 )
-from .perm import Permutation
+from .perm import Permutation, compose
 
 
 def orbit_map(seed, gens, act, step=None, label=None, limit=None, what="orbit"):
@@ -50,6 +52,57 @@ def orbit_map(seed, gens, act, step=None, label=None, limit=None, what="orbit"):
 
 def _image(point: int, g: Permutation) -> int:
     return g._images[point - 1]
+
+
+class Numbering:
+    """Elements numbered in order of first meeting, with one conjugation
+    list per generator of G: the one conjugation kernel of ``sylow`` and
+    ``graphs``.
+
+    ``tables[i]`` is the image table of number i and ``index`` maps an
+    image table back to its number.  ``conj[k][i]`` is the number of
+    g^-1 * x * g, for x number i and g the k-th generator of G.
+    ``close`` fills the lists in number order, numbering each conjugate
+    not met before, up to the last number, so when it returns the
+    numbered set is closed under conjugation: it is the union of the
+    conjugacy classes of the elements numbered before.
+    """
+
+    __slots__ = ("tables", "index", "conj", "_gens")
+
+    def __init__(self, G: "PermGroup", tables: Iterable[tuple[int, ...]] = ()):
+        self.tables = list(tables)
+        self.index = {x: i for i, x in enumerate(self.tables)}
+        self.conj: list[list[int]] = [[] for _ in G.generators]
+        # g^-1 * x * g maps g(i) to g(x(i)): x's images picked from g, then
+        # picked in the order of g^-1
+        self._gens = [(itemgetter(*g.inverse().images), (0,) + g.images)
+                      for g in G.generators]
+
+    def number(self, x: tuple[int, ...]) -> int:
+        """The number of the image table ``x``, the next one if it has none."""
+        i = self.index.get(x)
+        if i is None:
+            i = self.index[x] = len(self.tables)
+            self.tables.append(x)
+        return i
+
+    def close(self) -> None:
+        if not self.conj:
+            return
+        tables, index = self.tables, self.index
+        pairs = list(zip(self._gens, self.conj))
+        i = len(self.conj[0])
+        while i < len(tables):
+            x_of = itemgetter(*tables[i])
+            for (inverse_of, g_shifted), row in pairs:
+                y = inverse_of((0,) + x_of(g_shifted))
+                j = index.get(y)
+                if j is None:  # ``number``, inlined
+                    j = index[y] = len(tables)
+                    tables.append(y)
+                row.append(j)
+            i += 1
 
 
 class _Chain:
@@ -313,6 +366,31 @@ class PermGroup:
                 out.append((x, cls))
             self._classes = tuple(out)
         return self._classes
+
+
+def element_orders(G: PermGroup, cap: int | None = None) -> list[int]:
+    """The order of each element of G, in the order of ``G.elements``.
+
+    One walk over the powers x, x^2, ... of each cyclic subgroup <x>, from
+    its least element x not met before, gives every power x^j its order
+    o / gcd(j, o), for o the order of x.
+    """
+    els = G.elements(cap)
+    index = {x.images: i for i, x in enumerate(els)}
+    one = els[0].images  # the identity sorts first
+    orders = [1] + [0] * (len(els) - 1)
+    for i in range(1, len(els)):
+        if orders[i]:
+            continue
+        x = cur = els[i].images
+        powers = []
+        while cur != one:
+            powers.append(index[cur])
+            cur = compose(cur, x)
+        o = len(powers) + 1
+        for j, k in enumerate(powers, 1):
+            orders[k] = o // gcd(j, o)
+    return orders
 
 
 def span_from_elements(degree: int, elements: Iterable[Permutation]) -> PermGroup:

@@ -9,11 +9,15 @@ Schreier generators and walked in image-table order (``_Chain.least``).
 G acts on Syl_p(G) by conjugation, transitively, so nu(G, p) is the
 length of one Sylow subgroup's conjugation orbit.  Every conjugation
 orbit under G, the tower's and the count's, numbers its elements in one
-numbering kept on G (``_numbering``), so each element is conjugated at
-most once by each generator of G.  ``nu_p``,
-``sylow_subgroups`` and the four Sylow-number checks read every count
-off such orbits.  The lattice-based checks take the same orbit on the
-Cayley table, once per conjugacy class of subgroups
+``group.Numbering`` kept on G (``_numbering``), closed under conjugation
+before the orbit is walked: each element is conjugated once by each
+generator of G, into one list per generator, and a conjugate is keyed by
+its elements' numbers mapped through such a list.  Each conjugate keeps
+only its Schreier-tree record (parent, generator); a transversal element
+is rebuilt from it only for the Schreier generators the tower consumes.
+``nu_p``, ``sylow_subgroups`` and the four Sylow-number checks read
+every count off such orbits.  The lattice-based checks take the same
+orbit on the Cayley table, once per conjugacy class of subgroups
 (``SubgroupLattice.sylow_counts``).  The test suite checks the counts
 against the normalizer index and against the subgroups of full p-power
 order in the subgroup lattice, and the tower against the same rule
@@ -23,8 +27,6 @@ applied to the sorted element list.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
-from typing import Callable, NamedTuple
 
 from . import config
 from .errors import (
@@ -37,6 +39,7 @@ from .errors import (
     SylowNotContained,
 )
 from .group import (
+    Numbering,
     PermGroup,
     _Chain,
     is_normal,
@@ -46,7 +49,7 @@ from .group import (
     p_residual,
     quotient_group,
 )
-from .perm import Permutation, compose
+from .perm import Permutation
 from .reports import CheckReport
 from .tables import check_prime, grow_sylow, p_part
 
@@ -76,7 +79,7 @@ def sylow_subgroup_containing(G: PermGroup, Q: PermGroup, p: int,
         # N_G(P) is the stabilizer of P in its conjugation orbit: Schreier
         # generators are sifted into a chain on the base 1..degree until it
         # has order |G| / (orbit length); ``least`` walks it in table order
-        orbit, _, schreier = _orbit(G, PermGroup(G.degree, gens), cap)
+        orbit, schreier = _orbit(G, PermGroup(G.degree, gens), cap)
         N = _Chain.ordered(G.degree)
         for s in schreier:
             if N.order() * len(orbit) == G.order():
@@ -91,38 +94,11 @@ def sylow_subgroup_containing(G: PermGroup, Q: PermGroup, p: int,
     return PermGroup(G.degree, gens)
 
 
-class _Numbering(NamedTuple):
-    """The element numbering of G's conjugation orbits, kept on G.
-
-    ``tables[i]`` is the image table of element number i, ``number``
-    returns an image table's number (giving it the next one if it has
-    none), and ``gens`` pairs each generator g of G with a cached map
-    from a number to the number of its conjugate g^-1 * x * g.
-    """
-
-    tables: list
-    number: Callable[[tuple[int, ...]], int]
-    gens: list
-
-
-def _numbering(G: PermGroup) -> _Numbering:
-    """G's numbering, built on first use, like G's table and lattice."""
+def _numbering(G: PermGroup) -> Numbering:
+    """G's one numbering for conjugation orbits, built on first use, like
+    G's table and lattice."""
     if G._numbering is None:
-        tables = []
-        index = {}
-
-        def number(x):
-            if x not in index:
-                index[x] = len(tables)
-                tables.append(x)
-            return index[x]
-
-        def conjugate(gi, g, i):
-            return number(compose(gi, compose(tables[i], g)))  # g^-1 * x * g
-
-        G._numbering = _Numbering(tables, number, [
-            (cache(partial(conjugate, g.inverse().images, g.images)), g)
-            for g in G.generators])
+        G._numbering = Numbering(G)
     return G._numbering
 
 
@@ -132,38 +108,67 @@ def _orbit(G: PermGroup, P: PermGroup, cap: int | None = None,
 
     The conjugates share few elements, so each element met gets a number
     in G's one numbering (``_numbering``), which every orbit under G
-    shares: a tower's steps P_1 < ... < P_k and the final Sylow orbit
-    all lie in the union of the Sylow subgroups, and each element there
-    is conjugated at most once by each generator.  A conjugate is keyed
-    by its sorted numbers.  Returns the orbit (a dict from each key to an
-    element of G conjugating P to that conjugate, from ``orbit_map``'s
-    transversal), the image table of each number, and an iterator over
-    the Schreier generators u * g * u'^-1 of N_G(P), for each conjugate's
-    transversal element u and each generator g of G.
+    shares.  Closing it after P's elements are numbered conjugates each
+    element of the classes that meet P once by each generator of G: a
+    tower's steps P_1 < ... < P_k and the final Sylow orbit all lie in the
+    union of the Sylow subgroups.  A conjugate is keyed by its sorted
+    numbers, each mapped through one generator's conjugation list.
+
+    Returns the orbit (a dict from each key to its record in the Schreier
+    tree: None for P, else (parent's record, generator number)) and an
+    iterator over the Schreier generators u * g * u'^-1 of N_G(P), for
+    each conjugate's transversal element u, rebuilt from its record
+    (``_transversal``), and each generator g of G, leaving out the tree's
+    own edges, where it is 1.
     """
     numbering = _numbering(G)
-
-    def act(s, gen):
-        return tuple(sorted(map(gen[0], s)))
-
-    gens = numbering.gens
     seed = tuple(sorted(numbering.number(x.images) for x in P.elements(cap)))
-    orbit = orbit_map(seed, gens, act, lambda u, gen: u * gen[1], G.identity(), limit, what)
-    schreier = (u * gen[1] * orbit[act(s, gen)].inverse()
-                for s, u in orbit.items() for gen in gens)
-    return orbit, numbering.tables, schreier
+    numbering.close()
+    conj = numbering.conj
+
+    def act(s, k):
+        return tuple(sorted(map(conj[k].__getitem__, s)))
+
+    gens = range(len(conj))
+    orbit = orbit_map(seed, gens, act, lambda record, k: (record, k), None, limit, what)
+
+    def schreier():
+        for s, record in orbit.items():
+            for k in gens:
+                image = orbit[act(s, k)]
+                if image is not None and image[0] is record and image[1] == k:
+                    continue
+                yield (_transversal(G, record) * G.generators[k]
+                       * _transversal(G, image).inverse())
+
+    return orbit, schreier()
+
+
+def _transversal(G: PermGroup, record) -> Permutation:
+    """The element of G that a Schreier-tree record stands for: the
+    product of the generators on its path from the root, found by walking
+    up the parents."""
+    path = []
+    while record is not None:
+        record, k = record
+        path.append(G.generators[k])
+    u = G.identity()
+    for g in reversed(path):
+        u = u * g
+    return u
 
 
 def _conjugates(G: PermGroup, P: PermGroup, p: int | None = None,
                 cap: int | None = None, limit: int | None = None,
-                what: str = "orbit") -> list[tuple[tuple[int, ...], ...]]:
-    """The orbit of P under conjugation by G, each conjugate as the tuple
-    of its elements' image tables.  With ``p``, P is a Sylow p-subgroup
-    of G, and the orbit's length, nu(G, p), is asserted to be 1 mod p.
+                what: str = "orbit") -> list[tuple[int, ...]]:
+    """The orbit of P under conjugation by G, each conjugate as the
+    sorted numbers of its elements in G's numbering.  With ``p``, P is a
+    Sylow p-subgroup of G, and the orbit's length, nu(G, p), is asserted
+    to be 1 mod p.
     """
-    seen, tables, _ = _orbit(G, P, cap, limit, what)
+    seen, _ = _orbit(G, P, cap, limit, what)
     assert p is None or len(seen) % p == 1, "Sylow count must be 1 mod p"
-    return [tuple(map(tables.__getitem__, s)) for s in seen]
+    return list(seen)
 
 
 def nu_p(G: PermGroup, p: int, cap: int | None = None) -> int:
@@ -186,7 +191,9 @@ def sylow_subgroups(G: PermGroup, p: int, cap: int | None = None) -> tuple[froze
     P = sylow_subgroup(G, p, cap)
     seen = _conjugates(G, P, p, cap, limit=config.element_cap(cap) // P.order(),
                        what="Sylow subgroup enumeration")
-    return tuple(frozenset(map(Permutation, s)) for s in sorted(seen, key=sorted))
+    tables = _numbering(G).tables
+    conjugates = sorted(([tables[i] for i in s] for s in seen), key=sorted)
+    return tuple(frozenset(map(Permutation, s)) for s in conjugates)
 
 
 def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int,
@@ -207,7 +214,7 @@ def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int,
     sylows = _conjugates(G, P, p, cap)
     nu_G = len(sylows)
     nu_H = len(_conjugates(H, Q, p, cap))
-    q_set = frozenset(x.images for x in Q.elements())
+    q_set = frozenset(_numbering(G).index[x.images] for x in Q.elements())
     containing = sum(1 for s in sylows if q_set.issubset(s))
     unique_containment = containing == 1
     # |H : N_H(P)| need not be 1 mod p, so this orbit carries no p

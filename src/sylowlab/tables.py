@@ -20,7 +20,7 @@ N(H) to an order known from the size of H's class.
 from __future__ import annotations
 
 from itertools import filterfalse
-from math import gcd, isqrt
+from math import gcd
 from operator import itemgetter
 
 from . import config
@@ -51,14 +51,46 @@ def is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality exactly
+# below this bound (Sorenson and Webster, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def check_prime(p: int) -> None:
     """Raise OutOfDomain unless p is a prime.
 
     Library entry points that take a prime call this once, up front;
     ``p_part`` and ``is_p_power`` run once per element and only refuse
-    p < 2.
+    p < 2.  The test is exact and takes a bounded time.  A p at or above
+    ``_MR_EXACT_BELOW`` is refused: a prime dividing the order of a
+    permutation group is at most its degree, far below that bound.
     """
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    if p >= _MR_EXACT_BELOW:
+        raise OutOfDomain(f"expected a prime below {_MR_EXACT_BELOW}, got {p}")
+    if not _is_prime(p):
         raise OutOfDomain(f"expected a prime, got {p}")
 
 

@@ -381,6 +381,30 @@ class TestInputValidation:
         assert rep["error"]["type"] == "OutOfDomain"
         assert p in rep["error"]["message"]
 
+    @pytest.mark.parametrize("p", ["0", "4"])
+    def test_non_prime_p_report(self, p):
+        rc, rep = self.cli("compute", "nu", "--group", "A5", "-p", p)
+        assert rc == 1 and "value" not in rep
+        assert rep["error"] == {"type": "OutOfDomain", "message": f"expected a prime, got {p}"}
+
+    @pytest.mark.parametrize("argv, value", [
+        (["compute", "nu", "--group", "S4", "-p"], 1),
+        (["compute", "pr", "--group", "S4", "--pi"], {"num": 1, "den": 1}),
+    ], ids=["nu", "pr"])
+    def test_large_prime_answers_quickly(self, argv, value):
+        # trial division up to its square root used to run for minutes
+        start = time.monotonic()
+        rc, rep = self.cli(*argv, "1000000000000000003")
+        assert rc == 0 and rep["ok"] and rep["value"] == value
+        assert time.monotonic() - start < 20
+
+    @pytest.mark.parametrize("flag", ["-p", "--pi"])
+    def test_product_of_two_large_primes_is_refused(self, flag):
+        n = str(1000000007 * 1000000009)
+        rc, rep = self.cli("compute", "nu" if flag == "-p" else "pr", "--group", "S4", flag, n)
+        assert rc == 1 and "value" not in rep
+        assert rep["error"] == {"type": "OutOfDomain", "message": f"expected a prime, got {n}"}
+
     @pytest.mark.parametrize("pi", ["1", "2,4", "0,3"])
     def test_non_prime_pi_entry(self, pi):
         rc, rep = self.cli("verify", "probability-clique-product",
@@ -412,6 +436,19 @@ class TestInputValidation:
                       "--edge-list", str(tmp_path / "missing.txt"))
         assert rc == 1
         assert rep["error"]["type"] == "FileNotFoundError"
+
+    def test_edge_list_keeps_the_vertex_cap(self, capsys, tmp_path):
+        # vertex 50 alone used to give a 50-vertex graph under --cap 10
+        f = tmp_path / "edges.txt"
+        f.write_text("1 50\n")
+        rc, rep = run(capsys, "verify", "clique-edge-bound", "--edge-list", str(f),
+                      "--cap", "10")
+        assert rc == 1 and "details" not in rep
+        assert rep["error"] == {"type": "CapExceeded",
+                                "message": "edge list vertices: needs 50, cap is 10"}
+        rc, rep = run(capsys, "verify", "clique-edge-bound", "--edge-list", str(f),
+                      "--cap", "50")
+        assert rc == 0 and rep["details"]["vertices"] == 50
 
     def test_bad_edge_line(self, capsys, tmp_path):
         f = tmp_path / "edges.txt"

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import sylowlab
+from sylowlab import graphs
 from sylowlab.catalog import catalog_upto, construct_text
 from sylowlab.cliques import _degeneracy_order, max_clique
 from sylowlab.errors import CapExceeded, OutOfDomain, PreconditionFailed
@@ -257,6 +258,7 @@ class TestAgainstBruteOracle:
         ("A7", {2}),
         ("PSL(2,11)", {2, 3}),
         ("PSL(2,11)", {5}),
+        ("S7", {3}),
     ])
     def test_larger_groups(self, label, pi):
         self.assert_matches(construct_text(label), pi)
@@ -601,6 +603,23 @@ class TestPrTimesClique:
     )
     def test_holds(self, builder, pi):
         assert pr_times_clique_check(builder(), pi).ok
+
+    @pytest.mark.parametrize("label, pi", [("S4", {2}), ("PSL(2,11)", {2, 3})])
+    def test_one_class_sweep(self, label, pi, monkeypatch):
+        """The check builds its graph once and reads the commuting
+        probability off the rows; pr_pi's own sweep agrees."""
+        G = construct_text(label)
+        sweeps = []
+        sweep = graphs._pi_classes
+
+        def counting(*args, **kwargs):
+            sweeps.append(args)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "_pi_classes", counting)
+        rep = pr_times_clique_check(G, pi)
+        assert len(sweeps) == 1
+        assert rep.details["probability"] == pr_pi(construct_text(label), pi)
 
 
 class TestSigmaLeClique:

@@ -12,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 from sylowlab.catalog import catalog_upto, construct_text
 from sylowlab.errors import CapExceeded, DegreeMismatch, NotAMember, NotASubgroup, NotNormal
 from sylowlab.group import (
+    Numbering,
     PermGroup,
     _Chain,
     conjugacy_class,
+    element_orders,
     is_normal,
     is_p_solvable,
     is_subgroup,
@@ -129,6 +131,31 @@ class TestElements:
             alternating(5).elements()
         # explicit argument wins over the environment
         assert len(alternating(5).elements(cap=60)) == 60
+
+
+@pytest.mark.parametrize("make", [e.build for e in catalog_upto(2000)]
+                         + [lambda: construct_text("A7"), lambda: construct_text("S7")],
+                         ids=[e.label for e in catalog_upto(2000)] + ["A7", "S7"])
+def test_power_walk_orders_match_cycle_orders(make):
+    G = make()
+    assert element_orders(G) == [x.order() for x in G.elements()]
+
+
+@pytest.mark.parametrize("label", ["S4", "A5", "D12", "SL(2,3)"])
+def test_numbering_closes_under_conjugation(label):
+    """Filled to the end from one element x, the conjugation lists number
+    exactly the class of x, and each entry is the number of the conjugate
+    by raw products."""
+    G = construct_text(label)
+    x = G.elements()[-1]
+    numbering = Numbering(G, [x.images])
+    numbering.close()
+    assert {Permutation(t) for t in numbering.tables} == conjugacy_class(G, x)
+    assert len(numbering.tables) == len(numbering.index)
+    for g, row in zip(G.generators, numbering.conj):
+        assert len(row) == len(numbering.tables)
+        for i, t in enumerate(numbering.tables):
+            assert numbering.tables[row[i]] == (g.inverse() * Permutation(t) * g).images
 
 
 @pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)

@@ -107,3 +107,36 @@ def test_check_prime_refuses_non_primes(p):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 97])
 def test_check_prime_accepts_primes(p):
     check_prime(p)
+
+
+def test_check_prime_matches_trial_division():
+    for n in range(-2, 10_000):
+        is_prime = n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+        try:
+            check_prime(n)
+            accepted = True
+        except OutOfDomain:
+            accepted = False
+        assert accepted == is_prime, n
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 10**18 + 3, 3317044064679887385961813])
+def test_check_prime_accepts_large_primes(p):
+    check_prime(p)
+
+
+# strong pseudoprimes to every prime base up to 13, 23 and 37, products of
+# two primes, and the first strong pseudoprime to all bases up to 41,
+# which is where the test stops being exact
+@pytest.mark.parametrize("n", [3474749660383, 3825123056546413051,
+                               318665857834031151167461, 1000000007 * 1000000009,
+                               (2**61 - 1) * (2**19 - 1)])
+def test_check_prime_refuses_strong_pseudoprimes(n):
+    with pytest.raises(OutOfDomain, match=f"expected a prime, got {n}"):
+        check_prime(n)
+
+
+@pytest.mark.parametrize("n", [3317044064679887385961981, 10**30 + 57])
+def test_check_prime_refuses_beyond_its_exact_range(n):
+    with pytest.raises(OutOfDomain, match=f"expected a prime below 3317044064679887385961981, got {n}"):
+        check_prime(n)
