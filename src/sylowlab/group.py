@@ -12,7 +12,7 @@ normalizers) respect the element cap from :mod:`sylowlab.config`.
 from __future__ import annotations
 
 from math import gcd
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable
 
 from . import config
@@ -331,7 +331,7 @@ class PermGroup:
         """All elements, sorted lexicographically by image table."""
         if self._elements is None:
             self.check_element_cap(cap)
-            self._elements = tuple(sorted(self.chain().elements()))
+            self._elements = tuple(sorted(self.chain().elements(), key=attrgetter("_images")))
         return self._elements
 
     def orbit(self, point: int) -> frozenset[int]:

@@ -7,14 +7,20 @@ its conjugation orbit, sifted into a chain on the base 1..degree from
 Schreier generators and walked in image-table order (``_Chain.least``).
 
 G acts on Syl_p(G) by conjugation, transitively, so nu(G, p) is the
-length of one Sylow subgroup's conjugation orbit.  Every conjugation
-orbit under G, the tower's and the count's, numbers its elements in one
-``group.Numbering`` kept on G (``_numbering``), closed under conjugation
-before the orbit is walked: each element is conjugated once by each
-generator of G, into one list per generator, and a conjugate is keyed by
-its elements' numbers mapped through such a list.  Each conjugate keeps
-only its Schreier-tree record (parent, generator); a transversal element
-is rebuilt from it only for the Schreier generators the tower consumes.
+length of one Sylow subgroup's conjugation orbit.  A conjugate P^g is
+keyed by P^g n X, for X the elements of G of order dividing p^j and j
+the least exponent at which P's elements of that order generate P
+(``_key``): X is closed under conjugation and P n X generates P, so the
+key is exact.  Every conjugation orbit under G, the tower's and the
+count's, numbers its key elements in one ``group.Numbering`` kept on G
+(``_numbering``), closed under conjugation before the orbit is walked:
+each numbered element is conjugated once by each generator of G, into
+one list per generator, and a key is mapped through such a list.  The
+numbering thus holds a few conjugacy classes of p-elements, not the
+union of the Sylow subgroups.  Each conjugate keeps only its
+Schreier-tree record (parent, generator); a transversal element is
+rebuilt from it only for the Schreier generators the tower consumes, and
+for the callers that need a conjugate's elements.
 ``nu_p``, ``sylow_subgroups`` and the four Sylow-number checks read
 every count off such orbits.  The lattice-based checks take the same
 orbit on the Cayley table, once per conjugacy class of subgroups
@@ -102,16 +108,42 @@ def _numbering(G: PermGroup) -> Numbering:
     return G._numbering
 
 
+def _key(P: PermGroup, cap: int | None = None) -> list[Permutation]:
+    """The elements of P that key its conjugates in ``_orbit``: those
+    other than 1 of order at most m, for the least m at which they
+    generate P.
+
+    The elements of G of order at most m form a set X closed under
+    conjugation, so (P n X)^g = P^g n X.  P n X generates P, so the
+    stabilizer of the key is N_G(P) and distinct conjugates have distinct
+    keys.  P is a p-group, so m = p^j and X holds the elements of order
+    dividing p^j; j = 1 unless the elements of order p generate a proper
+    subgroup, as in a cyclic or quaternion Sylow subgroup.  A proper
+    subgroup has at most |P|/p elements, for p = ``levels[0]``, so more
+    key elements than that generate P without a stabilizer chain.
+    """
+    orders = {x: x.order() for x in P.elements(cap)[1:]}
+    levels = sorted(set(orders.values()))
+    for m in levels:
+        key = [x for x, o in orders.items() if o <= m]
+        if (m == levels[-1] or (len(key) + 1) * levels[0] > P.order()
+                or PermGroup(P.degree, key).order() == P.order()):
+            return key
+    return []
+
+
 def _orbit(G: PermGroup, P: PermGroup, cap: int | None = None,
            limit: int | None = None, what: str = "orbit"):
     """The orbit of P under conjugation by G, with its Schreier generators.
 
-    The conjugates share few elements, so each element met gets a number
-    in G's one numbering (``_numbering``), which every orbit under G
-    shares.  Closing it after P's elements are numbered conjugates each
-    element of the classes that meet P once by each generator of G: a
-    tower's steps P_1 < ... < P_k and the final Sylow orbit all lie in the
-    union of the Sylow subgroups.  A conjugate is keyed by its sorted
+    Each conjugate P^g is keyed by its key elements (``_key``), the
+    conjugates of P's.  Each element met gets a number in G's one
+    numbering (``_numbering``), which every orbit under G shares.
+    Closing it after the key elements of P are numbered conjugates each
+    element of their conjugacy classes in G once by each generator of G;
+    so after a Sylow request it holds the classes of the key elements of
+    the tower's steps P_1 < ... < P_k and of the Sylow subgroup, not the
+    union of the Sylow subgroups.  A conjugate's key is its sorted
     numbers, each mapped through one generator's conjugation list.
 
     Returns the orbit (a dict from each key to its record in the Schreier
@@ -122,7 +154,7 @@ def _orbit(G: PermGroup, P: PermGroup, cap: int | None = None,
     own edges, where it is 1.
     """
     numbering = _numbering(G)
-    seed = tuple(sorted(numbering.number(x.images) for x in P.elements(cap)))
+    seed = tuple(sorted(numbering.number(x.images) for x in _key(P, cap)))
     numbering.close()
     conj = numbering.conj
 
@@ -145,9 +177,9 @@ def _orbit(G: PermGroup, P: PermGroup, cap: int | None = None,
 
 
 def _transversal(G: PermGroup, record) -> Permutation:
-    """The element of G that a Schreier-tree record stands for: the
-    product of the generators on its path from the root, found by walking
-    up the parents."""
+    """The element u of G that a Schreier-tree record stands for, so that
+    its conjugate is u^-1 P u: the product of the generators on its path
+    from the root, found by walking up the parents."""
     path = []
     while record is not None:
         record, k = record
@@ -158,17 +190,29 @@ def _transversal(G: PermGroup, record) -> Permutation:
     return u
 
 
+def _transversals(G: PermGroup, records):
+    """The elements ``_transversal`` gives for each of an orbit's records,
+    taken in discovery order, so that each is its parent's element times
+    one generator."""
+    u_of = {id(None): G.identity()}
+    for record in records:
+        if record is not None:
+            parent, k = record
+            u_of[id(record)] = u_of[id(parent)] * G.generators[k]
+        yield u_of[id(record)]
+
+
 def _conjugates(G: PermGroup, P: PermGroup, p: int | None = None,
                 cap: int | None = None, limit: int | None = None,
-                what: str = "orbit") -> list[tuple[int, ...]]:
-    """The orbit of P under conjugation by G, each conjugate as the
-    sorted numbers of its elements in G's numbering.  With ``p``, P is a
-    Sylow p-subgroup of G, and the orbit's length, nu(G, p), is asserted
-    to be 1 mod p.
+                what: str = "orbit") -> list:
+    """The orbit of P under conjugation by G, each conjugate as its
+    Schreier-tree record (``_transversals`` turns them into their elements
+    of G).  With ``p``, P is a Sylow p-subgroup of G, and the orbit's
+    length, nu(G, p), is asserted to be 1 mod p.
     """
     seen, _ = _orbit(G, P, cap, limit, what)
     assert p is None or len(seen) % p == 1, "Sylow count must be 1 mod p"
-    return list(seen)
+    return list(seen.values())
 
 
 def nu_p(G: PermGroup, p: int, cap: int | None = None) -> int:
@@ -189,11 +233,15 @@ def sylow_subgroups(G: PermGroup, p: int, cap: int | None = None) -> tuple[froze
     """
     check_prime(p)
     P = sylow_subgroup(G, p, cap)
-    seen = _conjugates(G, P, p, cap, limit=config.element_cap(cap) // P.order(),
-                       what="Sylow subgroup enumeration")
-    tables = _numbering(G).tables
-    conjugates = sorted(([tables[i] for i in s] for s in seen), key=sorted)
-    return tuple(frozenset(map(Permutation, s)) for s in conjugates)
+    records = _conjugates(G, P, p, cap, limit=config.element_cap(cap) // P.order(),
+                          what="Sylow subgroup enumeration")
+    els = P.elements(cap)
+
+    def members(u):
+        u_inv = u.inverse()
+        return frozenset(u_inv * x * u for x in els)
+
+    return tuple(sorted(map(members, _transversals(G, records)), key=sorted))
 
 
 def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int,
@@ -214,8 +262,14 @@ def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int,
     sylows = _conjugates(G, P, p, cap)
     nu_G = len(sylows)
     nu_H = len(_conjugates(H, Q, p, cap))
-    q_set = frozenset(_numbering(G).index[x.images] for x in Q.elements())
-    containing = sum(1 for s in sylows if q_set.issubset(s))
+    p_set = frozenset(P.elements(cap))
+
+    def holds_Q(u):
+        # u^-1 P u holds Q exactly when P holds u Q u^-1
+        u_inv = u.inverse()
+        return all(u * q * u_inv in p_set for q in Q.generators)
+
+    containing = sum(map(holds_Q, _transversals(G, sylows)))
     unique_containment = containing == 1
     # |H : N_H(P)| need not be 1 mod p, so this orbit carries no p
     product_covers = len(_conjugates(H, P, cap=cap)) == nu_G

@@ -115,6 +115,34 @@ def sylow_by_scan(G: PermGroup, p: int, gens=()) -> list[Permutation]:
     return gens
 
 
+def sylow_key_by_closure(P: PermGroup) -> set[Permutation]:
+    """The elements other than 1 of order at most m, for the least m at
+    which they generate P, each candidate m tested by ``brute_closure``."""
+    els = brute_closure(P.degree, P.generators)
+    for m in sorted({x.order() for x in els}):
+        key = {x for x in els if 1 < x.order() <= m}
+        if len(brute_closure(P.degree, key)) == len(els):
+            return key
+    return set()
+
+
+def conjugates_by_sets(G: PermGroup, P: PermGroup) -> list[frozenset[Permutation]]:
+    """The orbit of P under conjugation by G, breadth-first, each
+    conjugate keyed by the frozenset of all its elements conjugated one by
+    one with raw products."""
+    start = frozenset(brute_closure(P.degree, P.generators))
+    seen = {start}
+    queue = [start]
+    for s in queue:
+        for g in G.generators:
+            g_inv = g.inverse()
+            t = frozenset(g_inv * x * g for x in s)
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return queue
+
+
 def centralizer(G: PermGroup, x: Permutation, cap: int | None = None) -> PermGroup:
     """Centralizer of x in G by brute scan over the element list."""
     if x not in G:

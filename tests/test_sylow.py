@@ -20,6 +20,7 @@ import sylowlab
 
 from conftest import (
     alternating,
+    conjugates_by_sets,
     cyclic,
     dihedral,
     klein_four,
@@ -28,6 +29,7 @@ from conftest import (
     perm,
     prime_factors,
     sylow_by_scan,
+    sylow_key_by_closure,
     symmetric,
 )
 from sylowlab.actions import (
@@ -48,10 +50,13 @@ from sylowlab.errors import (
     PreconditionFailed,
     SylowNotContained,
 )
-from sylowlab.group import PermGroup, is_subgroup, normalizer, p_residual
+from sylowlab import sylow
+from sylowlab.group import PermGroup, conjugacy_class, is_subgroup, normalizer, p_residual
 from sylowlab.lattice import subgroup_lattice
 from sylowlab.perm import Permutation
 from sylowlab.sylow import (
+    _conjugates,
+    _key,
     nu_monotonicity_check,
     nu_fpr_identity_check,
     nu_p,
@@ -216,18 +221,33 @@ class TestNu:
             assert nu_p(G, p) == len(orbit) == len(by_lattice)
             assert set(orbit) == by_lattice
 
-    @pytest.mark.parametrize("p, union_size", [(2, 4096), (3, 1233)])
-    def test_numbering_holds_the_union_of_the_sylow_subgroups(self, p, union_size):
+    @pytest.mark.parametrize("label, p, numbered", [
+        ("A8", 2, 315), ("A8", 3, 1232), ("A9", 2, 1323)])
+    def test_numbering_holds_the_classes_of_the_key_elements(self, label, p, numbered,
+                                                           monkeypatch):
         """The tower's steps and the final orbit share G's one numbering,
-        so it holds exactly the p-elements of G: 1 + 210 + 105 + 2520 +
-        1260 at p = 2, and 1 + 112 + 1120 at p = 3."""
-        G = construct_text("A8")
+        which holds exactly the conjugacy classes of their key elements:
+        for A8, the 210 + 105 involutions at p = 2 and the 112 + 1120
+        elements of order 3 at p = 3; for A9 at p = 2, the 378 + 945
+        involutions."""
+        steps = []
+        orbit = sylow._orbit
+
+        def recording(G, P, *args, **kwargs):
+            steps.append(P)
+            return orbit(G, P, *args, **kwargs)
+
+        monkeypatch.setattr(sylow, "_orbit", recording)
+        G = construct_text(label)
         nu_p(G, p)
-        union = frozenset().union(*sylow_subgroups(construct_text("A8"), p))
-        assert len(union) == union_size
+        classes = set()
+        for P in steps:
+            for x in sylow_key_by_closure(P):
+                if x not in classes:
+                    classes |= conjugacy_class(G, x)
         tables = G._numbering.tables
-        assert len(tables) == len(set(tables)) == len(union)
-        assert {Permutation(t) for t in tables} == union
+        assert len(tables) == len(set(tables)) == len(classes) == numbered
+        assert {Permutation(t) for t in tables} == classes
 
     def test_congruent_one_mod_p(self):
         for make in (lambda: symmetric(4), lambda: alternating(5),
@@ -236,6 +256,38 @@ class TestNu:
             for p in (2, 3, 5):
                 if G.order() % p == 0:
                     assert nu_p(G, p) % p == 1
+
+
+class TestConjugationKey:
+    """Conjugates are keyed by their elements of low order (``_key``); the
+    oracle ``conjugates_by_sets`` keys them by all their elements, and
+    ``sylow_key_by_closure`` finds the key by raw closures."""
+
+    @pytest.mark.parametrize("label", [e.label for e in catalog_upto(2000)] + ["A7", "A8"])
+    def test_orbits_match_full_set_keys(self, label):
+        """At every prime: the orbit of the Sylow subgroup, of Q = <x> for
+        the largest p-element x of G, and of the Sylow subgroup grown
+        from Q."""
+        G = construct_text(label) if label in ("A7", "A8") else catalog_entry(label).build()
+        for p in prime_factors(G.order()):
+            x = next(y for y in reversed(G.elements()) if p_part(y.order(), p) == y.order())
+            Q = PermGroup(G.degree, [x])
+            for P, q in ((sylow_subgroup(G, p), p), (Q, None),
+                         (sylow_subgroup_containing(G, Q, p), p)):
+                assert set(_key(P)) == sylow_key_by_closure(P), (label, p)
+                assert len(_conjugates(G, P, q)) == len(conjugates_by_sets(G, P)), (label, p)
+
+    @pytest.mark.parametrize("label, p", [
+        ("C4", 2), ("C8", 2), ("C9", 3), ("C12", 2), ("Q8", 2), ("SL(2,3)", 2), ("SL(2,5)", 2)])
+    def test_key_reaches_order_p_squared(self, label, p):
+        """Where the elements of order p generate a proper subgroup of P,
+        the key must take elements of order p^2 or more."""
+        G = catalog_entry(label).build()
+        P = sylow_subgroup(G, p)
+        key = _key(P)
+        assert set(key) == sylow_key_by_closure(P)
+        assert max(x.order() for x in key) >= p * p
+        assert len(_conjugates(G, P, p)) == len(conjugates_by_sets(G, P))
 
 
 class TestLatticeSylowCounts:
@@ -379,6 +431,30 @@ class TestMonotonicity:
                 assert d["sylows_of_G_containing_Q"] == sum(1 for s in sylows if Q <= s)
                 assert d["product_covers_G"] == (
                     len(h) * len(N) // len(h & N) == G.order())
+
+
+    @pytest.mark.parametrize("entry", catalog_upto(500), ids=lambda e: e.label)
+    def test_containment_matches_a_count_over_sylow_subgroups(self, entry):
+        """For one subgroup H per lattice class: the Sylow subgroups of G
+        containing Q, read off transversal elements, against a count over
+        the element sets of ``sylow_subgroups(G, p)``, which are the
+        lattice's subgroups of order |G|_p in sorted order."""
+        G = entry.build()
+        lat = subgroup_lattice(G)
+        ctx = lat.ctx
+        for p in prime_factors(G.order()):
+            target = p_part(G.order(), p)
+            sylows = sylow_subgroups(G, p)
+            assert sylows == tuple(sorted(
+                (frozenset(ctx.elements[e] for e in s)
+                 for s in lat.element_sets if len(s) == target), key=sorted))
+            for members in lat.classes().values():
+                H = lat.subgroup(members[0])
+                Q = frozenset(sylow_subgroup(H, p).elements())
+                count = sum(1 for s in sylows if Q <= s)
+                d = nu_monotonicity_check(G, H, p).details
+                assert d["sylows_of_G_containing_Q"] == count, (entry.label, p)
+                assert d["unique_containment"] == (count == 1)
 
 
 class TestQuotientIdentity:
