@@ -32,6 +32,7 @@ from conftest import (
     sylow_key_by_closure,
     symmetric,
 )
+from sylowlab import sylow
 from sylowlab.actions import (
     canonical_p_element,
     min_fpr_p_element,
@@ -50,7 +51,6 @@ from sylowlab.errors import (
     PreconditionFailed,
     SylowNotContained,
 )
-from sylowlab import sylow
 from sylowlab.group import PermGroup, conjugacy_class, is_subgroup, normalizer, p_residual
 from sylowlab.lattice import subgroup_lattice
 from sylowlab.perm import Permutation
@@ -431,7 +431,6 @@ class TestMonotonicity:
                 assert d["sylows_of_G_containing_Q"] == sum(1 for s in sylows if Q <= s)
                 assert d["product_covers_G"] == (
                     len(h) * len(N) // len(h & N) == G.order())
-
 
     @pytest.mark.parametrize("entry", catalog_upto(500), ids=lambda e: e.label)
     def test_containment_matches_a_count_over_sylow_subgroups(self, entry):
