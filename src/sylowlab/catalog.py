@@ -114,10 +114,18 @@ _FAMILIES = frozenset("SACD")
 _MATRIX = frozenset({"SL", "PSL", "Borel"})
 
 
+# The parser and every walk over an expression tree (order prediction,
+# construction, printing) recurse a few frames per level, so a tree or a
+# parenthesis nesting deeper than this is refused, well inside Python's
+# default recursion limit of 1000 frames.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.nesting = 0
 
     def error(self, message: str, offset: int | None = None):
         raise ExprSyntaxError(
@@ -160,43 +168,59 @@ class _Parser:
         return int(value)
 
     def parse(self) -> GroupExpr:
-        e = self.expr()
+        e, _ = self.expr()
         kind, value, offset = self.peek()
         if kind != "end":
             self.error(f"trailing input {value!r}", offset)
         return e
 
-    def expr(self) -> GroupExpr:
-        e = self.term()
+    # expr, term and factor return an expression with its depth, the
+    # number of x and wr nodes on its longest path from the root
+
+    def node_depth(self, depth: int, other: int, offset: int) -> int:
+        """Depth of a new x or wr node at offset over two operands."""
+        depth = max(depth, other) + 1
+        if depth > MAX_DEPTH:
+            self.error(f"expression deeper than {MAX_DEPTH} x/wr levels", offset)
+        return depth
+
+    def expr(self) -> tuple[GroupExpr, int]:
+        e, depth = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "name" and value == "x":
                 self.take()
-                e = Product(e, self.term())
+                right, other = self.term()
+                e, depth = Product(e, right), self.node_depth(depth, other, offset)
             else:
-                return e
+                return e, depth
 
-    def term(self) -> GroupExpr:
-        e = self.factor()
+    def term(self) -> tuple[GroupExpr, int]:
+        e, depth = self.factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "name" and value == "wr":
                 self.take()
-                e = Wreath(e, self.factor())
+                top, other = self.factor()
+                e, depth = Wreath(e, top), self.node_depth(depth, other, offset)
             else:
-                return e
+                return e, depth
 
-    def factor(self) -> GroupExpr:
+    def factor(self) -> tuple[GroupExpr, int]:
         kind, value, offset = self.peek()
         if kind == "punct" and value == "(":
+            self.nesting += 1
+            if self.nesting > MAX_DEPTH:
+                self.error(f"parentheses nested deeper than {MAX_DEPTH}", offset)
             self.take()
-            e = self.expr()
+            inner = self.expr()
             self.expect_punct(")")
-            return e
+            self.nesting -= 1
+            return inner
         if kind == "bracket":
-            return self.generator_literal()
+            return self.generator_literal(), 0
         if kind == "name":
-            return self.atom()
+            return self.atom(), 0
         self.error("expected a group atom", offset)
 
     def atom(self) -> GroupExpr:

@@ -2,8 +2,11 @@
 
 Graphs are given as loop-free adjacency bitmasks: adj[v] has bit w set
 iff v and w are joined.  The clique solver is branch and bound with a
-greedy-coloring upper bound; its preprocessing works on whole rows, as
-binary strings and byte strings, never bit by bit.  It is deterministic.
+greedy-coloring upper bound.  Its preprocessing takes each row in one
+of two forms: a list of the positions on the row's short side (the
+non-neighbours of a dense row, the neighbours of a sparse one), or,
+near half density, the whole row as a binary string and a byte string.
+It is deterministic.
 """
 
 from __future__ import annotations
@@ -13,6 +16,16 @@ from operator import itemgetter, sub
 from .errors import OutOfDomain
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
+_BIT = (1).__lshift__
+
+# A row whose short side has more than m / _CROSSOVER of the m vertices
+# stays whole.  Both forms cost about the same near a fifth: with every
+# row forced into one form, preprocessing seeded random graphs on 600
+# vertices took 52 ms as lists against 58 ms whole at density 0.2, and
+# 98 ms against 93 ms at 0.25 (2-core host); on 1,200 vertices the two
+# met at 0.2.  A list pays per position in Python, a whole row pays per
+# bit in C, so the ratio moves little with m.
+_CROSSOVER = 5
 
 
 def _permute(rows: list[int], n: int, order: list[int]) -> list[int]:
@@ -31,20 +44,109 @@ def _bits(row: int, m: int) -> bytes:
     return f"{row:0{m}b}"[::-1].encode().translate(_BITS)
 
 
-def _degeneracy_order(m: int, adj: list[int]) -> list[int]:
+def _positions(mask: int) -> list[int]:
+    """The set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _short_sides(adj: list[int], n: int, order: list[int]) -> list:
+    """The short side of each row of the subgraph on the vertices in order.
+
+    For v in order, entry v is (1, non-neighbours) for a dense row,
+    (-1, neighbours) for a sparse one, or None when the shorter of the
+    two has more than 1/_CROSSOVER of the subgraph's vertices and the
+    row is kept whole.  Positions are vertex numbers, lowest first.
+    """
+    m = len(order)
+    keep = sum(map(_BIT, order))
+    sides: list = [None] * n
+    for v in order:
+        row = adj[v] & keep
+        d = row.bit_count()
+        if _CROSSOVER * min(d, m - 1 - d) > m:
+            continue
+        if 2 * d > m - 1:
+            sides[v] = (1, _positions(keep ^ row ^ 1 << v))
+        else:
+            sides[v] = (-1, _positions(row))
+    return sides
+
+
+def _relabel(adj: list[int], n: int, order: list[int],
+             sides: list) -> tuple[list[int], list]:
+    """The subgraph on the vertices in order, vertex order[i] renumbered i.
+
+    Returns its rows and their short sides in the new numbering; sides
+    are those of ``_short_sides`` for this order.  A row with a short
+    side is built from its list: a dense row is every bit but its own
+    and its list's.  The whole rows are picked together by ``_permute``.
+    """
+    m = len(order)
+    full = (1 << m) - 1
+    new = [-1] * n
+    for i, v in enumerate(order):
+        new[v] = i
+    at = new.__getitem__
+    rows = [0] * m
+    out: list = [None] * m
+    whole = []
+    for i, v in enumerate(order):
+        side = sides[v]
+        if side is None:
+            whole.append(i)
+            continue
+        step, ws = side
+        ws = list(map(at, ws))
+        bits = sum(map(_BIT, ws))
+        rows[i] = full ^ 1 << i ^ bits if step > 0 else bits
+        out[i] = (step, ws)
+    if whole:
+        picked = _permute([adj[order[i]] for i in whole], n, order)
+        for i, row in zip(whole, picked):
+            rows[i] = row
+    return rows, out
+
+
+def _remove(deg: list[int], row: int, side, m: int) -> None:
+    """Lower deg by one at each neighbour of a removed vertex.
+
+    A kept degree is the true one plus a shared offset, the number of
+    dense vertices removed so far.  Removing a dense vertex lowers every
+    other degree by one, which is the offset and leaves the minimum and
+    the maximum where they are, so only its non-neighbours are raised,
+    back by one.
+    """
+    if side is None:
+        deg[:] = map(sub, deg, _bits(row, m))
+    else:
+        step, ws = side
+        for w in ws:
+            deg[w] += step
+
+
+def _degeneracy_order(m: int, adj: list[int], sides: list) -> list[int]:
     """Vertices in smallest-last order; reversing it colors dense parts first.
 
     Each step removes the vertex of least degree among those left, the
-    lowest-numbered one on a tie.  Degrees are kept in a list: the
-    removed vertex's row, one byte per bit, is subtracted from it, and
-    the vertex itself is parked above every degree still possible.
+    lowest-numbered one on a tie.  Degrees are kept in a list, updated
+    by ``_remove`` through each removed row's short side, or its whole
+    row where sides[v] is None; the removed vertex is parked at 2m.
+    After r removals a live vertex has at most m - 1 - r neighbours left
+    and the offset is at most r, so its kept degree is at most m - 1; a
+    parked degree falls by at most one per removal, so it stays at m or
+    above.
     """
     deg = [row.bit_count() for row in adj]
     out = []
     for _ in range(m):
         v = deg.index(min(deg))
         out.append(v)
-        deg = list(map(sub, deg, _bits(adj[v], m)))
+        _remove(deg, adj[v], sides[v], m)
         deg[v] = 2 * m
     out.reverse()
     return out
@@ -54,11 +156,18 @@ def max_clique(n: int, adj: list[int]) -> tuple[int, tuple[int, ...]]:
     """Size and vertex set of a maximum clique.
 
     Twin vertices are merged first and the rest relabeled in degeneracy
-    order; each relabeling is one ``_permute`` of the rows.  Candidates are
-    greedily colored each step; a branch is cut when the current clique
-    plus the color count cannot beat the incumbent, which is seeded with
-    a greedy clique.  A row with its own bit (a loop) raises OutOfDomain:
-    the greedy seed would never shrink its candidates.
+    order.  After the merge each row is read once for its short side
+    (``_short_sides``): a dense row becomes the list of its
+    non-neighbours, a sparse row the list of its neighbours, and a row
+    near half density stays whole.  Both relabelings (``_relabel``) and
+    the degree updates of the ordering and of the greedy warm start
+    (``_remove``) go through a row's list where it has one, so they touch
+    only those positions, and through the whole row, as a binary string
+    or a byte string, where it has none.  Candidates are greedily
+    colored each step; a branch is cut when the current clique plus the
+    color count cannot beat the incumbent, which is seeded with a greedy
+    clique.  A row with its own bit (a loop) raises OutOfDomain: the
+    greedy seed would never shrink its candidates.
     """
     if any(row >> v & 1 for v, row in enumerate(adj)):
         raise OutOfDomain("loops are not allowed")
@@ -71,14 +180,16 @@ def max_clique(n: int, adj: list[int]) -> tuple[int, tuple[int, ...]]:
         first.setdefault(row, v)
     reps = list(first.values())
     m = len(reps)
-    small = _permute([adj[v] for v in reps], n, reps)
-    label = _degeneracy_order(m, small)
+    small, sides = _relabel(adj, n, reps, _short_sides(adj, n, reps))
+    label = _degeneracy_order(m, small, sides)
     back = [reps[v] for v in label]
-    g = _permute([small[v] for v in label], m, label)
+    g, sides = _relabel(small, m, label, sides)
 
     # greedy warm start: always take the candidate of highest residual
     # degree, the lowest-numbered one on a tie; degrees are kept as in
-    # _degeneracy_order, with dropped candidates parked below zero
+    # _degeneracy_order, with dropped candidates parked at -2m: a live
+    # candidate's kept degree is at least the offset, and a parked one
+    # gains at most one per dense drop, so it stays below -m
     deg = [row.bit_count() for row in g]
     cand = (1 << m) - 1
     seed = []
@@ -87,10 +198,8 @@ def max_clique(n: int, adj: list[int]) -> tuple[int, tuple[int, ...]]:
         seed.append(v)
         gone = cand & ~g[v]
         cand &= g[v]
-        while gone:
-            w = (gone & -gone).bit_length() - 1
-            gone &= gone - 1
-            deg = list(map(sub, deg, _bits(g[w], m)))
+        for w in _positions(gone):
+            _remove(deg, g[w], sides[w], m)
             deg[w] = -2 * m
     best = len(seed)
     best_set = tuple(seed)

@@ -10,6 +10,7 @@ from sylowlab.catalog import (
     CatalogEntry,
     FamilyAtom,
     GensAtom,
+    MAX_DEPTH,
     MatrixAtom,
     Product,
     Wreath,
@@ -103,12 +104,28 @@ class TestParser:
             ("[(1 2", 0),
             ("123", 0),
             ("S3 C2", 3),
+            # one level past MAX_DEPTH: the offending (, x or wr
+            pytest.param("(" * (MAX_DEPTH + 1) + "C2" + ")" * (MAX_DEPTH + 1),
+                         MAX_DEPTH, id="deep-parentheses"),
+            pytest.param(" x ".join(["C1"] * (MAX_DEPTH + 2)), 5 * (MAX_DEPTH + 1) - 2,
+                         id="deep-product"),
+            pytest.param(" wr ".join(["C1"] * (MAX_DEPTH + 2)), 6 * (MAX_DEPTH + 1) - 3,
+                         id="deep-wreath"),
+            pytest.param("C1 x (" * MAX_DEPTH + "C1 wr C1" + ")" * MAX_DEPTH, 3,
+                         id="deep-mixed"),
         ],
     )
     def test_syntax_errors_carry_offsets(self, text, offset):
         with pytest.raises(ExprSyntaxError) as exc:
             parse_group_expr(text)
         assert exc.value.offset == offset
+
+    def test_depth_at_the_limit_builds(self):
+        # parentheses and x/wr levels both at the limit, together
+        text = "C1 x (" * MAX_DEPTH + "C1" + ")" * MAX_DEPTH
+        assert construct_text(text).order() == 1
+        text = "(" * MAX_DEPTH + " wr ".join(["C1"] * (MAX_DEPTH + 1)) + ")" * MAX_DEPTH
+        assert str(parse_group_expr(text)) == " wr ".join(["C1"] * (MAX_DEPTH + 1))
 
 
 class TestConstruct:

@@ -458,6 +458,28 @@ class TestInputValidation:
         assert rep["error"]["type"] == "ExprSyntaxError"
         assert "line 2" in rep["error"]["message"] and "3 x" in rep["error"]["message"]
 
+    # 500 nested parentheses and a 1,200-factor product once ran out of
+    # Python's recursion limit; the parser refuses both at depth 101
+    DEEP = {"parentheses": ("(" * 500 + "C2" + ")" * 500, 100),
+            "product": (" x ".join(["C2"] * 1200), 5 * 101 - 2)}
+
+    @pytest.mark.parametrize("shape", sorted(DEEP))
+    @pytest.mark.parametrize("argv", [
+        ["compute", "nu", "-p", "2", "--group"],
+        ["verify", "sylow-ratio-bound", "--group", "A5", "-p", "2", "--sub"]],
+        ids=["group", "sub"])
+    def test_deep_expression_is_a_syntax_error(self, argv, shape):
+        text, offset = self.DEEP[shape]
+        env = dict(os.environ, PYTHONPATH=str(Path(sylowlab.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "sylowlab.cli", *argv, text],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        rep = json.loads(proc.stdout)
+        assert not rep["ok"]
+        assert rep["error"]["type"] == "ExprSyntaxError"
+        assert rep["error"]["message"].endswith(f"(at offset {offset})")
+
     def test_zero_denominator_bound_is_a_usage_error(self):
         env = dict(os.environ, PYTHONPATH=str(Path(sylowlab.__file__).parents[1]))
         proc = subprocess.run(

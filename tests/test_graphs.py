@@ -18,7 +18,7 @@ import pytest
 import sylowlab
 from sylowlab import graphs
 from sylowlab.catalog import catalog_upto, construct_text
-from sylowlab.cliques import _degeneracy_order, max_clique
+from sylowlab.cliques import _degeneracy_order, _short_sides, max_clique
 from sylowlab.errors import CapExceeded, OutOfDomain, PreconditionFailed
 from sylowlab.graphs import (
     BitGraph,
@@ -84,6 +84,10 @@ def bron_kerbosch_max(n, adj):
 
 
 def random_graph(rng, n, density):
+    """Each pair an edge with probability density; a pair (d, e) of
+    densities gives ``joined_graph(rng, n, d, e)``."""
+    if isinstance(density, tuple):
+        return joined_graph(rng, n, *density)
     adj = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
@@ -91,6 +95,31 @@ def random_graph(rng, n, density):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
+
+
+def joined_graph(rng, n, dense, sparse):
+    """A dense block joined to a sparse one: each vertex falls in one of
+    two blocks at random, pairs inside a block are edges with that
+    block's density, and every pair across the blocks is an edge.  The
+    dense block's rows are nearly full and the sparse block's near half
+    density, so ``max_clique`` meets rows of both forms, interleaved."""
+    block = [rng.random() < 0.5 for _ in range(n)]
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if block[i] != block[j] or rng.random() < (dense if block[i] else sparse):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+# a dense block joined to a sparse one, as one more density input
+JOINED = pytest.param((0.97, 0.03), id="joined")
+
+
+def seed_of(density):
+    """The random seed of a test on graphs of this density (or pair)."""
+    return int((density[0] if isinstance(density, tuple) else density) * 10)
 
 
 def twin_graph(rng, n, k, density):
@@ -114,6 +143,12 @@ def smallest_last_by_definition(n, adj):
         out.append(v)
         left.remove(v)
     return out[::-1]
+
+
+def degeneracy_order(n, adj):
+    """``_degeneracy_order`` on the whole graph, with the short sides
+    that ``_short_sides`` reads off its rows."""
+    return _degeneracy_order(n, adj, _short_sides(adj, n, list(range(n))))
 
 
 def complete_graph(n):
@@ -459,29 +494,29 @@ class TestMaxCliqueSolver:
 
 
 class TestDegeneracyOrder:
-    @pytest.mark.parametrize("density", [0.1, 0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("density", [0.1, 0.3, 0.5, 0.8, 0.95, 0.98, JOINED])
     def test_random_graphs_match_definition(self, density):
-        rng = random.Random(int(density * 10))
+        rng = random.Random(seed_of(density))
         for n in (1, 2, 3, 4, 6, 10, 16, 25, 40):
             for _ in range(3):
                 adj = random_graph(rng, n, density)
-                assert _degeneracy_order(n, adj) == smallest_last_by_definition(n, adj)
+                assert degeneracy_order(n, adj) == smallest_last_by_definition(n, adj)
 
     def test_ties_go_to_the_lowest_index(self):
         # edgeless and complete graphs: every step is a tie
-        assert _degeneracy_order(5, [0] * 5) == [4, 3, 2, 1, 0]
-        assert _degeneracy_order(4, list(complete_graph(4).adj)) == [3, 2, 1, 0]
+        assert degeneracy_order(5, [0] * 5) == [4, 3, 2, 1, 0]
+        assert degeneracy_order(4, list(complete_graph(4).adj)) == [3, 2, 1, 0]
         # path 0-1-2: 0 and 2 tie at degree 1, then 1 and 2 tie at degree 1
-        assert _degeneracy_order(3, [0b010, 0b101, 0b010]) == [2, 1, 0]
+        assert degeneracy_order(3, [0b010, 0b101, 0b010]) == [2, 1, 0]
         # star centred at 3: the leaves go first, lowest index first
         star = [0b1000, 0b1000, 0b1000, 0b0111]
-        assert _degeneracy_order(4, star) == [3, 2, 1, 0]
+        assert degeneracy_order(4, star) == [3, 2, 1, 0]
 
     def test_twins_match_definition(self):
         rng = random.Random(7)
         for n, k in [(12, 4), (30, 9), (50, 20)]:
             adj = twin_graph(rng, n, k, 0.6)
-            assert _degeneracy_order(n, adj) == smallest_last_by_definition(n, adj)
+            assert degeneracy_order(n, adj) == smallest_last_by_definition(n, adj)
 
 
 # (size, sha256 of repr(witness)) from ``max_clique_reference`` where it
@@ -498,15 +533,15 @@ class TestMaxCliqueMatchesReference:
     ``max_clique_reference``, the same algorithm relabeling bit by bit,
     so no clique number or clique witness in a report moves."""
 
-    @pytest.mark.parametrize("density", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("density", [0.2, 0.5, 0.9, 0.97, JOINED])
     def test_random_graphs(self, density):
-        rng = random.Random(int(density * 10))
+        rng = random.Random(seed_of(density))
         for n in (0, 1, 2, 3, 5, 9, 17, 33, 50, 80):
             for _ in range(3):
                 adj = random_graph(rng, n, density)
                 assert max_clique(n, list(adj)) == max_clique_reference(n, adj)
 
-    @pytest.mark.parametrize("density", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("density", [0.2, 0.5, 0.9, 0.97])
     def test_graphs_with_twins(self, density):
         rng = random.Random(int(density * 10))
         for n, k in [(2, 1), (7, 3), (20, 6), (45, 15), (80, 30)]:
