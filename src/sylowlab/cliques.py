@@ -2,46 +2,25 @@
 
 Graphs are given as loop-free adjacency bitmasks: adj[v] has bit w set
 iff v and w are joined.  The clique solver is branch and bound with a
-greedy-coloring upper bound.  Its preprocessing takes each row in one
-of two forms: a list of the positions on the row's short side (the
-non-neighbours of a dense row, the neighbours of a sparse one), or,
-near half density, the whole row as a binary string and a byte string.
-It is deterministic.
+greedy-coloring upper bound.  Its preprocessing reads each row once as
+a list of the positions on its short side (the non-neighbours of a
+dense row, the neighbours of a sparse one) and works on these lists
+from then on.  It is deterministic.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter, sub
+from itertools import compress
 
 from .errors import OutOfDomain
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
 _BIT = (1).__lshift__
 
-# A row whose short side has more than m / _CROSSOVER of the m vertices
-# stays whole.  Both forms cost about the same near a fifth: with every
-# row forced into one form, preprocessing seeded random graphs on 600
-# vertices took 52 ms as lists against 58 ms whole at density 0.2, and
-# 98 ms against 93 ms at 0.25 (2-core host); on 1,200 vertices the two
-# met at 0.2.  A list pays per position in Python, a whole row pays per
-# bit in C, so the ratio moves little with m.
-_CROSSOVER = 5
 
-
-def _permute(rows: list[int], n: int, order: list[int]) -> list[int]:
-    """Each n-bit row with bit i of the result taken from bit order[i].
-
-    A row is written as at least n binary digits, most significant
-    first, so bit v is digit -1 - v: the new digits are picked in one
-    step and parsed back with ``int``.
-    """
-    pick = itemgetter(*[-1 - v for v in reversed(order)])
-    return [int("".join(pick(f"{row:0{n}b}")), 2) for row in rows]
-
-
-def _bits(row: int, m: int) -> bytes:
-    """Bit i of an m-bit row as byte i, 0 or 1."""
-    return f"{row:0{m}b}"[::-1].encode().translate(_BITS)
+def _bits(row: int, n: int) -> bytes:
+    """Bit i of an n-bit row as byte i, 0 or 1."""
+    return f"{row:0{n}b}"[::-1].encode().translate(_BITS)
 
 
 def _positions(mask: int) -> list[int]:
@@ -54,65 +33,60 @@ def _positions(mask: int) -> list[int]:
     return out
 
 
-def _short_sides(adj: list[int], n: int, order: list[int]) -> list:
-    """The short side of each row of the subgraph on the vertices in order.
+def _short_sides(adj: list[int], n: int, reps: list[int]) -> list[tuple[int, list[int]]]:
+    """The short side of each row of the subgraph on the vertices in reps.
 
-    For v in order, entry v is (1, non-neighbours) for a dense row,
-    (-1, neighbours) for a sparse one, or None when the shorter of the
-    two has more than 1/_CROSSOVER of the subgraph's vertices and the
-    row is kept whole.  Positions are vertex numbers, lowest first.
+    Entry i, for vertex reps[i], is (1, non-neighbours) for a dense row
+    or (-1, neighbours) for a sparse one, with vertex reps[j] numbered
+    j.  A row's positions are picked from its bytes by ``compress``, one
+    pass in C over its n bits, where a loop over the set bits of a row
+    near half density costs several times as much.
     """
-    m = len(order)
-    keep = sum(map(_BIT, order))
-    sides: list = [None] * n
-    for v in order:
+    m = len(reps)
+    keep = sum(map(_BIT, reps))
+    new = [0] * n
+    for i, v in enumerate(reps):
+        new[v] = i
+    sides = []
+    for v in reps:
         row = adj[v] & keep
-        d = row.bit_count()
-        if _CROSSOVER * min(d, m - 1 - d) > m:
-            continue
-        if 2 * d > m - 1:
-            sides[v] = (1, _positions(keep ^ row ^ 1 << v))
+        if 2 * row.bit_count() > m - 1:
+            sides.append((1, list(compress(new, _bits(keep ^ row ^ 1 << v, n)))))
         else:
-            sides[v] = (-1, _positions(row))
+            sides.append((-1, list(compress(new, _bits(row, n)))))
     return sides
 
 
-def _relabel(adj: list[int], n: int, order: list[int],
-             sides: list) -> tuple[list[int], list]:
-    """The subgraph on the vertices in order, vertex order[i] renumbered i.
+def _relabel(sides: list[tuple[int, list[int]]],
+             order: list[int]) -> tuple[list[int], list[tuple[int, list[int]]]]:
+    """The graph with vertex order[i] renumbered i: its rows and sides.
 
-    Returns its rows and their short sides in the new numbering; sides
-    are those of ``_short_sides`` for this order.  A row with a short
-    side is built from its list: a dense row is every bit but its own
-    and its list's.  The whole rows are picked together by ``_permute``.
+    A row is written as binary digits, all 1 for a dense row and all 0
+    for a sparse one, then flipped at its list's positions; a dense
+    row's own digit is set to 0.
     """
     m = len(order)
-    full = (1 << m) - 1
-    new = [-1] * n
+    new = [0] * m
     for i, v in enumerate(order):
         new[v] = i
     at = new.__getitem__
-    rows = [0] * m
-    out: list = [None] * m
-    whole = []
+    rows = []
+    out = []
     for i, v in enumerate(order):
-        side = sides[v]
-        if side is None:
-            whole.append(i)
-            continue
-        step, ws = side
+        step, ws = sides[v]
         ws = list(map(at, ws))
-        bits = sum(map(_BIT, ws))
-        rows[i] = full ^ 1 << i ^ bits if step > 0 else bits
-        out[i] = (step, ws)
-    if whole:
-        picked = _permute([adj[order[i]] for i in whole], n, order)
-        for i, row in zip(whole, picked):
-            rows[i] = row
+        digits = bytearray(b"1" * m if step > 0 else b"0" * m)
+        flip = 48 if step > 0 else 49
+        for w in ws:
+            digits[w] = flip
+        digits[i] = 48
+        digits.reverse()
+        rows.append(int(digits, 2))
+        out.append((step, ws))
     return rows, out
 
 
-def _remove(deg: list[int], row: int, side, m: int) -> None:
+def _remove(deg: list[int], side: tuple[int, list[int]]) -> None:
     """Lower deg by one at each neighbour of a removed vertex.
 
     A kept degree is the true one plus a shared offset, the number of
@@ -121,32 +95,28 @@ def _remove(deg: list[int], row: int, side, m: int) -> None:
     the maximum where they are, so only its non-neighbours are raised,
     back by one.
     """
-    if side is None:
-        deg[:] = map(sub, deg, _bits(row, m))
-    else:
-        step, ws = side
-        for w in ws:
-            deg[w] += step
+    step, ws = side
+    for w in ws:
+        deg[w] += step
 
 
-def _degeneracy_order(m: int, adj: list[int], sides: list) -> list[int]:
+def _degeneracy_order(m: int, sides: list[tuple[int, list[int]]]) -> list[int]:
     """Vertices in smallest-last order; reversing it colors dense parts first.
 
     Each step removes the vertex of least degree among those left, the
     lowest-numbered one on a tie.  Degrees are kept in a list, updated
-    by ``_remove`` through each removed row's short side, or its whole
-    row where sides[v] is None; the removed vertex is parked at 2m.
-    After r removals a live vertex has at most m - 1 - r neighbours left
-    and the offset is at most r, so its kept degree is at most m - 1; a
-    parked degree falls by at most one per removal, so it stays at m or
-    above.
+    by ``_remove`` through each removed vertex's short side; the removed
+    vertex is parked at 2m.  After r removals a live vertex has at most
+    m - 1 - r neighbours left and the offset is at most r, so its kept
+    degree is at most m - 1; a parked degree falls by at most one per
+    removal, so it stays at m or above.
     """
-    deg = [row.bit_count() for row in adj]
+    deg = [m - 1 - len(ws) if step > 0 else len(ws) for step, ws in sides]
     out = []
     for _ in range(m):
         v = deg.index(min(deg))
         out.append(v)
-        _remove(deg, adj[v], sides[v], m)
+        _remove(deg, sides[v])
         deg[v] = 2 * m
     out.reverse()
     return out
@@ -158,16 +128,14 @@ def max_clique(n: int, adj: list[int]) -> tuple[int, tuple[int, ...]]:
     Twin vertices are merged first and the rest relabeled in degeneracy
     order.  After the merge each row is read once for its short side
     (``_short_sides``): a dense row becomes the list of its
-    non-neighbours, a sparse row the list of its neighbours, and a row
-    near half density stays whole.  Both relabelings (``_relabel``) and
-    the degree updates of the ordering and of the greedy warm start
-    (``_remove``) go through a row's list where it has one, so they touch
-    only those positions, and through the whole row, as a binary string
-    or a byte string, where it has none.  Candidates are greedily
-    colored each step; a branch is cut when the current clique plus the
-    color count cannot beat the incumbent, which is seeded with a greedy
-    clique.  A row with its own bit (a loop) raises OutOfDomain: the
-    greedy seed would never shrink its candidates.
+    non-neighbours, a sparse row the list of its neighbours.  The
+    degeneracy order, the relabeled rows (``_relabel``) and the degree
+    updates of the greedy warm start (``_remove``) all come from these
+    lists, so each touches only a row's short side.  Candidates are
+    greedily colored each step; a branch is cut when the current clique
+    plus the color count cannot beat the incumbent, which is seeded with
+    a greedy clique.  A row with its own bit (a loop) raises
+    OutOfDomain: the greedy seed would never shrink its candidates.
     """
     if any(row >> v & 1 for v, row in enumerate(adj)):
         raise OutOfDomain("loops are not allowed")
@@ -180,10 +148,10 @@ def max_clique(n: int, adj: list[int]) -> tuple[int, tuple[int, ...]]:
         first.setdefault(row, v)
     reps = list(first.values())
     m = len(reps)
-    small, sides = _relabel(adj, n, reps, _short_sides(adj, n, reps))
-    label = _degeneracy_order(m, small, sides)
+    sides = _short_sides(adj, n, reps)
+    label = _degeneracy_order(m, sides)
     back = [reps[v] for v in label]
-    g, sides = _relabel(small, m, label, sides)
+    g, sides = _relabel(sides, label)
 
     # greedy warm start: always take the candidate of highest residual
     # degree, the lowest-numbered one on a tie; degrees are kept as in
@@ -199,7 +167,7 @@ def max_clique(n: int, adj: list[int]) -> tuple[int, tuple[int, ...]]:
         gone = cand & ~g[v]
         cand &= g[v]
         for w in _positions(gone):
-            _remove(deg, g[w], sides[w], m)
+            _remove(deg, sides[w])
             deg[w] = -2 * m
     best = len(seed)
     best_set = tuple(seed)

@@ -102,7 +102,8 @@ def joined_graph(rng, n, dense, sparse):
     two blocks at random, pairs inside a block are edges with that
     block's density, and every pair across the blocks is an edge.  The
     dense block's rows are nearly full and the sparse block's near half
-    density, so ``max_clique`` meets rows of both forms, interleaved."""
+    density, so ``max_clique`` meets short sides of both kinds and of
+    very different lengths, interleaved."""
     block = [rng.random() < 0.5 for _ in range(n)]
     adj = [0] * n
     for i in range(n):
@@ -148,7 +149,7 @@ def smallest_last_by_definition(n, adj):
 def degeneracy_order(n, adj):
     """``_degeneracy_order`` on the whole graph, with the short sides
     that ``_short_sides`` reads off its rows."""
-    return _degeneracy_order(n, adj, _short_sides(adj, n, list(range(n))))
+    return _degeneracy_order(n, _short_sides(adj, n, list(range(n))))
 
 
 def complete_graph(n):
