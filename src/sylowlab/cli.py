@@ -276,6 +276,10 @@ def _report(kind: str, name: str, options: dict) -> dict:
     """Run one check or quantity on resolved options; errors become
     structured entries.  An unknown id raises KeyError.
 
+    Every exception, a library error or a failed internal assertion
+    alike, becomes an ``error`` entry naming its type, never ``ok: true``
+    or a traceback.
+
     A check's ``runtime_ms`` is the wall time of the whole handler call,
     its precondition work included.
     """
@@ -286,7 +290,7 @@ def _report(kind: str, name: str, options: dict) -> dict:
         start = time.perf_counter()
         result = run(options)
         runtime_ms = int((time.perf_counter() - start) * 1000)
-    except (SylowlabError, OSError) as err:
+    except Exception as err:
         return out | _failure(err)
     if kind == "quantity":
         return out | encode_value(result) | {"ok": True}

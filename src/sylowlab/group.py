@@ -163,13 +163,18 @@ class _Chain:
         residue, level = self._sift_from(g, 0)
         return level == len(self.base) and residue.is_identity()
 
-    def add_gen(self, g: Permutation) -> bool:
-        """Sift ``g`` and absorb it if new.  Returns True when the chain grew."""
+    def add_gen(self, g: Permutation, order: int | None = None) -> bool:
+        """Sift ``g`` and absorb it if new.  Returns True when the chain grew.
+
+        ``order`` is the known order of a group that contains every
+        generator sifted in; the closing stops as soon as the chain's
+        order reaches it (``_close``).
+        """
         residue, level = self._sift_from(g, 0)
         if level == len(self.base) and residue.is_identity():
             return False
         self._insert(residue, level)
-        self._close(level)
+        self._close(level, order)
         return True
 
     def _insert(self, g: Permutation, level: int) -> None:
@@ -185,11 +190,18 @@ class _Chain:
                           Permutation.__mul__, Permutation.identity(self.degree))
         self.orbits[i] = {beta: (u, u.inverse()) for beta, u in trans.items()}
 
-    def _close(self, start: int) -> None:
-        # levels deeper than ``start`` are already up to date
+    def _close(self, start: int, order: int | None = None) -> None:
+        # levels deeper than ``start`` are already up to date.  Each orbit,
+        # even one left stale by a deeper insertion, is an orbit of a
+        # subgroup of <S> on base[i] whose stabilizer holds the next level's
+        # group, so the product of the orbit lengths is at most |<S>|; once
+        # it reaches the known ``order`` of a group containing S, <S> is
+        # that group and every level is complete
         i = start
         while i >= 0:
             self._recompute_orbit(i)
+            if order is not None and self.order() == order:
+                return
             inserted_at = self._check_schreier(i)
             if inserted_at is None:
                 i -= 1

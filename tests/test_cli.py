@@ -267,6 +267,24 @@ class TestPlumbing:
         with pytest.raises(KeyError):
             run_check("bogus", {})
 
+    @pytest.mark.parametrize("error", [
+        RuntimeError("boom"), AssertionError("Sylow count must be 1 mod p")],
+        ids=["RuntimeError", "AssertionError"])
+    def test_any_exception_is_a_structured_error(self, capsys, monkeypatch, error):
+        def failing(options):
+            raise error
+
+        monkeypatch.setitem(cli.CHECKS, "covering-lower-bound", failing)
+        monkeypatch.setitem(cli.QUANTITIES, "nu", failing)
+        want = {"type": type(error).__name__, "message": str(error)}
+        rep = run_check("covering-lower-bound", {"p": 2})
+        assert rep["ok"] is False and rep["error"] == want
+        for argv in (["verify", "covering-lower-bound", "--group", "S3", "-p", "2"],
+                     ["compute", "nu", "--group", "S3", "-p", "2"]):
+            rc, rep = run(capsys, *argv)
+            assert rc == 1
+            assert rep["ok"] is False and rep["error"] == want
+
     @pytest.mark.parametrize("groups", [("A4", "A5"), ("A5", "A4")])
     def test_sub_padded_to_each_group(self, capsys, groups):
         argv = ["verify", "sylow-ratio-bound", "--sub", "[(1 2)(3 4), (1 2 3)]", "-p", "3"]

@@ -5,6 +5,7 @@ image tables directly and never touches the stabilizer chain.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,6 +171,58 @@ def test_least_walks_in_sorted_order(entry):
     top = max(x.order() for x in els)
     for pred in (lambda x: x.order() == top, lambda x: x.images[-1] == 1):
         assert chain.least(pred) == min((x for x in els if pred(x)), default=None)
+
+
+def _random_subgroups_of_s8(count: int = 12, seed: int = 8):
+    """Generator lists of seeded random subgroups of S8: one to three
+    generators, each a random permutation of a random set of points."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            support = rng.sample(range(1, 9), rng.randint(2, 8))
+            images = list(range(1, 9))
+            for a, b in zip(support, rng.sample(support, len(support))):
+                images[a - 1] = b
+            gens.append(Permutation(images))
+        yield gens
+
+
+def _is_complete(chain: _Chain) -> bool:
+    """Every orbit is closed under its level's strong generators, and every
+    Schreier generator u * s * u'^-1 sifts to 1 through the deeper levels."""
+    for i, orbit in enumerate(chain.orbits):
+        for u, _ in orbit.values():
+            for s in chain.strong_gens(i):
+                image = orbit.get(s(u(chain.base[i])))
+                if image is None:
+                    return False
+                residue, level = chain._sift_from(u * s * image[1], i + 1)
+                if level < len(chain.base) or not residue.is_identity():
+                    return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "degree, gens",
+    [(e.build().degree, e.build().generators) for e in catalog_upto(500)]
+    + [(8, gens) for gens in _random_subgroups_of_s8()],
+    ids=[e.label for e in catalog_upto(500)] + [f"S8-random-{i}" for i in range(12)])
+def test_closing_at_the_known_order_gives_a_complete_chain(degree, gens):
+    """A chain whose closing stops once its order reaches the known order
+    of the group lists the elements of a full closure and is a complete
+    BSGS, on the default base and on the base 1..degree."""
+    full = _Chain(degree)
+    for g in gens:
+        full.add_gen(g)
+    order, els = full.order(), sorted(full.elements())
+    for base in ((), tuple(range(1, degree + 1))):
+        chain = _Chain(degree, base)
+        for g in gens:
+            chain.add_gen(g, order)
+        assert chain.order() == order
+        assert sorted(chain.elements()) == els
+        assert _is_complete(chain)
 
 
 class TestOrbits:

@@ -8,6 +8,7 @@ normalizer tower picks is checked against ``sylow_by_scan``, the same
 rule applied to the sorted element list.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ import sylowlab
 
 from conftest import (
     alternating,
+    brute_closure,
     conjugates_by_sets,
     cyclic,
     dihedral,
@@ -149,6 +151,59 @@ class TestSylowSubgroup:
             assert sylow_subgroup_containing(G, Q, p).generators == PermGroup(
                 G.degree, sylow_by_scan(G, p, [x])).generators, (label, p)
 
+    # sha256 of repr([g.images for g in sylow_subgroup(G, p, cap).generators]),
+    # frozen from the normalizer tower before it walked through Omega_1(Z(P))
+    TOWER_DIGESTS = {
+        ("A9", 2): "23de9c5dfa847ab61b112647a6f169cf93888cfdc1e7e4aac9b960c037c5b52e",
+        ("A9", 3): "fc374cf7a33a72824c60e7b2469e151ed855d4b282b2728d3aa38adb807e49fe",
+        ("A9", 5): "285ca0b64456915f01f30f0376b658d54063a23d5292bcca220132fc26a53cf4",
+        ("A9", 7): "629802eb6aa8d0174f6b5ba0bc63cb053661f04d06189aef52ab7b9bbf54f621",
+        ("S8", 2): "45d45abc1b62976b4fb5797e70492e47f6dbee3c275ffd9e9ff070b29310bcf8",
+        ("S8", 3): "d003beb28ec712db307a8a2bfd078e264d57b3e1de6aa19dfbe12c9c258e6c97",
+        ("S8", 5): "1d64c3f1229c7f82c26183ac45aa9236fddd5e27d21afd4a483bee0faaef6166",
+        ("S8", 7): "6b0490462fd7ff5963fa1cb4572ad03374953855c22996dbe7bdfdfdf3e0e9ea",
+        ("S9", 2): "a152212ae4c44761fb92cae2730e9104f8391984cf3cd9e7ab0125a01c095b88",
+        ("S9", 3): "fc374cf7a33a72824c60e7b2469e151ed855d4b282b2728d3aa38adb807e49fe",
+        ("S9", 5): "285ca0b64456915f01f30f0376b658d54063a23d5292bcca220132fc26a53cf4",
+        ("S9", 7): "629802eb6aa8d0174f6b5ba0bc63cb053661f04d06189aef52ab7b9bbf54f621",
+        ("A10", 2): "dcd7cc0f697c16e3e40ce0dd74ec7b59057bce932f0620e23bc60a0843467bca",
+    }
+
+    @pytest.mark.parametrize("label, p", list(TOWER_DIGESTS))
+    def test_tower_generators_frozen(self, label, p):
+        """Past ``test_tower_matches_scan``'s range, where no scan of the
+        element list runs; A10 with the element cap raised."""
+        cap = 10**8 if label == "A10" else None
+        gens = sylow_subgroup(construct_text(label), p, cap).generators
+        digest = hashlib.sha256(repr([g.images for g in gens]).encode()).hexdigest()
+        assert digest == self.TOWER_DIGESTS[label, p]
+
+    @pytest.mark.parametrize("label, p", [
+        ("A8", 2), ("A8", 3), ("A9", 2), ("S8", 2), ("PSL(2,13)", 2),
+        ("C2 wr C2 wr C2", 2), ("SL(2,5)", 2), ("C3 wr C3", 3)])
+    def test_each_tower_step_gets_its_normalizer(self, label, p, monkeypatch):
+        """Each step's chain, built through Omega_1(Z(P_i)) where that is
+        smaller than P_i, has order |G| / |P_i^G|, for the orbit keyed by
+        whole element sets (``conjugates_by_sets``), and each of its
+        generators normalizes P_i."""
+        steps = []
+        normalizer_chain = sylow._normalizer_chain
+
+        def recording(G, P, *args, **kwargs):
+            chain = normalizer_chain(G, P, *args, **kwargs)
+            steps.append((P, chain))
+            return chain
+
+        monkeypatch.setattr(sylow, "_normalizer_chain", recording)
+        G = construct_text(label)
+        sylow_subgroup(G, p)
+        assert len(steps) > 1
+        for P, chain in steps:
+            assert chain.order() == G.order() // len(conjugates_by_sets(G, P)), (label, P)
+            members = set(brute_closure(P.degree, P.generators))
+            for g in chain.strong_gens(0):
+                assert {g.inverse() * x * g for x in P.generators} <= members
+
     def test_tower_keeps_the_element_cap(self):
         # the tower lists no element of G, but refuses where listing G would
         with pytest.raises(CapExceeded) as info:
@@ -225,17 +280,20 @@ class TestNu:
         ("A8", 2, 315), ("A8", 3, 1232), ("A9", 2, 1323)])
     def test_numbering_holds_the_classes_of_the_key_elements(self, label, p, numbered,
                                                            monkeypatch):
-        """The tower's steps and the final orbit share G's one numbering,
+        """The orbits under G, of the tower's steps or of their
+        Omega_1(Z(P_i)) and of the final count, share G's one numbering,
         which holds exactly the conjugacy classes of their key elements:
         for A8, the 210 + 105 involutions at p = 2 and the 112 + 1120
         elements of order 3 at p = 3; for A9 at p = 2, the 378 + 945
-        involutions."""
+        involutions.  An orbit under N_G(Omega_1(Z(P_i))) numbers its
+        elements in that subgroup's own numbering."""
         steps = []
         orbit = sylow._orbit
 
-        def recording(G, P, *args, **kwargs):
-            steps.append(P)
-            return orbit(G, P, *args, **kwargs)
+        def recording(H, P, *args, **kwargs):
+            if H is G:
+                steps.append(P)
+            return orbit(H, P, *args, **kwargs)
 
         monkeypatch.setattr(sylow, "_orbit", recording)
         G = construct_text(label)
@@ -248,6 +306,27 @@ class TestNu:
         tables = G._numbering.tables
         assert len(tables) == len(set(tables)) == len(classes) == numbered
         assert {Permutation(t) for t in tables} == classes
+
+    def test_tower_work_for_alternating_9_at_2(self, monkeypatch):
+        """The orbits the tower walks for nu_2(A9), as (under G, length):
+        one-level steps while Omega_1(Z(P_i)) = P_i (P_i of order 1, 2 and
+        4), then the orbit of Omega_1(Z(P_i)) under G and of P_i under its
+        normalizer.  6,566 conjugates in all; a one-level walk of every
+        step under G met 12,790."""
+        lengths = []
+        orbit = sylow._orbit
+
+        def recording(H, P, *args, **kwargs):
+            out = orbit(H, P, *args, **kwargs)
+            lengths.append((H is G, len(out[0])))
+            return out
+
+        monkeypatch.setattr(sylow, "_orbit", recording)
+        G = construct_text("A9")
+        sylow_subgroup(G, 2)
+        assert lengths == [(True, 1), (True, 378), (True, 126), (True, 378), (False, 10),
+                           (True, 2835), (False, 2), (True, 2835), (False, 1)]
+        assert sum(n for _, n in lengths) == 6566
 
     def test_congruent_one_mod_p(self):
         for make in (lambda: symmetric(4), lambda: alternating(5),
