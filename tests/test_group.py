@@ -205,7 +205,7 @@ def _is_complete(chain: _Chain) -> bool:
 
 @pytest.mark.parametrize(
     "degree, gens",
-    [(e.build().degree, e.build().generators) for e in catalog_upto(500)]
+    [(G.degree, G.generators) for G in (e.build() for e in catalog_upto(500))]
     + [(8, gens) for gens in _random_subgroups_of_s8()],
     ids=[e.label for e in catalog_upto(500)] + [f"S8-random-{i}" for i in range(12)])
 def test_closing_at_the_known_order_gives_a_complete_chain(degree, gens):

@@ -189,8 +189,8 @@ class TestSylowSubgroup:
         steps = []
         normalizer_chain = sylow._normalizer_chain
 
-        def recording(G, P, *args, **kwargs):
-            chain = normalizer_chain(G, P, *args, **kwargs)
+        def recording(H, P, *args, **kwargs):
+            chain = normalizer_chain(H, P, *args, **kwargs)
             steps.append((P, chain))
             return chain
 
