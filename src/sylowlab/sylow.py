@@ -92,7 +92,7 @@ def sylow_subgroup_containing(G: PermGroup, Q: PermGroup, p: int,
         return Q
 
     def least_normalizing(P, gens, pred):
-        return _normalizer_chain(G, _listed(G.degree, gens, P), p, cap).least(pred)
+        return _normalizer_chain(G, _listed(G.degree, gens, P), p).least(pred)
 
     P, gens = grow_sylow(
         p, target, frozenset(Q.elements(cap)), Q.generators, Permutation.order,
@@ -126,9 +126,10 @@ def _omega_centre(P: PermGroup, p: int) -> PermGroup:
     return _listed(P.degree, central, [P.identity(), *central])
 
 
-def _normalizer_chain(G: PermGroup, P: PermGroup, p: int, cap: int | None = None) -> _Chain:
-    """N_G(P) for a p-subgroup P of G, as a chain on the base 1..degree,
-    the shape ``_Chain.least`` walks.
+def _normalizer_chain(G: PermGroup, P: PermGroup, p: int) -> _Chain:
+    """N_G(P) for a p-subgroup P of G that carries its element list
+    (``_listed``), as a chain on the base 1..degree, the shape
+    ``_Chain.least`` walks.
 
     Z = Omega_1(Z(P)) is characteristic in P, so N_G(P) <= N_G(Z): unless
     Z = P, N_G(Z) is built first from Z's orbit under G, and P's orbit is
@@ -136,12 +137,12 @@ def _normalizer_chain(G: PermGroup, P: PermGroup, p: int, cap: int | None = None
     """
     Z = _omega_centre(P, p)
     if len(Z.elements()) < len(P.elements()):
-        chain, gens = _stabilizer(G, Z, cap)
+        chain, gens = _stabilizer(G, Z)
         G = PermGroup(G.degree, gens, _chain=chain)  # N_G(Z)
-    return _stabilizer(G, P, cap)[0]
+    return _stabilizer(G, P)[0]
 
 
-def _stabilizer(G: PermGroup, P: PermGroup, cap: int | None = None):
+def _stabilizer(G: PermGroup, P: PermGroup):
     """N_G(P), the stabilizer of P in its conjugation orbit: its chain on
     the base 1..degree and the Schreier generators that grew it.
 
@@ -149,7 +150,7 @@ def _stabilizer(G: PermGroup, P: PermGroup, cap: int | None = None):
     sifted in only until the chain reaches that order, and each closing
     stops there too (``_Chain.add_gen``).
     """
-    orbit, schreier = _orbit(G, P, cap)
+    orbit, schreier = _orbit(G, P)
     order = G.order() // len(orbit)
     chain = _Chain.ordered(G.degree)
     gens = []
