@@ -3,7 +3,8 @@
 Walks the two headline families: the alternating pair where the
 (p-1)/(2p-1) ratio is attained exactly, and the Borel subgroup of
 SL(2,8) where the ratio 2/(p+2) slips past the refined 1/(p+1) bound.
-Then checks nu_p(H)/nu_p(G) = fpr(P, G/H) for the maximal A6 < A7.
+Then checks nu_p(H)/nu_p(G) = fpr(P, G/H) for the maximal A6 < A7 and
+A9 < A10, the second with |A10| above the element cap.
 """
 
 from fractions import Fraction
@@ -51,6 +52,9 @@ def main():
     A7 = construct_text("A7")
     show("nu_5(A6)/nu_5(A7) = fpr of a Sylow 5 on the 7 points",
          nu_fpr_identity_check(A7, point_stabilizer(A7, 7), 5))
+    A10 = construct_text("A10")  # above the element cap; the index is 10
+    show("nu_3(A9)/nu_3(A10) = fpr of a Sylow 3 on the 10 points",
+         nu_fpr_identity_check(A10, point_stabilizer(A10, 10), 3))
 
     print()
     scan = sylow_ratio_gap_scan(

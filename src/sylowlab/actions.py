@@ -23,7 +23,6 @@ from .errors import (
 )
 from .group import (
     PermGroup,
-    _Chain,
     conjugacy_class,
     is_subgroup,
     orbit_map,
@@ -76,19 +75,23 @@ class CosetAction:
     """Action of a group on the right cosets of a subgroup.
 
     Points are numbered 1..degree; point i corresponds to the coset
-    ``H * rep`` for ``rep = point_map[i-1]`` and to the conjugate
-    subgroup ``rep^-1 H rep``.  Point 1 is the coset H itself.
+    ``H * rep`` for ``rep = point_map[i-1]``, the coset's least element,
+    and to the conjugate subgroup ``rep^-1 H rep``.  Point 1 is the coset
+    H itself.  x maps point i to the coset of ``rep * x``, found as its
+    least element on ``chain``, H's chain; with ``chain`` None the points
+    are G's own and act(x) = x.
     """
 
     __slots__ = ("group", "point_stabilizer", "degree", "point_map",
-                 "_elt_to_point")
+                 "_chain", "_point_of")
 
-    def __init__(self, group, point_stabilizer, point_map, elt_to_point):
+    def __init__(self, group, point_stabilizer, point_map, chain):
         self.group = group
         self.point_stabilizer = point_stabilizer
         self.degree = len(point_map)
         self.point_map = point_map
-        self._elt_to_point = elt_to_point
+        self._chain = chain
+        self._point_of = {rep: i for i, rep in enumerate(point_map, 1)}
 
     def act(self, x: Permutation) -> Permutation:
         """The permutation of 1..degree induced by x."""
@@ -98,10 +101,10 @@ class CosetAction:
 
     def _induced(self, x: Permutation) -> Permutation:
         """``act`` without its membership test, for x known to lie in the group."""
-        if self._elt_to_point is None:
+        if self._chain is None:
             return x
-        lookup = self._elt_to_point
-        return Permutation(tuple(lookup[(rep * x).images]
+        least, point_of = self._chain.least, self._point_of
+        return Permutation(tuple(point_of[least(start=rep * x)]
                                  for rep in self.point_map))
 
     def fixed_points(self, x: Permutation) -> tuple[int, ...]:
@@ -132,10 +135,10 @@ def coset_action(G: PermGroup, H: PermGroup, cap: int | None = None) -> CosetAct
         raise NotASubgroup("H is not a subgroup of G")
     if H.order() == G.order():
         raise PreconditionFailed("H must be a proper subgroup")
-    point_map, elt_to_point = right_cosets(G, H, cap)
+    point_map = right_cosets(G, H, cap)
     assert len(point_map) * H.order() == G.order(), \
         "coset sweep must reach the full index"
-    return CosetAction(G, H, point_map, elt_to_point)
+    return CosetAction(G, H, point_map, H.chain())
 
 
 def natural_action(G: PermGroup) -> CosetAction:
@@ -251,9 +254,9 @@ def min_fpr_p_element(action: CosetAction, p: int,
     p-element is conjugate into a Sylow p-subgroup P, so the least
     (ratio, order) is read off P's nontrivial elements.  The returned
     element is the least of G, by image table, with that ratio and
-    order, found by walking a chain of G on the base 1..degree
-    (``_Chain.least``): ties break toward smaller element order, then
-    lexicographically smaller image table.  G is never listed.
+    order, found by walking G's chain (``_Chain.least``): ties break
+    toward smaller element order, then lexicographically smaller image
+    table.  G is never listed.
     """
     from .sylow import sylow_subgroup
 
@@ -267,8 +270,7 @@ def min_fpr_p_element(action: CosetAction, p: int,
 
     P = sylow_subgroup(G, p, cap)
     best, o = min((ratio(x), x.order()) for x in P.elements(cap) if not x.is_identity())
-    x = _Chain.ordered(G.degree, G.generators).least(
-        lambda x: x.order() == o and ratio(x) == best)
+    x = G.chain().least(lambda x: x.order() == o and ratio(x) == best)
     assert x is not None, "a conjugate of a Sylow element must be met"
     return x, best
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 
 from .errors import ClassNotCoverable, PreconditionFailed
-from .group import PermGroup, conjugacy_class, element_orders, p_residual
+from .graphs import pi_elements
+from .group import PermGroup, conjugacy_class, p_residual
 from .lattice import subgroup_lattice
 from .perm import Permutation
 from .reports import CheckReport
@@ -21,10 +22,9 @@ from .tables import check_prime, is_p_power
 
 
 def p_elements(G: PermGroup, p: int, cap: int | None = None) -> frozenset[Permutation]:
-    """All elements of p-power order, including the identity."""
-    check_prime(p)
-    return frozenset(x for x, o in zip(G.elements(cap), element_orders(G, cap))
-                     if is_p_power(o, p))
+    """All elements of p-power order, including the identity: the
+    pi-elements for pi = {p}, whose listing checks p first."""
+    return frozenset(pi_elements(G, {p}, cap))
 
 
 def _cover_instance(lat, universe_idx: list[int], candidate_indices):

@@ -1,9 +1,10 @@
 """Finite permutation groups with a deterministic stabilizer chain.
 
-Orders and membership come from a Schreier-Sims stabilizer chain built
-deterministically (generators are sorted on construction, orbits are
-explored breadth-first, and each new base point is the smallest point
-moved by the residue that created it), so repeated runs agree exactly.
+Orders and membership come from a Schreier-Sims stabilizer chain on the
+base 1, 2, ..., degree, built deterministically (generators are sorted
+on construction and orbits are explored breadth-first), so repeated runs
+agree exactly.  The same chain walks a coset of the group in image-table
+order (``_Chain.least``).
 
 Enumeration-heavy helpers (element lists, conjugacy classes, brute-force
 normalizers) respect the element cap from :mod:`sylowlab.config`.
@@ -106,35 +107,35 @@ class Numbering:
 
 
 class _Chain:
-    """Base and strong generating set, built by deterministic Schreier-Sims.
+    """Stabilizer chain on the base 1, 2, ..., degree, built by
+    deterministic Schreier-Sims.
 
-    Level i stores the strong generators whose deepest fixed base prefix
-    is base[:i]; the group stabilizing base[:i] is generated by the
-    levels i and deeper.  Orbits are closed bottom-up with the classic
-    restart discipline, so after every ``add_gen`` the chain is a valid
-    BSGS and ``order``/``contains`` are exact.
+    Level i stores the strong generators that fix the points 1..i and
+    move point i + 1; the group fixing 1..i is generated by the levels i
+    and deeper, so a level without generators has the trivial orbit.
+    Orbits are closed bottom-up with the classic restart discipline, so
+    after every ``add_gen`` the chain is a valid BSGS and
+    ``order``/``contains`` are exact.
     """
 
-    __slots__ = ("degree", "base", "gens_at", "orbits")
+    __slots__ = ("degree", "gens_at", "orbits", "levels")
 
-    def __init__(self, degree: int, forced_base: tuple[int, ...] = ()):
+    def __init__(self, degree: int, gens: Iterable[Permutation] = ()):
         self.degree = degree
-        self.base: list[int] = list(forced_base)
-        self.gens_at: list[list[Permutation]] = [[] for _ in forced_base]
-        # orbits[i][beta] = (u, u_inv) with u(base[i]) == beta
-        self.orbits: list[dict[int, tuple[Permutation, Permutation]]] = []
+        self.gens_at: list[list[Permutation]] = [[] for _ in range(degree)]
+        # orbits[i][beta] = (u, u_inv) with u(i + 1) == beta
         ident = Permutation.identity(degree)
-        for b in forced_base:
-            self.orbits.append({b: (ident, ident)})
-
-    @classmethod
-    def ordered(cls, degree: int, gens: Iterable[Permutation] = ()) -> "_Chain":
-        """A chain on the base 1..degree, the shape ``least`` walks, with
-        ``gens`` sifted in."""
-        chain = cls(degree, tuple(range(1, degree + 1)))
+        self.orbits: list[dict[int, tuple[Permutation, Permutation]]] = [
+            {b: (ident, ident)} for b in range(1, degree + 1)]
+        # the orbits longer than 1, in base order, the levels that
+        # ``least`` and ``elements`` walk
+        self.levels: list[dict[int, tuple[Permutation, Permutation]]] = []
         for g in gens:
-            chain.add_gen(g)
-        return chain
+            self.add_gen(g)
+
+    @property
+    def base(self) -> range:
+        return range(1, self.degree + 1)
 
     def order(self) -> int:
         n = 1
@@ -144,24 +145,23 @@ class _Chain:
 
     def strong_gens(self, level: int) -> list[Permutation]:
         out: list[Permutation] = []
-        for j in range(level, len(self.base)):
-            out.extend(self.gens_at[j])
+        for gens in self.gens_at[level:]:
+            out.extend(gens)
         return out
 
     def _sift_from(self, g: Permutation, start: int) -> tuple[Permutation, int]:
-        for i in range(start, len(self.base)):
-            beta = g._images[self.base[i] - 1]
-            if beta == self.base[i]:
+        for i in range(start, self.degree):
+            beta = g._images[i]
+            if beta == i + 1:
                 continue
             pair = self.orbits[i].get(beta)
             if pair is None:
                 return g, i
             g = g * pair[1]
-        return g, len(self.base)
+        return g, self.degree
 
     def contains(self, g: Permutation) -> bool:
-        residue, level = self._sift_from(g, 0)
-        return level == len(self.base) and residue.is_identity()
+        return self._sift_from(g, 0)[1] == self.degree
 
     def add_gen(self, g: Permutation, order: int | None = None) -> bool:
         """Sift ``g`` and absorb it if new.  Returns True when the chain grew.
@@ -171,34 +171,32 @@ class _Chain:
         order reaches it (``_close``).
         """
         residue, level = self._sift_from(g, 0)
-        if level == len(self.base) and residue.is_identity():
+        if level == self.degree:
             return False
-        self._insert(residue, level)
+        self.gens_at[level].append(residue)
         self._close(level, order)
+        self.levels = [orb for orb in self.orbits if len(orb) > 1]
         return True
 
-    def _insert(self, g: Permutation, level: int) -> None:
-        if level == len(self.base):
-            self.base.append(min(g.moved_points()))
-            self.gens_at.append([])
-            ident = Permutation.identity(self.degree)
-            self.orbits.append({self.base[-1]: (ident, ident)})
-        self.gens_at[level].append(g)
-
     def _recompute_orbit(self, i: int) -> None:
-        trans = orbit_map(self.base[i], self.strong_gens(i), _image,
+        trans = orbit_map(i + 1, self.strong_gens(i), _image,
                           Permutation.__mul__, Permutation.identity(self.degree))
         self.orbits[i] = {beta: (u, u.inverse()) for beta, u in trans.items()}
 
     def _close(self, start: int, order: int | None = None) -> None:
         # levels deeper than ``start`` are already up to date.  Each orbit,
         # even one left stale by a deeper insertion, is an orbit of a
-        # subgroup of <S> on base[i] whose stabilizer holds the next level's
+        # subgroup of <S> on i + 1 whose stabilizer holds the next level's
         # group, so the product of the orbit lengths is at most |<S>|; once
         # it reaches the known ``order`` of a group containing S, <S> is
-        # that group and every level is complete
+        # that group and every level is complete.  A level without
+        # generators has the trivial orbit, and its Schreier generators
+        # are the deeper levels' own, so it is passed over
         i = start
         while i >= 0:
+            if not self.gens_at[i]:
+                i -= 1
+                continue
             self._recompute_orbit(i)
             if order is not None and self.order() == order:
                 return
@@ -217,27 +215,28 @@ class _Chain:
                 gamma = s._images[beta - 1]
                 schreier = u * s * trans[gamma][1]
                 residue, j = self._sift_from(schreier, i + 1)
-                if not (j == len(self.base) and residue.is_identity()):
-                    self._insert(residue, j)
+                if j < self.degree:
+                    self.gens_at[j].append(residue)
                     return j
         return None
 
-    def least(self, pred: Callable[[Permutation], bool]) -> Permutation | None:
-        """The least element, by image table, satisfying ``pred``, or None.
+    def least(self, pred: Callable[[Permutation], bool] | None = None,
+              start: Permutation | None = None) -> Permutation | None:
+        """The least element, by image table, of the coset H * ``start``
+        (H itself by default) satisfying ``pred``, or None.
 
-        Needs the base to be 1, 2, ..., k.  An element is a product
-        u_k * ... * u_1 of one transversal element per level, and its
-        image of i is the image of u_i(i) under u_(i-1) * ... * u_1, so a
-        depth-first walk that takes each level's orbit in the order of
-        that image meets the elements in ascending order and stops at the
-        first that satisfies ``pred``.
+        An element of H * start is a product u_k * ... * u_1 * start of one
+        transversal element per level, and its image of i is the image of
+        u_i(i) under u_(i-1) * ... * u_1 * start, so a depth-first walk
+        that takes each level's orbit in the order of that image meets the
+        elements in ascending order and stops at the first that satisfies
+        ``pred`` (the first of all when ``pred`` is None).
         """
-        assert self.base == list(range(1, len(self.base) + 1))
-        levels = [orb for orb in self.orbits if len(orb) > 1]
+        levels = self.levels
 
         def walk(i: int, w: Permutation) -> Permutation | None:
             if i == len(levels):
-                return w if pred(w) else None
+                return w if pred is None or pred(w) else None
             orb, images = levels[i], w._images
             for beta in sorted(orb, key=lambda b: images[b - 1]):
                 found = walk(i + 1, orb[beta][0] * w)
@@ -245,12 +244,11 @@ class _Chain:
                     return found
             return None
 
-        return walk(0, Permutation.identity(self.degree))
+        return walk(0, Permutation.identity(self.degree) if start is None else start)
 
     def elements(self) -> list[Permutation]:
         out = [Permutation.identity(self.degree)]
-        for i in range(len(self.base) - 1, -1, -1):
-            trans = self.orbits[i]
+        for trans in reversed(self.levels):
             out = [h * trans[beta][0] for beta in sorted(trans) for h in out]
         return out
 
@@ -306,17 +304,11 @@ class PermGroup:
 
     def chain(self) -> _Chain:
         if self._chain is None:
-            chain = _Chain(self._degree)
-            for g in self._generators:
-                chain.add_gen(g)
-            self._chain = chain
+            self._chain = _Chain(self._degree, self._generators)
         return self._chain
 
     def order(self) -> int:
         return self.chain().order()
-
-    def base(self) -> tuple[int, ...]:
-        return tuple(self.chain().base)
 
     def __contains__(self, g: Permutation) -> bool:
         if g.degree != self._degree:
@@ -505,43 +497,33 @@ def p_residual(G: PermGroup, p: int, cap: int | None = None) -> PermGroup:
 
 
 def point_stabilizer(G: PermGroup, point: int) -> PermGroup:
-    """Stabilizer of a point, read off a chain based at that point."""
+    """Stabilizer of a point, generated by the Schreier generators
+    u * g * u'^-1 of the point's orbit (Schreier's lemma)."""
     if not 1 <= point <= G.degree:
         raise ValueError(f"point {point} outside 1..{G.degree}")
-    chain = _Chain(G.degree, forced_base=(point,))
-    for g in G.generators:
-        chain.add_gen(g)
-    return PermGroup(G.degree, chain.strong_gens(1))
+    trans = orbit_map(point, G.generators, _image, Permutation.__mul__, G.identity())
+    return PermGroup(G.degree, [u * g * trans[g._images[beta - 1]].inverse()
+                                for beta, u in trans.items() for g in G.generators])
 
 
 def right_cosets(G: PermGroup, H: PermGroup, cap: int | None = None
-                 ) -> tuple[tuple[Permutation, ...], dict[tuple[int, ...], int]]:
+                 ) -> tuple[Permutation, ...]:
     """The right cosets H*g of a subgroup H, swept breadth-first from H itself.
 
     Returns the least element (by image table) of each coset, in discovery
-    order, and a lookup from the image table of every element of G to its
-    1-based coset number.  Each new coset costs |H| products, so the whole
-    sweep costs |G| products.
+    order.  A coset's least element is read off H's chain
+    (``_Chain.least``), so the sweep costs about |G:H| times the number
+    of generators walks of that chain, and the index must fit the
+    element cap.
     """
     limit = config.element_cap(cap)
-    if G.order() > limit:
-        raise CapExceeded("coset action", G.order(), limit)
-    h_els = H.elements(cap)
-    lookup: dict[tuple[int, ...], int] = {}
-    reps: list[Permutation] = []
-
-    def rep_of(x: Permutation) -> Permutation:
-        i = lookup.get(x.images)
-        if i is None:
-            translates = [h * x for h in h_els]
-            reps.append(min(translates))
-            i = len(reps)
-            for y in translates:
-                lookup[y.images] = i
-        return reps[i - 1]
-
-    orbit_map(rep_of(G.identity()), G.generators, lambda r, s: rep_of(r * s))
-    return tuple(reps), lookup
+    index = G.order() // H.order()
+    if index > limit:
+        raise CapExceeded("coset action", index, limit)
+    least = H.chain().least
+    # the identity is the least element of H
+    return tuple(orbit_map(G.identity(), G.generators,
+                           lambda r, s: least(start=r * s)))
 
 
 def quotient_group(G: PermGroup, N: PermGroup, cap: int | None = None
@@ -556,7 +538,7 @@ def quotient_group(G: PermGroup, N: PermGroup, cap: int | None = None
         raise NotASubgroup("N is not a subgroup of G")
     if not is_normal(G, N):
         raise NotNormal("N is not normal in G")
-    action = CosetAction(G, N, *right_cosets(G, N, cap))
+    action = CosetAction(G, N, right_cosets(G, N, cap), N.chain())
     Q = action.image(G.generators)
     if Q.order() * N.order() != G.order():
         raise AssertionError("coset action does not realize the quotient")

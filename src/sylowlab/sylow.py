@@ -152,7 +152,7 @@ def _stabilizer(G: PermGroup, P: PermGroup):
     """
     orbit, schreier = _orbit(G, P)
     order = G.order() // len(orbit)
-    chain = _Chain.ordered(G.degree)
+    chain = _Chain(G.degree)
     gens = []
     for s in schreier:
         if chain.order() == order:

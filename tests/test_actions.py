@@ -119,6 +119,17 @@ class TestCosetAction:
             coset_action(symmetric(4), PermGroup(4, [perm("(1 2)", 4)]),
                          cap=10)
 
+    def test_cap_bounds_the_index_not_the_group(self):
+        # 24 elements are above the cap of 10, the 4 cosets of the point
+        # stabilizer S3 of 4 are not; each x fixes as many cosets as points
+        G = symmetric(4)
+        H = PermGroup(4, [perm("(1 2)", 4), perm("(2 3)", 4)])
+        act = coset_action(G, H, cap=10)
+        assert act.degree == 4
+        for x in G.elements():
+            assert len(act.fixed_points(x)) == len(x.fixed_points())
+        assert act.image(G.generators).order() == 24
+
     def test_act_rejects_outsider(self):
         act = coset_action(alternating(4), klein())
         with pytest.raises(NotAMember):

@@ -49,6 +49,18 @@ class TestVerify:
         assert rep["details"]["nu_H"] == 36 and rep["details"]["nu_G"] == 126
         assert rep["details"]["sylow_ratio"] == {"num": 2, "den": 7}
 
+    def test_fpr_identity_above_the_element_cap(self, capsys):
+        # |A10| = 1814400 exceeds the element cap; the coset action needs
+        # only the index, 10.  P in Syl_3(A9) fixes the point 10, so
+        # nu_3(A10) = 10 nu_3(A9) and P fixes 1 of the 10 cosets
+        rc, rep = run(capsys, "verify", "sylow-fpr-identity",
+                      "--group", "A10", "--sub", "A9", "-p", "3")
+        assert rc == 0 and rep["ok"]
+        assert rep["details"]["nu_H"] == 1120 and rep["details"]["nu_G"] == 11200
+        assert rep["details"]["sylow_ratio"] == {"num": 1, "den": 10}
+        assert rep["details"]["fixed_point_ratio"] == {"num": 1, "den": 10}
+        assert rep["details"]["degree"] == 10
+
     def test_monotone(self, capsys):
         rc, rep = run(capsys, "verify", "sylow-monotone",
                       "--group", "S3", "--sub", "C3", "-p", "3")

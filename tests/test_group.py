@@ -105,10 +105,6 @@ class TestOrderAndMembership:
         assert perm("(1 3)(2 4)", 4) in G
         assert perm("(1 2)", 4) not in G
 
-    def test_base_is_deterministic(self):
-        a, b = alternating(5), alternating(5)
-        assert a.base() == b.base()
-
 
 class TestElements:
     def test_elements_sorted_and_complete(self):
@@ -161,16 +157,23 @@ def test_numbering_closes_under_conjugation(label):
 
 @pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
 def test_least_walks_in_sorted_order(entry):
-    """The depth-first walk of a chain on the base 1..degree returns the
-    first element of the sorted element list that satisfies the predicate."""
+    """The depth-first walk of a chain returns the first element of the
+    sorted element list that satisfies the predicate, and started at g,
+    the least element of the coset H * g, for H each class representative
+    of the lattice and g spread over G."""
     G = entry.build()
-    chain = _Chain(G.degree, tuple(range(1, G.degree + 1)))
-    for g in G.generators:
-        chain.add_gen(g)
+    chain = _Chain(G.degree, G.generators)
     els = sorted(G.elements())
     top = max(x.order() for x in els)
     for pred in (lambda x: x.order() == top, lambda x: x.images[-1] == 1):
         assert chain.least(pred) == min((x for x in els if pred(x)), default=None)
+    lat = subgroup_lattice(G)
+    starts = els[::max(1, len(els) // 12)] + list(G.generators)
+    for members in lat.classes().values():
+        H = lat.subgroup(members[0])
+        h_els = H.elements()
+        for g in starts:
+            assert H.chain().least(start=g) == min(h * g for h in h_els), (H, g)
 
 
 def _random_subgroups_of_s8(count: int = 12, seed: int = 8):
@@ -211,18 +214,15 @@ def _is_complete(chain: _Chain) -> bool:
 def test_closing_at_the_known_order_gives_a_complete_chain(degree, gens):
     """A chain whose closing stops once its order reaches the known order
     of the group lists the elements of a full closure and is a complete
-    BSGS, on the default base and on the base 1..degree."""
-    full = _Chain(degree)
-    for g in gens:
-        full.add_gen(g)
+    BSGS."""
+    full = _Chain(degree, gens)
     order, els = full.order(), sorted(full.elements())
-    for base in ((), tuple(range(1, degree + 1))):
-        chain = _Chain(degree, base)
-        for g in gens:
-            chain.add_gen(g, order)
-        assert chain.order() == order
-        assert sorted(chain.elements()) == els
-        assert _is_complete(chain)
+    chain = _Chain(degree)
+    for g in gens:
+        chain.add_gen(g, order)
+    assert chain.order() == order
+    assert sorted(chain.elements()) == els
+    assert _is_complete(chain)
 
 
 class TestOrbits:
@@ -282,8 +282,12 @@ class TestOrbits:
         S = point_stabilizer(G, 5)
         assert S.order() == 12
         assert all(x.images[4] == 5 for x in S.elements())
-        # oracle: stabilizer = brute filter
-        assert set(S.elements()) == {x for x in G.elements() if x.images[4] == 5}
+        # oracle: stabilizer = brute filter, at every point of three groups
+        for G in (symmetric(4), alternating(5), dihedral(6)):
+            for pt in range(1, G.degree + 1):
+                S = point_stabilizer(G, pt)
+                assert set(S.elements()) == {x for x in G.elements()
+                                             if x.images[pt - 1] == pt}, (G, pt)
 
     def test_point_stabilizer_index_is_orbit_size(self):
         for G in (symmetric(4), alternating(5), dihedral(6)):
@@ -487,18 +491,20 @@ def test_cache_is_filled_once(slot, compute):
 def test_right_cosets_over_catalog():
     for entry in catalog_upto(2000):
         G = entry.build()
-        images = {g.images for g in G.elements()}
+        els = set(G.elements())
         lat = subgroup_lattice(G)
         for i in range(len(lat)):
             H = lat.subgroup(i)
-            reps, lookup = right_cosets(G, H)
+            reps = right_cosets(G, H)
             assert len(reps) == G.order() // H.order()
-            assert len(lookup) == G.order() and set(lookup) == images
             assert reps[0] == min(H.elements())
-            for k, r in enumerate(reps, 1):
+            covered = set()
+            for r in reps:
                 coset = [h * r for h in H.elements()]
                 assert min(coset) == r
-                assert all(lookup[x.images] == k for x in coset)
+                covered.update(coset)
+            # the cosets partition G
+            assert covered == els
 
 
 class TestQuotient:

@@ -37,6 +37,7 @@ from conftest import (
 from sylowlab import sylow
 from sylowlab.actions import (
     canonical_p_element,
+    fpr_subgroup,
     min_fpr_p_element,
     natural_action,
     subset_fpr_formula,
@@ -606,6 +607,25 @@ class TestFprIdentity:
             fixed &= set(g.fixed_points())
         assert r.details["sylow_ratio"] == Fraction(len(fixed), n)
         assert r.details["degree"] == n
+
+    def test_alternating_10_over_9_past_the_element_cap(self):
+        # |A10| is above the element cap, but the index is 10.  A Sylow
+        # 3-subgroup P of A9 has orbits of sizes 9 and 1, so N_A10(P) fixes
+        # the point 10 and lies in A9: nu_3(A10) = 10 nu_3(A9), and P fixes
+        # one of the 10 cosets, the one of A9 itself
+        G = construct_text("A10")
+        H = PermGroup(10, [Permutation(g.images + (10,))
+                           for g in construct_text("A9").generators])
+        P = sylow_subgroup(H, 3)
+        assert sorted(map(len, P.orbits())) == [1, 9]
+        r = nu_fpr_identity_check(G, H, 3)
+        assert r.ok
+        assert r.details["nu_G"] == 10 * r.details["nu_H"]
+        assert (r.details["nu_H"], r.details["nu_G"]) == (1120, 11200)
+        assert r.details["sylow_ratio"] == r.details["fixed_point_ratio"] == Fraction(1, 10)
+        assert r.details["degree"] == 10
+        # the cosets of the point stabilizer A9 are the points of A10
+        assert fpr_subgroup(natural_action(G), P) == Fraction(1, 10)
 
     def test_rejects_whole_group(self):
         with pytest.raises(NotMaximal):
