@@ -42,6 +42,7 @@ class FamilyAtom:
 
     kind: str
     n: int
+    prec = 3
 
     def __str__(self) -> str:
         return f"{self.kind}{self.n}"
@@ -53,6 +54,7 @@ class MatrixAtom:
 
     kind: str
     q: int
+    prec = 3
 
     def __str__(self) -> str:
         return f"{self.kind}(2,{self.q})"
@@ -64,54 +66,53 @@ class GensAtom:
 
     degree: int
     cycles: tuple[str, ...]
+    prec = 3
 
     def __str__(self) -> str:
         return "[" + ", ".join(self.cycles) + "]"
 
 
+# Both operators are left-associative: a binary node prints its left
+# operand bare down to its own precedence and its right operand bare only
+# above it, so the printed text parses back to the same tree.
+
 @dataclass(frozen=True)
 class Product:
     left: "GroupExpr"
     right: "GroupExpr"
+    prec = 1
 
     def __str__(self) -> str:
-        return f"{_wrap(self.left, 1)} x {_wrap(self.right, 1)}"
+        return f"{_wrap(self.left, self.prec)} x {_wrap(self.right, self.prec + 1)}"
 
 
 @dataclass(frozen=True)
 class Wreath:
     base: "GroupExpr"
     top: "GroupExpr"
+    prec = 2
 
     def __str__(self) -> str:
-        # left-associative: only a right-nested wreath needs parentheses
-        lhs = _wrap(self.base, 2)
-        rhs = f"({self.top})" if isinstance(self.top, (Product, Wreath)) else str(self.top)
-        return f"{lhs} wr {rhs}"
+        return f"{_wrap(self.base, self.prec)} wr {_wrap(self.top, self.prec + 1)}"
 
 
 GroupExpr = FamilyAtom | MatrixAtom | GensAtom | Product | Wreath
 
 
-def _prec(e: GroupExpr) -> int:
-    if isinstance(e, Product):
-        return 1
-    if isinstance(e, Wreath):
-        return 2
-    return 3
-
-
 def _wrap(e: GroupExpr, need: int) -> str:
-    s = str(e)
-    return f"({s})" if _prec(e) < need else s
+    return f"({e})" if e.prec < need else str(e)
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z]+)|(?P<num>\d+)|(?P<punct>[(),]))")
+# one token after optional whitespace; `end` and `bad` make every match succeed
+_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z]+)|(?P<num>\d+)|(?P<punct>[(),])"
+                    r"|(?P<bracket>\[)|(?P<end>\Z)|(?P<bad>.))")
 _FAMILIES = frozenset("SACD")
 _MATRIX = frozenset({"SL", "PSL", "Borel"})
+# binary operators and their nodes, the loosest first
+_OPERATORS = (("x", Product), ("wr", Wreath))
 
 
 # The parser and every walk over an expression tree (order prediction,
@@ -127,84 +128,52 @@ class _Parser:
         self.pos = 0
         self.nesting = 0
 
-    def error(self, message: str, offset: int | None = None):
-        raise ExprSyntaxError(
-            message, self.pos if offset is None else offset)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def error(self, message: str, offset: int):
+        raise ExprSyntaxError(message, offset)
 
     def peek(self):
         """(kind, value, offset) of the next token without consuming it."""
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return "end", "", self.pos
-        ch = self.text[self.pos]
-        if ch == "[":
-            return "bracket", "[", self.pos
         m = _TOKEN.match(self.text, self.pos)
-        if not m or m.start(m.lastgroup) != self.pos:
-            return "bad", ch, self.pos
-        return m.lastgroup, m.group(m.lastgroup), self.pos
+        return m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)
 
     def take(self):
         kind, value, offset = self.peek()
         if kind == "bad":
             self.error(f"unexpected character {value!r}", offset)
-        if kind != "end" and kind != "bracket":
-            self.pos = offset + len(value)
+        self.pos = offset + len(value)
         return kind, value, offset
 
-    def expect_punct(self, ch: str):
-        kind, value, offset = self.take()
-        if kind != "punct" or value != ch:
-            self.error(f"expected {ch!r}", offset)
-
-    def expect_number(self) -> int:
-        kind, value, offset = self.take()
-        if kind != "num":
-            self.error("expected a number", offset)
-        return int(value)
+    def expect(self, kind: str, value: str | None = None) -> tuple[str, int]:
+        """The next token's value and offset; it must have this kind and value."""
+        k, v, offset = self.take()
+        if k != kind or value not in (None, v):
+            self.error(f"expected {value!r}" if value else "expected a number", offset)
+        return v, offset
 
     def parse(self) -> GroupExpr:
-        e, _ = self.expr()
+        e, _ = self.binary()
         kind, value, offset = self.peek()
         if kind != "end":
             self.error(f"trailing input {value!r}", offset)
         return e
 
-    # expr, term and factor return an expression with its depth, the
-    # number of x and wr nodes on its longest path from the root
-
-    def node_depth(self, depth: int, other: int, offset: int) -> int:
-        """Depth of a new x or wr node at offset over two operands."""
-        depth = max(depth, other) + 1
-        if depth > MAX_DEPTH:
-            self.error(f"expression deeper than {MAX_DEPTH} x/wr levels", offset)
-        return depth
-
-    def expr(self) -> tuple[GroupExpr, int]:
-        e, depth = self.term()
+    def binary(self, level: int = 0) -> tuple[GroupExpr, int]:
+        """The operands of ``_OPERATORS[level]`` and above joined left to
+        right, with the tree's depth, the number of x and wr nodes on its
+        longest path from the root."""
+        if level == len(_OPERATORS):
+            return self.factor()
+        op, node = _OPERATORS[level]
+        e, depth = self.binary(level + 1)
         while True:
             kind, value, offset = self.peek()
-            if kind == "name" and value == "x":
-                self.take()
-                right, other = self.term()
-                e, depth = Product(e, right), self.node_depth(depth, other, offset)
-            else:
+            if kind != "name" or value != op:
                 return e, depth
-
-    def term(self) -> tuple[GroupExpr, int]:
-        e, depth = self.factor()
-        while True:
-            kind, value, offset = self.peek()
-            if kind == "name" and value == "wr":
-                self.take()
-                top, other = self.factor()
-                e, depth = Wreath(e, top), self.node_depth(depth, other, offset)
-            else:
-                return e, depth
+            self.take()
+            right, other = self.binary(level + 1)
+            e, depth = node(e, right), max(depth, other) + 1
+            if depth > MAX_DEPTH:
+                self.error(f"expression deeper than {MAX_DEPTH} x/wr levels", offset)
 
     def factor(self) -> tuple[GroupExpr, int]:
         kind, value, offset = self.peek()
@@ -213,69 +182,53 @@ class _Parser:
             if self.nesting > MAX_DEPTH:
                 self.error(f"parentheses nested deeper than {MAX_DEPTH}", offset)
             self.take()
-            inner = self.expr()
-            self.expect_punct(")")
+            inner = self.binary()
+            self.expect("punct", ")")
             self.nesting -= 1
             return inner
+        if kind not in ("bracket", "name"):
+            self.error("expected a group atom", offset)
+        self.take()
         if kind == "bracket":
-            return self.generator_literal(), 0
-        if kind == "name":
-            return self.atom(), 0
-        self.error("expected a group atom", offset)
+            return self.generator_literal(offset), 0
+        return self.atom(value, offset), 0
 
-    def atom(self) -> GroupExpr:
-        kind, value, offset = self.take()
-        m = re.fullmatch(r"([A-Za-z]+?)(\d*)", value)
-        name, digits = m.group(1), m.group(2)
+    def atom(self, name: str, offset: int) -> GroupExpr:
         if name in _MATRIX:
-            if digits:
-                self.error(f"{name} takes (2,q) arguments", offset)
-            self.expect_punct("(")
-            k2, v2, two_off = self.take()
-            if k2 != "num":
-                self.error("expected a number", two_off)
-            if int(v2) != 2:
+            self.expect("punct", "(")
+            two, two_off = self.expect("num")
+            if int(two) != 2:
                 self.error("only 2-dimensional matrix groups exist here", two_off)
-            self.expect_punct(",")
-            q = self.expect_number()
-            self.expect_punct(")")
+            self.expect("punct", ",")
+            q = int(self.expect("num")[0])
+            self.expect("punct", ")")
             return MatrixAtom(name, q)
         if name in _FAMILIES:
-            if digits:
-                n = int(digits)
-            else:
-                n = self.expect_number()
-            return FamilyAtom(name, n)
-        self.error(f"unknown atom {value!r}", offset)
+            return FamilyAtom(name, int(self.expect("num")[0]))
+        self.error(f"unknown atom {name!r}", offset)
 
-    def generator_literal(self) -> GensAtom:
-        start = self.pos
+    def generator_literal(self, start: int) -> GensAtom:
+        """The list whose `[` is at ``start``."""
         end = self.text.find("]", start)
         if end < 0:
             self.error("unterminated generator list", start)
-        body = self.text[start + 1: end]
         self.pos = end + 1
-        parts = re.split(r",(?![^()]*\))", body)
-        cycles = []
-        degree = 1
-        for part in parts:
-            part = part.strip()
-            if not part:
-                self.error("empty generator entry", start)
-            for pt in re.findall(r"\d+", part):
-                degree = max(degree, int(pt))
-            cycles.append(part)
-        perms = []
+        cycles = [part.strip() for part in
+                  re.split(r",(?![^()]*\))", self.text[start + 1: end])]
+        if not all(cycles):
+            self.error("empty generator entry", start)
+        degree = max([1, *(int(pt) for part in cycles for pt in re.findall(r"\d+", part))])
+        gens = []
         for part in cycles:
             try:
-                perms.append(Permutation.from_cycles(part, degree))
+                gens.append(Permutation.from_cycles(part, degree).cycle_string())
             except Exception:
                 self.error(f"bad permutation {part!r}", start)
-        return GensAtom(degree, tuple(str(x.cycle_string()) for x in perms))
+        return GensAtom(degree, tuple(gens))
 
 
 def parse_group_expr(text: str) -> GroupExpr:
-    """Parse a group expression; raises ExprSyntaxError with a byte offset."""
+    """Parse a group expression; raises ExprSyntaxError with a character offset."""
     return _Parser(text).parse()
 
 
@@ -343,50 +296,37 @@ def _sl2_matrices(q: int):
     return F, mats
 
 
-def _vector_points(q: int):
-    F = field(q)
-    vecs = [(a, b) for a in F.elements() for b in F.elements() if (a, b) != (0, 0)]
-    return F, vecs, {v: i for i, v in enumerate(vecs)}
-
-
-def _matrix_perm(F, mat, vecs, index) -> Permutation:
+def _apply(F, mat, v: tuple[int, int]) -> tuple[int, int]:
+    """The matrix times the column vector v over F."""
     (m00, m01), (m10, m11) = mat
-    images = []
-    for a, b in vecs:
-        w = (F.add(F.mul(m00, a), F.mul(m01, b)),
-             F.add(F.mul(m10, a), F.mul(m11, b)))
-        images.append(index[w] + 1)
-    return Permutation(tuple(images))
-
-
-def _projective_perm(F, mat, reps, index) -> Permutation:
-    (m00, m01), (m10, m11) = mat
-    images = []
-    for a, b in reps:
-        wa = F.add(F.mul(m00, a), F.mul(m01, b))
-        wb = F.add(F.mul(m10, a), F.mul(m11, b))
-        # normalize the image line to its canonical representative
-        if wa != 0:
-            wa, wb = 1, F.div(wb, wa)
-        else:
-            wb = 1
-        images.append(index[wa, wb] + 1)
-    return Permutation(tuple(images))
+    a, b = v
+    return (F.add(F.mul(m00, a), F.mul(m01, b)),
+            F.add(F.mul(m10, a), F.mul(m11, b)))
 
 
 def _construct_matrix(e: MatrixAtom) -> PermGroup:
+    """The matrices acting on a point list: the nonzero vectors for SL and
+    Borel, the lines for PSL, each line by its vector with first nonzero
+    coordinate 1, to which ``canon`` normalises an image."""
     q = e.q
     if q not in SUPPORTED_SIZES:
         raise UnsupportedField(f"GF({q}) is not in the field table")
     F, mats = _sl2_matrices(q)
-    if e.kind == "PSL":
-        reps = [(1, b) for b in F.elements()] + [(0, 1)]
-        index = {v: i for i, v in enumerate(reps)}
-        return PermGroup(q + 1, [_projective_perm(F, m, reps, index) for m in mats])
     if e.kind == "Borel":  # upper triangular part only
         mats = [m for m in mats if m[1][0] == 0]
-    _, vecs, index = _vector_points(q)
-    return PermGroup(q * q - 1, [_matrix_perm(F, m, vecs, index) for m in mats])
+    if e.kind == "PSL":
+        points = [(1, b) for b in F.elements()] + [(0, 1)]
+
+        def canon(v):
+            return (1, F.div(v[1], v[0])) if v[0] != 0 else (0, 1)
+    else:
+        points = [(a, b) for a in F.elements() for b in F.elements() if (a, b) != (0, 0)]
+
+        def canon(v):
+            return v
+    index = {v: i for i, v in enumerate(points, 1)}
+    return PermGroup(len(points), [
+        Permutation(tuple(index[canon(_apply(F, m, v))] for v in points)) for m in mats])
 
 
 def _construct_family(e: FamilyAtom) -> PermGroup:
@@ -567,8 +507,8 @@ def catalog_upto(max_order: int) -> tuple[CatalogEntry, ...]:
     return tuple(e for e in CATALOG if e.order <= max_order)
 
 
+CATALOG_BY_LABEL: dict[str, CatalogEntry] = {e.label: e for e in CATALOG}
+
+
 def catalog_entry(label: str) -> CatalogEntry:
-    for e in CATALOG:
-        if e.label == label:
-            return e
-    raise KeyError(label)
+    return CATALOG_BY_LABEL[label]

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .actions import min_fpr_p_element, natural_action, coset_action, sylow_orbit_bound_check
-from .catalog import CATALOG, construct, parse_group_expr
+from .catalog import CATALOG_BY_LABEL, construct_text
 from .covering import sigma_lower_bound_check, sigma_p_cover
 from .errors import ExprSyntaxError, InvalidConfig, SylowlabError
 from .graphs import (
@@ -44,8 +44,6 @@ from .sylow import (
     sylow_ratio_gap_scan,
 )
 from .tables import check_prime
-
-_CATALOG_BY_LABEL = {e.label: e for e in CATALOG}
 
 
 def load_generator_file(path: str) -> PermGroup:
@@ -78,11 +76,11 @@ class GroupInput:
         self.entry = None
         if text.startswith("@"):
             self.group = load_generator_file(text[1:])
-        elif text in _CATALOG_BY_LABEL:
-            self.entry = _CATALOG_BY_LABEL[text]
+        elif text in CATALOG_BY_LABEL:
+            self.entry = CATALOG_BY_LABEL[text]
             self.group = self.entry.build(cap)
         else:
-            self.group = construct(parse_group_expr(text), cap)
+            self.group = construct_text(text, cap)
 
     def exclusions_clear(self, p: int, forced: bool) -> bool:
         if forced:
@@ -224,7 +222,7 @@ def _check_turan(options) -> CheckReport:
 def _compute_sigma(options) -> dict:
     size, members = sigma_p_cover(options["group"].group, options["p"], options["cap"])
     return {
-        "value": "infinity" if size == float("inf") else size,
+        "value": size,
         "cover": [[x.cycle_string() for x in gens] for gens in members],
     }
 

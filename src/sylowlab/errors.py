@@ -89,7 +89,7 @@ class UnsupportedDegree(SylowlabError, ValueError):
 
 
 class ExprSyntaxError(SylowlabError, ValueError):
-    """Group expression could not be parsed.  Carries a byte offset."""
+    """Group expression could not be parsed.  Carries a character offset."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")

@@ -22,16 +22,11 @@ from __future__ import annotations
 
 
 def _greedy(full: int, masks: list[int]) -> list[int]:
+    # the masks cover full (``min_cover`` checks it), so some gain is positive
     chosen = []
     rem = full
     while rem:
-        best, best_gain = -1, 0
-        for i, m in enumerate(masks):
-            gain = (m & rem).bit_count()
-            if gain > best_gain:
-                best, best_gain = i, gain
-        if best < 0:
-            raise ValueError("universe is not coverable by the candidates")
+        best = max(range(len(masks)), key=lambda i: (masks[i] & rem).bit_count())
         chosen.append(best)
         rem &= ~masks[best]
     return chosen

@@ -8,12 +8,12 @@ Schreier generators, closed as soon as it reaches its known order
 |G| / (orbit length), and walked in image-table order (``_Chain.least``).
 Z = Omega_1(Z(P)), the central elements of P of order p with 1, is
 characteristic in P, so N_G(P) <= N_G(Z): where Z < P, N_G(Z) is built
-first, from Z's orbit under G, and P's orbit is walked under N_G(Z) only
-(``_normalizer_chain``).  For nu_2(A9) the tower so meets 6,566
-conjugates, where a walk of every step under G meets 12,790.  The
-adjoined y normalizes P, so <P, y> is the union of the cosets P y^i
-(``_coset_closure``), and each step's subgroup carries its sorted
-element list, so no step builds a chain for P itself.
+first, from Z's orbit under G, once per tower for each Z the tower meets,
+and P's orbit is walked under N_G(Z) only (``_normalizer_chain``).  For
+nu_2(A9) the tower so meets 3,731 conjugates, where a walk of every step
+under G meets 12,790.  The adjoined y normalizes P, so <P, y> is the
+union of the cosets P y^i (``_coset_closure``), and each step's subgroup
+carries its sorted element list, so no step builds a chain for P itself.
 
 G acts on Syl_p(G) by conjugation, transitively, so nu(G, p) is the
 length of one Sylow subgroup's conjugation orbit.  A conjugate P^g is
@@ -91,8 +91,10 @@ def sylow_subgroup_containing(G: PermGroup, Q: PermGroup, p: int,
     if Q.order() == target:
         return Q
 
+    centres = {}  # Omega_1(Z(P)) by its elements, to N_G(Omega_1(Z(P)))
+
     def least_normalizing(P, gens, pred):
-        return _normalizer_chain(G, _listed(G.degree, gens, P), p).least(pred)
+        return _normalizer_chain(G, _listed(G.degree, gens, P), p, centres).least(pred)
 
     P, gens = grow_sylow(
         p, target, frozenset(Q.elements(cap)), Q.generators, Permutation.order,
@@ -126,19 +128,22 @@ def _omega_centre(P: PermGroup, p: int) -> PermGroup:
     return _listed(P.degree, central, [P.identity(), *central])
 
 
-def _normalizer_chain(G: PermGroup, P: PermGroup, p: int) -> _Chain:
+def _normalizer_chain(G: PermGroup, P: PermGroup, p: int, centres: dict) -> _Chain:
     """N_G(P) for a p-subgroup P of G that carries its element list
     (``_listed``), as a chain on the base 1..degree, the shape
     ``_Chain.least`` walks.
 
     Z = Omega_1(Z(P)) is characteristic in P, so N_G(P) <= N_G(Z): unless
-    Z = P, N_G(Z) is built first from Z's orbit under G, and P's orbit is
-    walked under N_G(Z) only.
+    Z = P, N_G(Z) is taken from ``centres``, which maps Z's element list
+    to N_G(Z), or built from Z's orbit under G and kept there, and P's
+    orbit is walked under N_G(Z) only.
     """
     Z = _omega_centre(P, p)
     if len(Z.elements()) < len(P.elements()):
-        chain, gens = _stabilizer(G, Z)
-        G = PermGroup(G.degree, gens, _chain=chain)  # N_G(Z)
+        if Z.elements() not in centres:
+            chain, gens = _stabilizer(G, Z)
+            centres[Z.elements()] = PermGroup(G.degree, gens, _chain=chain)
+        G = centres[Z.elements()]
     return _stabilizer(G, P)[0]
 
 

@@ -4,6 +4,7 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sylowlab.catalog import (
     CATALOG,
@@ -31,6 +32,20 @@ from sylowlab.errors import (
 from sylowlab.group import is_subgroup
 
 from conftest import alternating, dihedral, symmetric
+
+
+# the grammar's tokens and characters, whitespace, and two that no token takes
+TOKENS = ["S", "A", "C", "D", "SL", "PSL", "Borel", "Q", "x", "wr", "(", ")", ",",
+          "[", "]", "0", "2", "3", "12", "(1 2)", "()", " ", "\t", "\n", "\u00a0", "@", "é"]
+ALPHABET = sorted(set("".join(TOKENS)))
+
+EXPRS = st.recursive(
+    st.one_of(
+        st.builds(FamilyAtom, st.sampled_from("SACD"), st.integers(0, 20)),
+        st.builds(MatrixAtom, st.sampled_from(["SL", "PSL", "Borel"]), st.integers(0, 40)),
+        st.sampled_from(["[(1 2 3), (1 2)]", "[()]", "[(1 2)(4 5)]"]).map(parse_group_expr)),
+    lambda sub: st.builds(Product, sub, sub) | st.builds(Wreath, sub, sub),
+    max_leaves=32)
 
 
 class TestParser:
@@ -85,7 +100,7 @@ class TestParser:
 
     def test_canonical_texts_print_verbatim(self):
         for text in ["A5", "SL(2,8)", "S3 x C2", "C3 wr C3",
-                     "(S3 x C2) wr C2", "C2 wr (C2 wr C2)",
+                     "(S3 x C2) wr C2", "C2 wr (C2 wr C2)", "C2 x (C2 x C2)",
                      "[(1 2 3), (1 2)]"]:
             assert str(parse_group_expr(text)) == text
 
@@ -104,6 +119,16 @@ class TestParser:
             ("[(1 2", 0),
             ("123", 0),
             ("S3 C2", 3),
+            ("S@", 1),
+            ("SL(2@", 4),
+            ("S x C2", 2),
+            ("SL(x,4)", 3),
+            ("PSL(2,", 6),
+            ("[(1 2), ]", 0),
+            ("[(1 2)(2 3)]", 0),
+            ("S3 @ C2", 3),
+            # offsets count characters: the em space is one, not three bytes
+            ("C2\u2003x @", 5),
             # one level past MAX_DEPTH: the offending (, x or wr
             pytest.param("(" * (MAX_DEPTH + 1) + "C2" + ")" * (MAX_DEPTH + 1),
                          MAX_DEPTH, id="deep-parentheses"),
@@ -119,6 +144,20 @@ class TestParser:
         with pytest.raises(ExprSyntaxError) as exc:
             parse_group_expr(text)
         assert exc.value.offset == offset
+
+    @settings(max_examples=300)
+    @given(EXPRS)
+    def test_printed_tree_parses_back(self, e):
+        assert parse_group_expr(str(e)) == e
+
+    @settings(max_examples=500)
+    @given(st.one_of(st.lists(st.sampled_from(TOKENS)).map("".join),
+                     st.text(st.sampled_from(ALPHABET))))
+    def test_any_text_parses_or_refuses_with_an_offset(self, text):
+        try:
+            parse_group_expr(text)
+        except ExprSyntaxError as err:
+            assert 0 <= err.offset <= len(text)
 
     def test_depth_at_the_limit_builds(self):
         # parentheses and x/wr levels both at the limit, together
@@ -157,6 +196,7 @@ class TestConstruct:
             ("(S3 x C2) wr C2", 10, 288),
             ("[(1 2 3), (1 2)]", 3, 6),
             ("[(1 2)(4 5)]", 5, 2),
+            ("[()]", 1, 1),
         ],
     )
     def test_degree_and_order(self, text, degree, order):

@@ -79,6 +79,19 @@ class TestVerify:
         assert rc == 0 and rep["ok"]
         assert rep["details"]["sigma"] == 4
 
+    def test_covering_lower_bound_infinite(self, capsys):
+        # no proper subgroup holds the generator of C4, a 2-element
+        rc, rep = run(capsys, "verify", "covering-lower-bound", "--group", "C4", "-p", "2")
+        assert rc == 0 and rep["ok"]
+        assert rep["details"]["sigma"] == "infinity"
+        assert rep["details"]["attained"] is False
+
+    @pytest.mark.parametrize("check", ["sylow-ratio-bound", "sylow-fpr-identity"])
+    def test_sub_that_is_not_a_subgroup(self, capsys, check):
+        rc, rep = run(capsys, "verify", check, "--group", "A5", "--sub", "[(1 2)]", "-p", "2")
+        assert rc == 1 and not rep["ok"]
+        assert rep["error"] == {"type": "NotASubgroup", "message": "H is not a subgroup of G"}
+
     def test_covering_clique_bound(self, capsys):
         rc, rep = run(capsys, "verify", "covering-clique-bound",
                       "--group", "A4", "-p", "3")
@@ -181,6 +194,7 @@ class TestCompute:
         rc, rep = run(capsys, "compute", "sigma", "--group", "C4", "-p", "2")
         assert rc == 0
         assert rep["value"] == "infinity"
+        assert rep["cover"] == []
 
     def test_fpr_coset_action(self, capsys):
         rc, rep = run(capsys, "compute", "fpr",

@@ -151,6 +151,9 @@ class TestSigmaCoverWitness:
     def test_infinite_case_has_empty_witness(self):
         assert sigma_p_cover(cyclic(4), 2) == (math.inf, ())
 
+    def test_trivial_group_has_no_cover(self):
+        assert sigma_p_cover(PermGroup(1), 2) == (math.inf, ())
+
     def test_deterministic(self):
         G = alternating(5)
         assert sigma_p_cover(G, 5) == sigma_p_cover(G, 5)

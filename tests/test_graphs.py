@@ -187,6 +187,10 @@ class TestBitGraph:
         with pytest.raises(OutOfDomain):
             BitGraph(n, adj)
 
+    def test_max_clique_refuses_a_loop(self):
+        with pytest.raises(OutOfDomain, match="loops are not allowed"):
+            max_clique(2, [0b01, 0b01])
+
     def test_loop_refused_under_optimization(self):
         # with ``python -O`` a loop once got past BitGraph's asserts, and
         # max_clique never returned on it, hence the timeout
