@@ -9,8 +9,8 @@ derivations guard each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 
 from .errors import (
@@ -37,38 +37,20 @@ from .tables import check_prime, is_p_power
 _CROSS_CHECK_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class PadicProfile:
-    """Base-p digit expansion of a positive integer.
+def _digits(n: int, p: int) -> list[int]:
+    """The base-p digits of n >= 1, least significant first."""
+    out = []
+    while n:
+        n, r = divmod(n, p)
+        out.append(r)
+    return out
 
-    ``digits`` are least significant first; the leading digit is nonzero.
-    """
 
-    p: int
-    digits: tuple[int, ...]
-
-    @classmethod
-    def of(cls, n: int, p: int) -> "PadicProfile":
-        if n <= 0 or p < 2:
-            raise ValueError("need n >= 1 and p >= 2")
-        digits = []
-        m = n
-        while m:
-            m, r = divmod(m, p)
-            digits.append(r)
-        return cls(p, tuple(digits))
-
-    @property
-    def top(self) -> int:
-        """Index f of the leading digit."""
-        return len(self.digits) - 1
-
-    def digit(self, i: int) -> int:
-        return self.digits[i] if 0 <= i < len(self.digits) else 0
-
-    @property
-    def value(self) -> int:
-        return sum(a * self.p ** i for i, a in enumerate(self.digits))
+def _odd_shape(digits: list[int], p: int) -> bool:
+    """Whether digit(i) cycles of length p^i make an odd permutation:
+    only for p = 2, where a cycle of length 2^i is odd exactly for i >= 1,
+    with an odd digit sum above the units place."""
+    return p == 2 and sum(digits[1:]) % 2 == 1
 
 
 class CosetAction:
@@ -199,16 +181,11 @@ def canonical_p_element(n: int, p: int) -> Permutation:
     check_prime(p)
     if n < p:
         raise NoPElement(f"no p-element available: n={n} < p={p}")
-    prof = PadicProfile.of(n, p)
-    f = prof.top
-    lengths: list[int] = []
-    if p == 2 and sum(prof.digit(i) for i in range(1, f + 1)) % 2 == 1:
-        lengths.extend([2 ** (f - 1)] * (2 + prof.digit(f - 1)))
-        for i in range(f - 2, -1, -1):
-            lengths.extend([2 ** i] * prof.digit(i))
-    else:
-        for i in range(f, -1, -1):
-            lengths.extend([p ** i] * prof.digit(i))
+    digits = _digits(n, p)
+    if _odd_shape(digits, p):  # one longest cycle becomes two of half its length
+        digits[-1] -= 1
+        digits[-2] += 2
+    lengths = [p ** i for i in reversed(range(len(digits))) for _ in range(digits[i])]
     assert sum(lengths) == n, "cycle lengths must partition the points"
     images = list(range(1, n + 1))
     start = 1
@@ -234,15 +211,13 @@ def subset_fpr_formula(n: int, k: int, p: int) -> Fraction:
     check_prime(p)
     if not 1 <= k < Fraction(n, 2):
         raise OutOfDomain("need 1 <= k < n/2")
-    prof = PadicProfile.of(n, p)
-    f = prof.top
-    if p == 2 and sum(prof.digit(i) for i in range(1, f + 1)) % 2 == 1:
+    digits = _digits(n, p)
+    if _odd_shape(digits, p):
         raise OutOfDomain(
             "closed form does not cover p=2 with odd digit sum")
-    sub = PadicProfile.of(k, p)
     num = 1
-    for i in range(f + 1):
-        num *= comb(prof.digit(i), sub.digit(i))
+    for a, b in zip_longest(digits, _digits(k, p), fillvalue=0):
+        num *= comb(a, b)
     return Fraction(num, comb(n, k))
 
 

@@ -150,6 +150,17 @@ class _Parser:
             self.error(f"expected {value!r}" if value else "expected a number", offset)
         return v, offset
 
+    def integer(self, digits: str, offset: int) -> int:
+        """The value of the digits at ``offset``; more digits than ``int()``
+        converts are refused."""
+        try:
+            return int(digits)
+        except ValueError:
+            self.error("number too long", offset)
+
+    def number(self) -> int:
+        return self.integer(*self.expect("num"))
+
     def parse(self) -> GroupExpr:
         e, _ = self.binary()
         kind, value, offset = self.peek()
@@ -197,14 +208,14 @@ class _Parser:
         if name in _MATRIX:
             self.expect("punct", "(")
             two, two_off = self.expect("num")
-            if int(two) != 2:
+            if self.integer(two, two_off) != 2:
                 self.error("only 2-dimensional matrix groups exist here", two_off)
             self.expect("punct", ",")
-            q = int(self.expect("num")[0])
+            q = self.number()
             self.expect("punct", ")")
             return MatrixAtom(name, q)
         if name in _FAMILIES:
-            return FamilyAtom(name, int(self.expect("num")[0]))
+            return FamilyAtom(name, self.number())
         self.error(f"unknown atom {name!r}", offset)
 
     def generator_literal(self, start: int) -> GensAtom:
@@ -213,11 +224,12 @@ class _Parser:
         if end < 0:
             self.error("unterminated generator list", start)
         self.pos = end + 1
-        cycles = [part.strip() for part in
-                  re.split(r",(?![^()]*\))", self.text[start + 1: end])]
+        body = self.text[start + 1: end]
+        cycles = [part.strip() for part in re.split(r",(?![^()]*\))", body)]
         if not all(cycles):
             self.error("empty generator entry", start)
-        degree = max([1, *(int(pt) for part in cycles for pt in re.findall(r"\d+", part))])
+        degree = max([1, *(self.integer(m[0], start + 1 + m.start())
+                           for m in re.finditer(r"\d+", body))])
         gens = []
         for part in cycles:
             try:
@@ -235,16 +247,33 @@ def parse_group_expr(text: str) -> GroupExpr:
 # ---------------------------------------------------------------------------
 # construction
 
-def predicted_order(e: GroupExpr) -> int | None:
-    """Order the constructed group must have; None for generator literals."""
+def predicted_order(e: GroupExpr, limit: int | None = None) -> int | None:
+    """Order the constructed group must have; None for generator literals.
+
+    With ``limit``, an order past it is refused without being computed in
+    full.  A group's order is at least each of its operands', so an
+    operand past the limit raises CapExceeded with no ``required`` (the
+    message says "more than" the limit), and so does a factorial that
+    passes the limit before its last factor or a wreath power whose bit
+    length does.  An order computed in full is returned even past the
+    limit, for ``construct`` to refuse with the exact figure.
+    """
+    def operand(child: GroupExpr) -> int | None:
+        n = predicted_order(child, limit)
+        if limit is not None and n is not None and n > limit:
+            raise CapExceeded(_ORDER, None, limit)
+        return n
+
     if isinstance(e, FamilyAtom):
-        if e.kind == "S":
-            return math.factorial(e.n)
-        if e.kind == "A":
-            return max(1, math.factorial(e.n) // 2)
-        if e.kind == "C":
-            return e.n
-        return e.n  # D: parameter is the order itself
+        if e.kind in "SA":
+            n = 1
+            for k in range(2, e.n + 1):
+                # n = (k-1)! here, and S_n and A_n have order at least n * k / 2 >= n
+                if limit is not None and n > limit:
+                    raise CapExceeded(_ORDER, None, limit)
+                n *= k
+            return n if e.kind == "S" else max(1, n // 2)
+        return e.n  # C, and D, whose parameter is its order
     if isinstance(e, MatrixAtom):
         q = e.q
         if e.kind == "SL":
@@ -253,13 +282,17 @@ def predicted_order(e: GroupExpr) -> int | None:
             return q * (q * q - 1) // math.gcd(2, q - 1)
         return q * (q - 1)  # Borel
     if isinstance(e, Product):
-        a, b = predicted_order(e.left), predicted_order(e.right)
+        a, b = operand(e.left), operand(e.right)
         return None if a is None or b is None else a * b
     if isinstance(e, Wreath):
-        a, b = predicted_order(e.base), predicted_order(e.top)
-        if a is None or b is None:
+        a, b = operand(e.base), operand(e.top)
+        if a is None:
             return None
-        return a ** degree_of(e.top) * b
+        d = degree_of(e.top)
+        # a^d >= 2^((bit length of a - 1) * d), and the limit is below 2^(its bit length)
+        if limit is not None and a > 1 and (a.bit_length() - 1) * d >= limit.bit_length():
+            raise CapExceeded(_ORDER, None, limit)
+        return None if b is None else a ** d * b
     return None
 
 
@@ -365,6 +398,7 @@ def _construct_family(e: FamilyAtom) -> PermGroup:
 # orders are computed from a stabilizer chain, never by enumeration, so
 # construction tolerates far larger groups than element-level operations
 _CONSTRUCT_CAP = 10 ** 9
+_ORDER = "constructed group order"
 
 
 def construct(e: GroupExpr, cap: int | None = None) -> PermGroup:
@@ -374,14 +408,14 @@ def construct(e: GroupExpr, cap: int | None = None) -> PermGroup:
     order, and against a generous order cap before any heavy work.
     """
     limit = cap if cap is not None else max(_CONSTRUCT_CAP, config.element_cap(None))
-    expected = predicted_order(e)
+    expected = predicted_order(e, limit)
     if expected is not None and expected > limit:
-        raise CapExceeded("constructed group order", expected, limit)
+        raise CapExceeded(_ORDER, expected, limit)
     G = _construct(e)
     if expected is not None:
         assert G.order() == expected, (str(e), G.order(), expected)
     elif G.order() > limit:
-        raise CapExceeded("constructed group order", G.order(), limit)
+        raise CapExceeded(_ORDER, G.order(), limit)
     return G
 
 

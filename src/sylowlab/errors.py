@@ -9,11 +9,13 @@ class CapExceeded(SylowlabError):
     """A computation would exceed a configured size cap.
 
     Carries the offending size and the cap so callers can report or retry
-    with a larger budget.
+    with a larger budget.  ``required`` is None when the size is only
+    known to pass the cap, and the message then says "more than" the cap.
     """
 
-    def __init__(self, what: str, required: int, cap: int):
-        super().__init__(f"{what}: needs {required}, cap is {cap}")
+    def __init__(self, what: str, required: int | None, cap: int):
+        needs = f"more than {cap}" if required is None else required
+        super().__init__(f"{what}: needs {needs}, cap is {cap}")
         self.what = what
         self.required = required
         self.cap = cap

@@ -4,7 +4,10 @@ Orders and membership come from a Schreier-Sims stabilizer chain on the
 base 1, 2, ..., degree, built deterministically (generators are sorted
 on construction and orbits are explored breadth-first), so repeated runs
 agree exactly.  The same chain walks a coset of the group in image-table
-order (``_Chain.least``).
+order (``_Chain.least``).  Schreier's lemma is applied in one place:
+``stabilizer`` builds the stabilizer of the seed of a Schreier tree
+(``schreier_tree``), for a point of 1..degree (``point_stabilizer``) or
+for a subgroup in its conjugation orbit (``sylow``'s normalizers).
 
 Enumeration-heavy helpers (element lists, conjugacy classes, brute-force
 normalizers) respect the element cap from :mod:`sylowlab.config`.
@@ -397,17 +400,23 @@ def element_orders(G: PermGroup, cap: int | None = None) -> list[int]:
     return orders
 
 
-def span_from_elements(degree: int, elements: Iterable[Permutation]) -> PermGroup:
+def span_from_elements(degree: int, elements: Iterable[Permutation],
+                       order: int | None = None) -> PermGroup:
     """Group generated by the given elements, with a reduced generating set.
 
     Elements already generated by earlier ones are dropped, so feeding in
     a full element list yields a small generating set plus a ready chain.
+    ``order`` is the known order of the group they generate: no element
+    is read once the chain reaches it, and each closing stops there too
+    (``_Chain.add_gen``).
     """
     chain = _Chain(degree)
     gens = []
-    for g in elements:
-        if chain.add_gen(g):
+    for g in elements if order != 1 else ():
+        if chain.add_gen(g, order):
             gens.append(g)
+            if chain.order() == order:
+                break
     return PermGroup(degree, gens, _chain=chain)
 
 
@@ -496,14 +505,65 @@ def p_residual(G: PermGroup, p: int, cap: int | None = None) -> PermGroup:
     return normal_closure(G, P.generators)
 
 
+def schreier_tree(G: PermGroup, seed, act, limit: int | None = None,
+                  what: str = "orbit") -> dict:
+    """The orbit of ``seed`` under G, where ``act(x, k)`` is the image of
+    x under the k-th generator of G, as a Schreier tree: a dict, in
+    discovery order, from each orbit point to its record, None for the
+    seed and (parent's record, generator number) for the others.  Raises
+    CapExceeded before the orbit grows past ``limit`` points."""
+    return orbit_map(seed, range(len(G.generators)), act,
+                     lambda record, k: (record, k), None, limit, what)
+
+
+def transversal(G: PermGroup, record) -> Permutation:
+    """The element u of G that a Schreier-tree record stands for, the one
+    that maps the seed to its point: the product of the generators on its
+    path from the root, found by walking up the parents."""
+    path = []
+    while record is not None:
+        record, k = record
+        path.append(G.generators[k])
+    u = G.identity()
+    for g in reversed(path):
+        u = u * g
+    return u
+
+
+def stabilizer(G: PermGroup, tree: dict, act) -> PermGroup:
+    """The stabilizer of the seed of a Schreier tree (``schreier_tree``),
+    with a ready chain.
+
+    By Schreier's lemma it is generated by u * g * u'^-1, for u the
+    transversal element of a point x, g a generator of G and u' that of
+    act(x, g); the tree's own edges, where it is 1, are left out.  Its
+    order is |G| / (orbit length), so the Schreier generators are rebuilt
+    and sifted in (``span_from_elements``) only until the chain reaches
+    that order.
+    """
+    gens = range(len(G.generators))
+
+    def schreier():
+        for x, record in tree.items():
+            for k in gens:
+                image = tree[act(x, k)]
+                if image is None or image[0] is not record or image[1] != k:
+                    yield (transversal(G, record) * G.generators[k]
+                           * transversal(G, image).inverse())
+
+    return span_from_elements(G.degree, schreier(), G.order() // len(tree))
+
+
 def point_stabilizer(G: PermGroup, point: int) -> PermGroup:
-    """Stabilizer of a point, generated by the Schreier generators
-    u * g * u'^-1 of the point's orbit (Schreier's lemma)."""
+    """Stabilizer of a point (``stabilizer`` on the point's orbit), with a
+    ready chain."""
     if not 1 <= point <= G.degree:
         raise ValueError(f"point {point} outside 1..{G.degree}")
-    trans = orbit_map(point, G.generators, _image, Permutation.__mul__, G.identity())
-    return PermGroup(G.degree, [u * g * trans[g._images[beta - 1]].inverse()
-                                for beta, u in trans.items() for g in G.generators])
+
+    def act(x: int, k: int) -> int:
+        return G.generators[k]._images[x - 1]
+
+    return stabilizer(G, schreier_tree(G, point, act), act)
 
 
 def right_cosets(G: PermGroup, H: PermGroup, cap: int | None = None

@@ -27,10 +27,11 @@ sweep's order fixes no output.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 
 from .group import PermGroup, orbit_map
 from .perm import Permutation
-from .tables import CayleyTable, get_table, is_p_power
+from .tables import CayleyTable, get_table, is_p_power, p_part
 
 
 class SubgroupLattice:
@@ -101,8 +102,17 @@ class SubgroupLattice:
 
     def sylow_counts(self, p: int) -> tuple[int, ...]:
         """nu_p of every subgroup, by index.  nu_p is a class function, so
-        it is counted once per conjugacy class, on its representative."""
-        counts = [self.ctx.sylow_count_in(sub, gens, p) for sub, gens in self.class_reps]
+        it is counted once per conjugacy class, on its representative H,
+        as the conjugation orbit of one Sylow p-subgroup of H: the first
+        subgroup of order |H|_p inside H, searched from the first subgroup
+        of that order, which bisecting the sorted orders finds."""
+        sets = self.element_sets
+        orders = [len(s) for s in sets]
+        counts = []
+        for sub, gens in self.class_reps:
+            start = bisect_left(orders, p_part(len(sub), p))
+            P = next(s for s in sets[start:] if s <= sub)
+            counts.append(self.ctx.sylow_count_in(gens, P, p))
         return tuple(counts[c] for c in self.class_ids)
 
     def maximal_indices(self) -> tuple[int, ...]:

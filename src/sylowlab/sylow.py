@@ -1,11 +1,12 @@
 """Sylow subgroups, Sylow counts, and the identities relating them.
 
 A Sylow subgroup is grown as a normalizer tower without listing G: from
-P = 1 (or a given p-subgroup), ``grow_sylow`` adjoins the least
-p-element of N_G(P) outside P, where N_G(P) is the stabilizer of P in
-its conjugation orbit, sifted into a chain on the base 1..degree from
-Schreier generators, closed as soon as it reaches its known order
-|G| / (orbit length), and walked in image-table order (``_Chain.least``).
+P = 1 (or a given p-subgroup), ``sylow_subgroup_containing`` adjoins the
+least p-element of N_G(P) outside P, where N_G(P) is the stabilizer of P
+in its conjugation orbit (``group.stabilizer``: Schreier generators
+sifted into a chain on the base 1..degree, closed as soon as it reaches
+its known order |G| / (orbit length)), walked in image-table order
+(``_Chain.least``).
 Z = Omega_1(Z(P)), the central elements of P of order p with 1, is
 characteristic in P, so N_G(P) <= N_G(Z): where Z < P, N_G(Z) is built
 first, from Z's orbit under G, once per tower for each Z the tower meets,
@@ -28,16 +29,18 @@ before the orbit is walked: each numbered element is conjugated once by
 each generator, into one list per generator, and a key is mapped through
 such a list.  G's numbering thus holds a few conjugacy classes of p-elements, not the
 union of the Sylow subgroups.  Each conjugate keeps only its
-Schreier-tree record (parent, generator); a transversal element is
-rebuilt from it only for the Schreier generators the tower consumes, and
-for the callers that need a conjugate's elements.
+Schreier-tree record, (parent, generator) (``group.schreier_tree``); a
+transversal element is rebuilt from it (``group.transversal``) only for
+the Schreier generators the tower consumes, and for the callers that
+need a conjugate's elements.
 ``nu_p``, ``sylow_subgroups`` and the four Sylow-number checks read
-every count off such orbits.  The lattice-based checks take the same
-orbit on the Cayley table, once per conjugacy class of subgroups
+every count off such orbits.  The lattice-based checks count on the
+Cayley table instead, once per conjugacy class of subgroups, each class
+representative's Sylow subgroup read off the lattice itself
 (``SubgroupLattice.sylow_counts``).  The test suite checks the counts
 against the normalizer index and against the subgroups of full p-power
 order in the subgroup lattice, and the tower against the same rule
-applied to the sorted element list.
+applied to the sorted element indices of a Cayley table.
 """
 
 from __future__ import annotations
@@ -61,19 +64,19 @@ from .group import (
     is_normal,
     is_p_solvable,
     is_subgroup,
-    orbit_map,
     p_residual,
     quotient_group,
+    schreier_tree,
+    stabilizer,
 )
 from .perm import Permutation
 from .reports import CheckReport
-from .tables import check_prime, grow_sylow, p_part
+from .tables import check_prime, is_p_power, p_part
 
 
 def sylow_subgroup(G: PermGroup, p: int, cap: int | None = None) -> PermGroup:
-    """A Sylow p-subgroup of G, deterministically chosen by ``grow_sylow``:
-    from P = 1, the least p-element of N_G(P) outside P is adjoined until
-    P is Sylow."""
+    """A Sylow p-subgroup of G, deterministically chosen: from P = 1, the
+    least p-element of N_G(P) outside P is adjoined until P is Sylow."""
     return sylow_subgroup_containing(G, PermGroup(G.degree), p, cap)
 
 
@@ -81,7 +84,9 @@ def sylow_subgroup_containing(G: PermGroup, Q: PermGroup, p: int,
                               cap: int | None = None) -> PermGroup:
     """A Sylow p-subgroup of G containing the p-subgroup Q.
 
-    No step lists G, but G must still fit the element cap that
+    From P = Q, the least p-element of N_G(P) outside P, least by image
+    table, is adjoined while P is not Sylow; Sylow's theorem guarantees
+    one.  No step lists G, but G must still fit the element cap that
     ``G.elements`` would apply, even when Q is Sylow already, so that
     every Sylow request refuses the same groups.
     """
@@ -90,15 +95,15 @@ def sylow_subgroup_containing(G: PermGroup, Q: PermGroup, p: int,
     target = p_part(G.order(), p)
     if Q.order() == target:
         return Q
-
     centres = {}  # Omega_1(Z(P)) by its elements, to N_G(Omega_1(Z(P)))
-
-    def least_normalizing(P, gens, pred):
-        return _normalizer_chain(G, _listed(G.degree, gens, P), p, centres).least(pred)
-
-    P, gens = grow_sylow(
-        p, target, frozenset(Q.elements(cap)), Q.generators, Permutation.order,
-        least_normalizing, lambda P, gens, y: _coset_closure(P, y))
+    P, gens = frozenset(Q.elements(cap)), list(Q.generators)
+    while len(P) < target:
+        y = _normalizer_chain(G, _listed(G.degree, gens, P), p, centres).least(
+            lambda x: x not in P and is_p_power(x.order(), p))
+        if y is None:  # pragma: no cover - impossible by Sylow theory
+            raise AssertionError("Sylow extension stalled")
+        P = _coset_closure(P, y)
+        gens.append(y)
     return _listed(G.degree, gens, P)
 
 
@@ -141,30 +146,9 @@ def _normalizer_chain(G: PermGroup, P: PermGroup, p: int, centres: dict) -> _Cha
     Z = _omega_centre(P, p)
     if len(Z.elements()) < len(P.elements()):
         if Z.elements() not in centres:
-            chain, gens = _stabilizer(G, Z)
-            centres[Z.elements()] = PermGroup(G.degree, gens, _chain=chain)
+            centres[Z.elements()] = stabilizer(G, *_orbit(G, Z))
         G = centres[Z.elements()]
-    return _stabilizer(G, P)[0]
-
-
-def _stabilizer(G: PermGroup, P: PermGroup):
-    """N_G(P), the stabilizer of P in its conjugation orbit: its chain on
-    the base 1..degree and the Schreier generators that grew it.
-
-    Its order is |G| / (orbit length), so the Schreier generators are
-    sifted in only until the chain reaches that order, and each closing
-    stops there too (``_Chain.add_gen``).
-    """
-    orbit, schreier = _orbit(G, P)
-    order = G.order() // len(orbit)
-    chain = _Chain(G.degree)
-    gens = []
-    for s in schreier:
-        if chain.order() == order:
-            break
-        if chain.add_gen(s, order):
-            gens.append(s)
-    return chain, gens
+    return stabilizer(G, *_orbit(G, P)).chain()
 
 
 def _numbering(G: PermGroup) -> Numbering:
@@ -202,7 +186,8 @@ def _key(P: PermGroup, cap: int | None = None) -> list[Permutation]:
 
 def _orbit(G: PermGroup, P: PermGroup, cap: int | None = None,
            limit: int | None = None, what: str = "orbit"):
-    """The orbit of P under conjugation by G, with its Schreier generators.
+    """The orbit of P under conjugation by G, as a Schreier tree
+    (``group.schreier_tree``), with the action on its keys.
 
     Each conjugate P^g is keyed by its key elements (``_key``), the
     conjugates of P's.  Each element met gets a number in G's one
@@ -212,15 +197,11 @@ def _orbit(G: PermGroup, P: PermGroup, cap: int | None = None,
     so after a Sylow request G's numbering holds the classes of the key
     elements of the tower's orbits under G (of a step P_i, or of its
     Omega_1(Z(P_i))) and of the Sylow subgroup, not the union of the
-    Sylow subgroups.  A conjugate's key is its sorted
-    numbers, each mapped through one generator's conjugation list.
+    Sylow subgroups.  A conjugate's key is its sorted numbers, each
+    mapped through one generator's conjugation list.
 
-    Returns the orbit (a dict from each key to its record in the Schreier
-    tree: None for P, else (parent's record, generator number)) and an
-    iterator over the Schreier generators u * g * u'^-1 of N_G(P), for
-    each conjugate's transversal element u, rebuilt from its record
-    (``_transversal``), and each generator g of G, leaving out the tree's
-    own edges, where it is 1.
+    Returns the tree and the action ``act(key, k)``, the pair that
+    ``group.stabilizer`` takes for N_G(P).
     """
     numbering = _numbering(G)
     seed = tuple(sorted(numbering.number(x.images) for x in _key(P, cap)))
@@ -230,39 +211,13 @@ def _orbit(G: PermGroup, P: PermGroup, cap: int | None = None,
     def act(s, k):
         return tuple(sorted(map(conj[k].__getitem__, s)))
 
-    gens = range(len(conj))
-    orbit = orbit_map(seed, gens, act, lambda record, k: (record, k), None, limit, what)
-
-    def schreier():
-        for s, record in orbit.items():
-            for k in gens:
-                image = orbit[act(s, k)]
-                if image is not None and image[0] is record and image[1] == k:
-                    continue
-                yield (_transversal(G, record) * G.generators[k]
-                       * _transversal(G, image).inverse())
-
-    return orbit, schreier()
-
-
-def _transversal(G: PermGroup, record) -> Permutation:
-    """The element u of G that a Schreier-tree record stands for, so that
-    its conjugate is u^-1 P u: the product of the generators on its path
-    from the root, found by walking up the parents."""
-    path = []
-    while record is not None:
-        record, k = record
-        path.append(G.generators[k])
-    u = G.identity()
-    for g in reversed(path):
-        u = u * g
-    return u
+    return schreier_tree(G, seed, act, limit, what), act
 
 
 def _transversals(G: PermGroup, records):
-    """The elements ``_transversal`` gives for each of an orbit's records,
-    taken in discovery order, so that each is its parent's element times
-    one generator."""
+    """The elements ``group.transversal`` gives for each of an orbit's
+    records, taken in discovery order, so that each is its parent's
+    element times one generator."""
     u_of = {id(None): G.identity()}
     for record in records:
         if record is not None:

@@ -14,7 +14,12 @@ gives element orders, inverses and the cyclic subgroups, and one
 conjugation map per generator conjugates a subgroup with one ``map``.
 Subgroup closures use ``extend`` (Dimino's coset extension), which adds
 whole cosets of a known subgroup at a time, and ``normalizer`` grows
-N(H) to an order known from the size of H's class.
+N(H) to an order known from the size of H's class.  ``sylow_count_in``
+counts the Sylow subgroups of a subgroup as the conjugation orbit of
+one of them, which the subgroup lattice supplies.
+
+The module also holds the prime helpers ``p_part``, ``is_p_power`` and
+``check_prime``.
 """
 
 from __future__ import annotations
@@ -92,32 +97,6 @@ def check_prime(p: int) -> None:
         raise OutOfDomain(f"expected a prime below {_MR_EXACT_BELOW}, got {p}")
     if not _is_prime(p):
         raise OutOfDomain(f"expected a prime, got {p}")
-
-
-def grow_sylow(p: int, target: int, P, gens, order, least_normalizing, extend):
-    """Grow the p-subgroup ``P = <gens>`` to a Sylow p-subgroup of order ``target``.
-
-    This is the one rule that picks a Sylow subgroup, for permutations and
-    for table indices alike: while ``|P| < target``, adjoin the least
-    p-element of N(P) outside ``P``, least by image table (table indices
-    are numbered in that order).  Sylow's theorem guarantees one while P
-    is not Sylow.
-
-    ``P`` is an element set, ``order(x)`` the order of ``x``,
-    ``least_normalizing(P, gens, pred)`` returns the least element of the
-    ambient group that normalizes ``P = <gens>`` and satisfies ``pred``
-    (or None), and ``extend(P, gens, y)`` returns the element set of
-    ``<P, y>``.  Returns the element set and generator list of the Sylow
-    subgroup.
-    """
-    gens = list(gens)
-    while len(P) < target:
-        y = least_normalizing(P, gens, lambda x: x not in P and is_p_power(order(x), p))
-        if y is None:  # pragma: no cover - impossible by Sylow theory
-            raise AssertionError("Sylow extension stalled")
-        P = extend(P, gens, y)
-        gens.append(y)
-    return P, gens
 
 
 class CayleyTable:
@@ -251,25 +230,9 @@ class CayleyTable:
         """All nontrivial cyclic subgroups as (least generator, element set)."""
         return self._cyclics
 
-    def sylow_in(self, sub: frozenset[int], p: int) -> tuple[frozenset[int], tuple[int, ...]]:
-        """A Sylow p-subgroup of the subgroup ``sub``, with its generators,
-        chosen by ``grow_sylow``."""
-        candidates = sorted(sub)
-
-        def least_normalizing(P, gens, pred):
-            return next((y for y in candidates
-                         if pred(y) and self.normalizes(gens, y, P)), None)
-
-        P, gens = grow_sylow(p, p_part(len(sub), p), frozenset((0,)), (),
-                             self.elt_order.__getitem__, least_normalizing, self.extend)
-        return P, tuple(gens)
-
-    def sylow_count_in(self, sub: frozenset[int], gens, p: int) -> int:
-        """Number of Sylow p-subgroups of the subgroup ``sub = <gens>``: the
-        length of one Sylow subgroup's conjugation orbit under ``gens``."""
-        if len(sub) % p:
-            return 1
-        P, _ = self.sylow_in(sub, p)
+    def sylow_count_in(self, gens, P: frozenset[int], p: int) -> int:
+        """Number of Sylow p-subgroups of the subgroup <gens>, given one of
+        them, P: the length of P's conjugation orbit under ``gens``."""
         count = len(orbit_map(P, gens, lambda s, g: frozenset(self.conj(x, g) for x in s)))
         assert count % p == 1, "Sylow count must be 1 mod p"
         return count

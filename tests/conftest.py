@@ -15,7 +15,7 @@ import pytest
 from sylowlab.errors import NoPElement, NotAMember
 from sylowlab.perm import Permutation
 from sylowlab.group import PermGroup, span_from_elements
-from sylowlab.tables import is_p_power
+from sylowlab.tables import is_p_power, p_part
 
 
 def perm(cycles, degree):
@@ -158,13 +158,30 @@ def normalizer_in(ctx, sub, gens, target: frozenset[int]) -> list[int]:
     return [g for g in sorted(sub) if ctx.normalizes(gens, g, target)]
 
 
+def sylow_in(ctx, sub: frozenset[int], p: int) -> tuple[frozenset[int], tuple[int, ...]]:
+    """A Sylow p-subgroup of the table subgroup ``sub``, with its
+    generators, by the rule of the permutation tower applied to the sorted
+    indices of ``sub``: from P = 1, adjoin the least index outside P of
+    p-power order that normalizes P, until |P| = |sub|_p.  Indices are
+    numbered in image-table order, so on the whole group this picks the
+    tower's Sylow subgroup."""
+    P, gens = frozenset((0,)), []
+    while len(P) < p_part(len(sub), p):
+        y = next(y for y in sorted(sub) if y not in P and is_p_power(ctx.elt_order[y], p)
+                 and ctx.normalizes(gens, y, P))
+        P = ctx.extend(P, gens, y)
+        gens.append(y)
+    return P, tuple(gens)
+
+
 def nu_by_normalizer_index(ctx, sub: frozenset[int], p: int) -> int:
     """Number of Sylow p-subgroups of the table subgroup ``sub``, as the
-    index |sub : N_sub(P)| of a brute normalizer scan of ``sub``.  The
-    library counts the conjugation orbit of P instead."""
+    index |sub : N_sub(P)| of a brute normalizer scan of ``sub``, for P
+    from ``sylow_in``.  The library counts the conjugation orbit of a
+    Sylow subgroup that the lattice supplies instead."""
     if len(sub) % p:
         return 1
-    P, gens = ctx.sylow_in(sub, p)
+    P, gens = sylow_in(ctx, sub, p)
     norm = normalizer_in(ctx, sub, gens, P)
     count = len(sub) // len(norm)
     assert count % p == 1, "Sylow count must be 1 mod p"

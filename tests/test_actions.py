@@ -19,7 +19,6 @@ from conftest import (
 )
 from sylowlab.actions import (
     CosetAction,
-    PadicProfile,
     canonical_p_element,
     coset_action,
     fpr_element,
@@ -55,23 +54,6 @@ def brute_core(G, H):
     els = G.elements()
     return frozenset(x for x in h_set
                      if all(x.conjugate(g) in h_set for g in els))
-
-
-class TestPadicProfile:
-    @given(st.integers(1, 10 ** 9), st.sampled_from([2, 3, 5, 7, 11]))
-    def test_round_trip(self, n, p):
-        prof = PadicProfile.of(n, p)
-        assert prof.value == n
-        assert all(0 <= d < p for d in prof.digits)
-        assert prof.digits[-1] > 0
-
-    def test_digit_out_of_range_is_zero(self):
-        prof = PadicProfile.of(5, 3)
-        assert prof.digit(7) == 0 and prof.digit(-1) == 0
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            PadicProfile.of(0, 3)
 
 
 class TestCosetAction:
@@ -278,12 +260,14 @@ class TestCanonicalPElement:
         if n < p:
             return
         x = canonical_p_element(n, p)
-        prof = PadicProfile.of(n, p)
         counts = {}
         for c in x.cycles(include_fixed=True):
             counts[len(c)] = counts.get(len(c), 0) + 1
-        for i, d in enumerate(prof.digits):
+        i, m = 0, n
+        while m:
+            m, d = divmod(m, p)
             assert counts.get(p ** i, 0) == d
+            i += 1
 
     def test_rejects_when_no_p_element(self):
         with pytest.raises(NoPElement):

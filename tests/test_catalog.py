@@ -249,6 +249,26 @@ class TestConstruct:
         with pytest.raises(CapExceeded):
             construct_text("S5 wr S5")  # predicted order far above default cap
 
+    @pytest.mark.parametrize("text, cap, required", [
+        ("S5", 119, 120), ("A5", 59, 60), ("S6", 100, None), ("A6", 100, None),
+        ("C3 wr C3", 80, 81), ("C3 wr C3", 26, 81), ("C2 wr C2 wr C2", 127, 128),
+        ("S3 x C2", 11, 12), ("S4 x C2", 20, None), ("[(1 2)] x S5", 100, None),
+        ("S5 wr [(1 2)]", 100, None), ("C2 wr C8", 100, None)])
+    def test_refusal_is_exact_where_the_order_is_computed(self, text, cap, required):
+        """An order computed in full is reported exactly; an operand, a
+        partial factorial or a wreath power past the cap stops the
+        computation, and the refusal reads "more than" the cap."""
+        with pytest.raises(CapExceeded) as exc:
+            construct_text(text, cap=cap)
+        assert exc.value.required == required
+        needs = f"more than {cap}" if required is None else required
+        assert str(exc.value) == f"constructed group order: needs {needs}, cap is {cap}"
+
+    @pytest.mark.parametrize("text", ["S13", "A13", "C3 wr C3 wr C3", "C2 wr S5"])
+    def test_predicted_order_within_the_limit_is_exact(self, text):
+        e = parse_group_expr(text)
+        assert predicted_order(e, predicted_order(e)) == predicted_order(e)
+
     @pytest.mark.parametrize("text", ["SL(2,6)", "PSL(2,64)", "Borel(2,10)"])
     def test_unsupported_field(self, text):
         with pytest.raises(UnsupportedField):

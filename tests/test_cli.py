@@ -524,6 +524,33 @@ class TestInputValidation:
         assert rep["error"]["type"] == "ExprSyntaxError"
         assert rep["error"]["message"].endswith(f"(at offset {offset})")
 
+    # each once ended in a traceback: formatting an order of more than
+    # 4,300 digits, computing 1000000!, raising the order of 20 nested
+    # wreath levels to its degree, or converting 5,000 digits with int()
+    HUGE = {"S1700": "S1700", "A2000": "A2000", "S3xS2000": "S3 x S2000",
+            "S1000000": "S1000000",
+            "wreath20": "C2" + " wr C2" * 19, "wreath30": "C2" + " wr C2" * 29,
+            "digits": "S" + "9" * 5000, "literal": "[(" + "9" * 5000 + " 1)]"}
+
+    @pytest.mark.parametrize("name", sorted(HUGE))
+    def test_huge_order_or_number_is_refused_quickly(self, name):
+        env = dict(os.environ, PYTHONPATH=str(Path(sylowlab.__file__).parents[1]))
+        start = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "sylowlab.cli", "compute", "nu",
+                               "--group", self.HUGE[name], "-p", "2", "--json", "-"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert time.monotonic() - start < 2
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        error = json.loads(proc.stdout)["error"]
+        if name in ("digits", "literal"):
+            assert error["type"] == "ExprSyntaxError"
+            assert error["message"] == f"number too long (at offset {1 + (name == 'literal')})"
+        else:
+            assert error == {"type": "CapExceeded", "message":
+                             "constructed group order: needs more than 1000000000, "
+                             "cap is 1000000000"}
+
     def test_zero_denominator_bound_is_a_usage_error(self):
         env = dict(os.environ, PYTHONPATH=str(Path(sylowlab.__file__).parents[1]))
         proc = subprocess.run(

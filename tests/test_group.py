@@ -295,6 +295,17 @@ class TestOrbits:
                 S = point_stabilizer(G, pt)
                 assert G.order() == S.order() * len(G.orbit(pt))
 
+    @pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
+    def test_point_stabilizer_comes_with_a_ready_chain(self, entry):
+        """The stabilizer's chain is built with it and has order
+        |G| / |orbit|."""
+        G = entry.build()
+        for pt in sorted({1, G.degree}):
+            S = point_stabilizer(G, pt)
+            assert S._chain is not None
+            assert S._chain.order() * len(G.orbit(pt)) == G.order()
+            assert all(x(pt) == pt for x in S.generators)
+
 
 class TestConjugacyClasses:
     def test_s4_class_sizes(self):
@@ -429,6 +440,23 @@ class TestSubgroupPredicates:
         G = span_from_elements(4, list(els))
         assert G.order() == 24
         assert len(G.generators) < 10
+
+    @pytest.mark.parametrize("cycles", [[], ["(1 2)"], ["(1 2)", "(1 2 3)"],
+                                        ["(1 2)", "(1 2 3 4)"]])
+    def test_span_from_elements_reads_nothing_past_the_order(self, cycles):
+        """With ``order``, no element is read once the chain reaches it:
+        fed H's elements and then S4's, the last element read completes H."""
+        H = PermGroup(4, [perm(c, 4) for c in cycles])
+        read = []
+
+        def feed():
+            for x in [*H.elements(), *symmetric(4).elements()]:
+                read.append(x)
+                yield x
+
+        S = span_from_elements(4, feed(), H.order())
+        assert S.order() == PermGroup(4, read).order() == H.order()
+        assert not read or PermGroup(4, read[:-1]).order() < H.order()
 
 
 class TestNormalClosure:

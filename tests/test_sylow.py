@@ -374,7 +374,7 @@ class TestConjugationKey:
 class TestLatticeSylowCounts:
     """``SubgroupLattice.sylow_counts``, one conjugation orbit on the
     Cayley table per class of subgroups, against the normalizer index of
-    every subgroup."""
+    every subgroup and against the Sylow subgroups the lattice holds."""
 
     @pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
     def test_every_subgroup_matches_normalizer_index(self, entry):
@@ -387,16 +387,30 @@ class TestLatticeSylowCounts:
                 assert counts[i] == nu_by_normalizer_index(lat.ctx, sub, p), (i, p)
 
     @pytest.mark.parametrize("entry", catalog_upto(500), ids=lambda e: e.label)
+    def test_every_subgroup_matches_lattice_sylow_subgroups(self, entry):
+        """nu_p(H) is the number of subgroups of order |H|_p inside H, all
+        of which the lattice holds."""
+        lat = subgroup_lattice(entry.build())
+        of_order = {}
+        for s in lat.element_sets:
+            of_order.setdefault(len(s), []).append(s)
+        for p in prime_factors(len(lat.element_sets[-1])):
+            counts = lat.sylow_counts(p)
+            for i, sub in enumerate(lat.element_sets):
+                sylows = of_order[p_part(len(sub), p)]
+                assert counts[i] == sum(s <= sub for s in sylows), (i, p)
+
+    @pytest.mark.parametrize("entry", catalog_upto(500), ids=lambda e: e.label)
     def test_one_count_per_class(self, entry, monkeypatch):
         G = entry.build()
         lat = subgroup_lattice(G)
-        position = {sub: i for i, sub in enumerate(lat.element_sets)}
+        class_of = {gens: c for c, (_, gens) in enumerate(lat.class_reps)}
         counted = []
         count = CayleyTable.sylow_count_in
 
-        def counting(self, sub, gens, p):
-            counted.append(lat.class_ids[position[sub]])
-            return count(self, sub, gens, p)
+        def counting(self, gens, P, p):
+            counted.append(class_of[gens])
+            return count(self, gens, P, p)
 
         monkeypatch.setattr(CayleyTable, "sylow_count_in", counting)
         for p in prime_factors(G.order()):

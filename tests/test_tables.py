@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import alternating, brute_closure, nu_by_normalizer_index, symmetric
+from conftest import alternating, brute_closure, nu_by_normalizer_index, sylow_in, symmetric
 from sylowlab.catalog import catalog_upto, construct, parse_group_expr
 from sylowlab.errors import OutOfDomain
 from sylowlab.group import PermGroup
@@ -48,16 +48,15 @@ def test_orders_and_cyclic_subgroups_match_raw_products(entry):
 
 @pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
 def test_sylow_in_matches_permutation_route(entry):
-    """`sylow_in` on table indices and `sylow_subgroup` on permutations
-    pick the same Sylow subgroup, so no caller depends on whether a
-    table happens to be cached."""
+    """The tower's rule on table indices (the oracle `sylow_in`) and
+    `sylow_subgroup` on permutations pick the same Sylow subgroup."""
     G = entry.build()
     copy = PermGroup(G.degree, G.generators)
     ctx = get_table(copy)
     everything = frozenset(range(ctx.n))
     n = G.order()
     for p in (q for q in range(2, n + 1) if n % q == 0 and all(q % d for d in range(2, q))):
-        _, gens = ctx.sylow_in(everything, p)
+        _, gens = sylow_in(ctx, everything, p)
         from_table = PermGroup(G.degree, [ctx.elements[i] for i in gens])
         assert sylow_subgroup(G, p).generators == from_table.generators
         assert nu_p(G, p) == nu_by_normalizer_index(ctx, everything, p)
