@@ -409,13 +409,11 @@ def construct(e: GroupExpr, cap: int | None = None) -> PermGroup:
     """
     limit = cap if cap is not None else max(_CONSTRUCT_CAP, config.element_cap(None))
     expected = predicted_order(e, limit)
-    if expected is not None and expected > limit:
-        raise CapExceeded(_ORDER, expected, limit)
-    G = _construct(e)
     if expected is not None:
-        assert G.order() == expected, (str(e), G.order(), expected)
-    elif G.order() > limit:
-        raise CapExceeded(_ORDER, G.order(), limit)
+        config.refuse_above(_ORDER, expected, limit)
+    G = _construct(e)
+    assert expected in (None, G.order()), (str(e), G.order(), expected)
+    config.refuse_above(_ORDER, G.order(), limit)
     return G
 
 

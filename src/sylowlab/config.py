@@ -9,12 +9,13 @@ Two caps govern how large a group the library will enumerate:
 Every capped operation also accepts an explicit ``cap=`` argument which
 wins over both the defaults and the environment.  The environment
 variable ``SYLOWLAB_CAP`` overrides both defaults at once; a value that
-is not a positive integer raises ``InvalidConfig``.
+is not a positive integer raises ``InvalidConfig``.  Every refusal of a
+known size goes through ``refuse_above``.
 """
 
 import os
 
-from .errors import InvalidConfig
+from .errors import CapExceeded, InvalidConfig
 
 DEFAULT_ELEMENT_CAP = 10**6
 DEFAULT_LATTICE_CAP = 2000
@@ -47,3 +48,9 @@ def lattice_cap(explicit: int | None = None) -> int:
         return explicit
     env = _env_override()
     return env if env is not None else DEFAULT_LATTICE_CAP
+
+
+def refuse_above(what: str, n: int, limit: int) -> None:
+    """Raise CapExceeded(what, n, limit) when the size n passes the limit."""
+    if n > limit:
+        raise CapExceeded(what, n, limit)

@@ -40,6 +40,15 @@ def _cover_instance(lat, universe_idx: list[int], candidate_indices):
     return masks
 
 
+def _solve(lat, universe_idx: list[int], candidate_indices):
+    """A least cover of the universe by the candidate subgroups, as its
+    size and each chosen subgroup's generators.  Raises ValueError when
+    an element of the universe lies in no candidate (``min_cover``)."""
+    masks = _cover_instance(lat, universe_idx, candidate_indices)
+    size, chosen = min_cover(len(universe_idx), masks)
+    return size, tuple(lat.generators_of(candidate_indices[i]) for i in chosen)
+
+
 def _sigma_instance(G: PermGroup, p: int, cap: int | None):
     if p_residual(G, p, cap).order() != G.order():
         raise PreconditionFailed("group must be generated by its p-elements")
@@ -72,13 +81,11 @@ def sigma_p_cover(G: PermGroup, p: int, cap: int | None = None):
     if not maximal:
         # only the trivial group: min_cover would cover its empty universe with 0
         return math.inf, ()
-    masks = _cover_instance(lat, universe, maximal)
     try:
-        size, chosen = min_cover(len(universe), masks)
+        return _solve(lat, universe, maximal)
     except ValueError:
         # some p-element generates the whole group: G is cyclic
         return math.inf, ()
-    return size, tuple(lat.generators_of(maximal[i]) for i in chosen)
 
 
 def class_cover_number(G: PermGroup, x: Permutation, cap: int | None = None) -> int:
@@ -94,19 +101,13 @@ def class_cover(G: PermGroup, x: Permutation, cap: int | None = None):
         if not is_p_power(o, q):
             raise PreconditionFailed("element must have prime power order")
     lat = subgroup_lattice(G, cap)
-    ctx = lat.ctx
     cls = conjugacy_class(G, x, cap)
-    universe = sorted(ctx.index[y] for y in cls)
-    u_set = set(universe)
-    maximal = lat.maximal_indices()
-    useful = [ci for ci in maximal if lat.element_sets[ci] & u_set]
-    masks = _cover_instance(lat, universe, useful)
+    universe = sorted(lat.ctx.index[y] for y in cls)
     try:
-        size, chosen = min_cover(len(universe), masks)
+        return _solve(lat, universe, lat.maximal_indices())
     except ValueError:
         raise ClassNotCoverable(
             "a conjugate lies in no proper subgroup") from None
-    return size, tuple(lat.generators_of(useful[i]) for i in chosen)
 
 
 def sigma_lower_bound_check(G: PermGroup, p: int,

@@ -30,18 +30,11 @@ from operator import itemgetter
 
 from . import config
 from .cliques import max_clique
-from .errors import CapExceeded, ExprSyntaxError, OutOfDomain, PreconditionFailed
+from .errors import ExprSyntaxError, OutOfDomain, PreconditionFailed
 from .group import Numbering, PermGroup, element_orders, orbit_map
 from .perm import Permutation
 from .reports import CheckReport
 from .tables import check_prime
-
-
-def _check_vertices(n: int, cap: int | None, what: str = "noncommuting graph vertices") -> None:
-    """The vertex limit of every graph built here: the element cap."""
-    limit = config.element_cap(cap)
-    if n > limit:
-        raise CapExceeded(what, n, limit)
 
 
 class BitGraph:
@@ -88,7 +81,7 @@ class BitGraph:
                     "distinct positive vertex numbers", 0)
             top = max(top, u, v)
             edges.append((u - 1, v - 1))
-        _check_vertices(top, cap, "edge list vertices")
+        config.refuse_above("edge list vertices", top, config.element_cap(cap))
         adj = [0] * top
         for u, v in edges:
             adj[u] |= 1 << v
@@ -124,8 +117,10 @@ def pi_elements(G: PermGroup, pi, cap: int | None = None) -> tuple[Permutation, 
 
 
 def _vertices(G: PermGroup, pi, cap: int | None) -> tuple[Permutation, ...]:
+    """The pi-elements, the vertices of every graph built here; their
+    number must fit the element cap."""
     verts = pi_elements(G, pi, cap)
-    _check_vertices(len(verts), cap)
+    config.refuse_above("noncommuting graph vertices", len(verts), config.element_cap(cap))
     return verts
 
 
@@ -238,19 +233,21 @@ def sigma_le_clique_check(G: PermGroup, p: int, cap: int | None = None) -> Check
     every p-element; that cover certifies the inequality.  Needs a
     noncommuting pair to exist: with all p-elements commuting the
     centralizers are not proper and the argument (and the inequality,
-    e.g. for elementary abelian groups) breaks down.
+    e.g. for elementary abelian groups) breaks down.  One graph gives
+    both the clique and the p-elements it must cover, its vertices.
     """
-    from .covering import p_elements, sigma_p
+    from .covering import sigma_p
 
     # sigma_p first: it rejects a G not generated by its p-elements
     sigma = sigma_p(G, p, cap)
-    clique = max_noncommuting_set(G, {p}, cap)
+    graph = noncommuting_graph(G, {p}, cap)
+    clique = _max_clique(graph)
     if len(clique) < 2:
         raise PreconditionFailed(
             "all p-elements commute; centralizer cover is degenerate")
     witness_covers = all(
         any(x * c == c * x for c in clique)
-        for x in p_elements(G, p, cap))
+        for x in graph.vertices)
     return CheckReport("covering-clique-bound", sigma <= len(clique) and witness_covers, {
         "p": p,
         "sigma": sigma,

@@ -7,7 +7,8 @@ agree exactly.  The same chain walks a coset of the group in image-table
 order (``_Chain.least``).  Schreier's lemma is applied in one place:
 ``stabilizer`` builds the stabilizer of the seed of a Schreier tree
 (``schreier_tree``), for a point of 1..degree (``point_stabilizer``) or
-for a subgroup in its conjugation orbit (``sylow``'s normalizers).
+for a subgroup in its conjugation orbit (``sylow``'s normalizers), and
+only ``transversal`` reads the tree's records.
 
 Enumeration-heavy helpers (element lists, conjugacy classes, brute-force
 normalizers) respect the element cap from :mod:`sylowlab.config`.
@@ -21,7 +22,6 @@ from typing import Callable, Iterable
 
 from . import config
 from .errors import (
-    CapExceeded,
     DegreeMismatch,
     NotAMember,
     NotASubgroup,
@@ -47,8 +47,8 @@ def orbit_map(seed, gens, act, step=None, label=None, limit=None, what="orbit"):
         for g in gens:
             y = act(x, g)
             if y not in out:
-                if limit is not None and len(out) >= limit:
-                    raise CapExceeded(what, len(out) + 1, limit)
+                if limit is not None:
+                    config.refuse_above(what, len(out) + 1, limit)
                 out[y] = label if step is None else step(lx, g)
                 queue.append(y)
     return out
@@ -329,10 +329,7 @@ class PermGroup:
         """The refusal of ``elements``: raise CapExceeded unless the
         elements are listed already or the order fits the element cap."""
         if self._elements is None:
-            limit = config.element_cap(cap)
-            n = self.order()
-            if n > limit:
-                raise CapExceeded("element enumeration", n, limit)
+            config.refuse_above("element enumeration", self.order(), config.element_cap(cap))
 
     def elements(self, cap: int | None = None) -> tuple[Permutation, ...]:
         """All elements, sorted lexicographically by image table."""
@@ -505,29 +502,38 @@ def p_residual(G: PermGroup, p: int, cap: int | None = None) -> PermGroup:
     return normal_closure(G, P.generators)
 
 
-def schreier_tree(G: PermGroup, seed, act, limit: int | None = None,
-                  what: str = "orbit") -> dict:
+def schreier_tree(G: PermGroup, seed, act) -> dict:
     """The orbit of ``seed`` under G, where ``act(x, k)`` is the image of
     x under the k-th generator of G, as a Schreier tree: a dict, in
     discovery order, from each orbit point to its record, None for the
-    seed and (parent's record, generator number) for the others.  Raises
-    CapExceeded before the orbit grows past ``limit`` points."""
-    return orbit_map(seed, range(len(G.generators)), act,
-                     lambda record, k: (record, k), None, limit, what)
+    seed and (parent's record, generator number) for the others."""
+    return orbit_map(seed, range(len(G.generators)), act, lambda record, k: (record, k))
 
 
-def transversal(G: PermGroup, record) -> Permutation:
-    """The element u of G that a Schreier-tree record stands for, the one
-    that maps the seed to its point: the product of the generators on its
-    path from the root, found by walking up the parents."""
-    path = []
-    while record is not None:
-        record, k = record
-        path.append(G.generators[k])
-    u = G.identity()
-    for g in reversed(path):
-        u = u * g
-    return u
+def transversal(G: PermGroup) -> Callable[[tuple | None], Permutation]:
+    """A memoised map from a Schreier-tree record (``schreier_tree``) to
+    the element u of G it stands for, the one that maps the seed to its
+    point: its parent's element times its generator, one product per
+    record.  The walk up to the nearest record met before is a loop, for
+    a path can be as long as the orbit (1199 deep in C1200 on points).
+
+    Records are keyed by identity, since a record's hash and ``==`` walk
+    its whole path; the memo keeps each record it keys."""
+    gens = G.generators
+    memo = {id(None): (None, G.identity())}
+
+    def element(record) -> Permutation:
+        path = []
+        while id(record) not in memo:
+            path.append(record)
+            record = record[0]
+        u = memo[id(record)][1]
+        for record in reversed(path):
+            u = u * gens[record[1]]
+            memo[id(record)] = record, u
+        return u
+
+    return element
 
 
 def stabilizer(G: PermGroup, tree: dict, act) -> PermGroup:
@@ -542,14 +548,14 @@ def stabilizer(G: PermGroup, tree: dict, act) -> PermGroup:
     that order.
     """
     gens = range(len(G.generators))
+    u_of = transversal(G)
 
     def schreier():
         for x, record in tree.items():
             for k in gens:
                 image = tree[act(x, k)]
                 if image is None or image[0] is not record or image[1] != k:
-                    yield (transversal(G, record) * G.generators[k]
-                           * transversal(G, image).inverse())
+                    yield u_of(record) * G.generators[k] * u_of(image).inverse()
 
     return span_from_elements(G.degree, schreier(), G.order() // len(tree))
 
@@ -576,10 +582,7 @@ def right_cosets(G: PermGroup, H: PermGroup, cap: int | None = None
     of generators walks of that chain, and the index must fit the
     element cap.
     """
-    limit = config.element_cap(cap)
-    index = G.order() // H.order()
-    if index > limit:
-        raise CapExceeded("coset action", index, limit)
+    config.refuse_above("coset action", G.order() // H.order(), config.element_cap(cap))
     least = H.chain().least
     # the identity is the least element of H
     return tuple(orbit_map(G.identity(), G.generators,

@@ -95,10 +95,9 @@ class SubgroupLattice:
         return {c: tuple(v) for c, v in out.items()}
 
     def normal_indices(self) -> tuple[int, ...]:
-        sizes: dict[int, int] = {}
-        for c in self.class_ids:
-            sizes[c] = sizes.get(c, 0) + 1
-        return tuple(i for i, c in enumerate(self.class_ids) if sizes[c] == 1)
+        """The normal subgroups: the one-member classes.  Classes are
+        numbered by their first index, so the indices come out ascending."""
+        return tuple(m[0] for m in self.classes().values() if len(m) == 1)
 
     def sylow_counts(self, p: int) -> tuple[int, ...]:
         """nu_p of every subgroup, by index.  nu_p is a class function, so

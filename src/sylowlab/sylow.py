@@ -29,10 +29,11 @@ before the orbit is walked: each numbered element is conjugated once by
 each generator, into one list per generator, and a key is mapped through
 such a list.  G's numbering thus holds a few conjugacy classes of p-elements, not the
 union of the Sylow subgroups.  Each conjugate keeps only its
-Schreier-tree record, (parent, generator) (``group.schreier_tree``); a
-transversal element is rebuilt from it (``group.transversal``) only for
-the Schreier generators the tower consumes, and for the callers that
-need a conjugate's elements.
+Schreier-tree record, (parent, generator) (``group.schreier_tree``); its
+transversal element is its parent's times one generator, memoised by
+``group.transversal``, and is built only for the Schreier generators
+the tower consumes, and for the callers that need a conjugate's
+elements.
 ``nu_p``, ``sylow_subgroups`` and the four Sylow-number checks read
 every count off such orbits.  The lattice-based checks count on the
 Cayley table instead, once per conjugacy class of subgroups, each class
@@ -52,7 +53,6 @@ from .errors import (
     CapExceeded,
     NotASubgroup,
     NotMaximal,
-    NotNormal,
     NotPSolvable,
     PreconditionFailed,
     SylowNotContained,
@@ -61,13 +61,13 @@ from .group import (
     Numbering,
     PermGroup,
     _Chain,
-    is_normal,
     is_p_solvable,
     is_subgroup,
     p_residual,
     quotient_group,
     schreier_tree,
     stabilizer,
+    transversal,
 )
 from .perm import Permutation
 from .reports import CheckReport
@@ -184,8 +184,7 @@ def _key(P: PermGroup, cap: int | None = None) -> list[Permutation]:
     return []
 
 
-def _orbit(G: PermGroup, P: PermGroup, cap: int | None = None,
-           limit: int | None = None, what: str = "orbit"):
+def _orbit(G: PermGroup, P: PermGroup, cap: int | None = None):
     """The orbit of P under conjugation by G, as a Schreier tree
     (``group.schreier_tree``), with the action on its keys.
 
@@ -211,30 +210,17 @@ def _orbit(G: PermGroup, P: PermGroup, cap: int | None = None,
     def act(s, k):
         return tuple(sorted(map(conj[k].__getitem__, s)))
 
-    return schreier_tree(G, seed, act, limit, what), act
-
-
-def _transversals(G: PermGroup, records):
-    """The elements ``group.transversal`` gives for each of an orbit's
-    records, taken in discovery order, so that each is its parent's
-    element times one generator."""
-    u_of = {id(None): G.identity()}
-    for record in records:
-        if record is not None:
-            parent, k = record
-            u_of[id(record)] = u_of[id(parent)] * G.generators[k]
-        yield u_of[id(record)]
+    return schreier_tree(G, seed, act), act
 
 
 def _conjugates(G: PermGroup, P: PermGroup, p: int | None = None,
-                cap: int | None = None, limit: int | None = None,
-                what: str = "orbit") -> list:
+                cap: int | None = None) -> list:
     """The orbit of P under conjugation by G, each conjugate as its
-    Schreier-tree record (``_transversals`` turns them into their elements
-    of G).  With ``p``, P is a Sylow p-subgroup of G, and the orbit's
-    length, nu(G, p), is asserted to be 1 mod p.
+    Schreier-tree record (``group.transversal(G)`` turns them into their
+    elements of G).  With ``p``, P is a Sylow p-subgroup of G, and the
+    orbit's length, nu(G, p), is asserted to be 1 mod p.
     """
-    seen, _ = _orbit(G, P, cap, limit, what)
+    seen, _ = _orbit(G, P, cap)
     assert p is None or len(seen) % p == 1, "Sylow count must be 1 mod p"
     return list(seen.values())
 
@@ -253,19 +239,22 @@ def sylow_subgroups(G: PermGroup, p: int, cap: int | None = None) -> tuple[froze
 
     They form the conjugation orbit of one Sylow subgroup, the same orbit
     ``nu_p`` counts.  Raises CapExceeded when the Sylow subgroups together
-    would hold more elements than the element cap allows.
+    hold more elements, nu * |P|, than the element cap allows.  The orbit
+    is walked first, with no limit: it has at most |G| members, and the
+    tower has admitted G under the element cap.
     """
     check_prime(p)
     P = sylow_subgroup(G, p, cap)
-    records = _conjugates(G, P, p, cap, limit=config.element_cap(cap) // P.order(),
-                          what="Sylow subgroup enumeration")
+    records = _conjugates(G, P, p, cap)
+    config.refuse_above("Sylow subgroup enumeration", len(records) * P.order(),
+                        config.element_cap(cap))
     els = P.elements(cap)
 
     def members(u):
         u_inv = u.inverse()
         return frozenset(u_inv * x * u for x in els)
 
-    return tuple(sorted(map(members, _transversals(G, records)), key=sorted))
+    return tuple(sorted(map(members, map(transversal(G), records)), key=sorted))
 
 
 def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int,
@@ -293,7 +282,7 @@ def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int,
         u_inv = u.inverse()
         return all(u * q * u_inv in p_set for q in Q.generators)
 
-    containing = sum(map(holds_Q, _transversals(G, sylows)))
+    containing = sum(map(holds_Q, map(transversal(G), sylows)))
     unique_containment = containing == 1
     # |H : N_H(P)| need not be 1 mod p, so this orbit carries no p
     product_covers = len(_conjugates(H, P, cap=cap)) == nu_G
@@ -313,8 +302,6 @@ def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int,
 def nu_quotient_identity_check(G: PermGroup, N: PermGroup, p: int,
                                cap: int | None = None) -> CheckReport:
     """Verify nu(G, p) = nu(G/N, p) * nu(PN, p) for normal N."""
-    if not is_normal(G, N):
-        raise NotNormal("N is not normal in G")
     Q, _ = quotient_group(G, N, cap)
     P = sylow_subgroup(G, p, cap)
     PN = PermGroup(G.degree, P.generators + N.generators)

@@ -29,7 +29,7 @@ from math import gcd
 from operator import itemgetter
 
 from . import config
-from .errors import CapExceeded, OutOfDomain
+from .errors import OutOfDomain
 from .group import PermGroup, orbit_map
 from .perm import compose
 
@@ -104,10 +104,8 @@ class CayleyTable:
                  "conj_maps", "_cyclics", "_proper_max", "_whole")
 
     def __init__(self, group: PermGroup, cap: int | None = None):
-        limit = config.lattice_cap(cap)
         n = group.order()
-        if n > limit:
-            raise CapExceeded("cayley table", n, limit)
+        config.refuse_above("cayley table", n, config.lattice_cap(cap))
         els = group.elements(n)
         assert els[0].is_identity()
         imgs = [e.images for e in els]

@@ -10,6 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sylowlab import config
 from sylowlab.catalog import catalog_upto, construct_text
 from sylowlab.errors import CapExceeded, DegreeMismatch, NotAMember, NotASubgroup, NotNormal
 from sylowlab.group import (
@@ -28,7 +29,9 @@ from sylowlab.group import (
     point_stabilizer,
     quotient_group,
     right_cosets,
+    schreier_tree,
     span_from_elements,
+    transversal,
 )
 from sylowlab.lattice import subgroup_lattice
 from sylowlab.perm import Permutation
@@ -128,6 +131,17 @@ class TestElements:
             alternating(5).elements()
         # explicit argument wins over the environment
         assert len(alternating(5).elements(cap=60)) == 60
+
+
+@pytest.mark.parametrize("n, limit", [(0, 0), (1, 0), (4, 5), (5, 5), (6, 5), (2521, 2520)])
+def test_refuse_above_refuses_exactly_past_the_limit(n, limit):
+    if n <= limit:
+        assert config.refuse_above("thing", n, limit) is None
+        return
+    with pytest.raises(CapExceeded) as info:
+        config.refuse_above("thing", n, limit)
+    assert (info.value.what, info.value.required, info.value.cap) == ("thing", n, limit)
+    assert str(info.value) == f"thing: needs {n}, cap is {limit}"
 
 
 @pytest.mark.parametrize("make", [e.build for e in catalog_upto(2000)]
@@ -269,6 +283,24 @@ class TestOrbits:
         with pytest.raises(CapExceeded) as info:
             orbit_map(1, gens, lambda pt, g: g(pt), limit=4, what="points")
         assert (info.value.what, info.value.required, info.value.cap) == ("points", 5, 4)
+
+    @pytest.mark.parametrize("make", [e.build for e in catalog_upto(500)]
+                             + [lambda: construct_text("C1200")],
+                             ids=[e.label for e in catalog_upto(500)] + ["C1200"])
+    def test_schreier_transversal_maps_the_seed_to_each_point(self, make):
+        """``transversal(G)`` maps every record of the Schreier tree of each
+        point orbit to an element taking the seed to the record's point.
+        The records go deepest first, so the first call walks the longest
+        path with nothing memoised: in C1200 a path 1199 deep, past
+        Python's default recursion limit."""
+        G = make()
+        for orbit in G.orbits():
+            seed = min(orbit)
+            tree = schreier_tree(G, seed, lambda x, k: G.generators[k](x))
+            assert set(tree) == orbit
+            u_of = transversal(G)
+            for pt, record in reversed(tree.items()):
+                assert u_of(record)(seed) == pt, (G, seed, pt)
 
     def test_chain_transversals_map_base_points(self):
         for entry in catalog_upto(2000):

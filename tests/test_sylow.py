@@ -128,13 +128,15 @@ class TestSylowSubgroup:
             sylow_subgroups(alternating(6), 2, cap=30)
 
     def test_enumeration_cap_with_cached_elements(self):
-        # the element list is already there, so only the orbit's own
-        # limit (45 subgroups of order 8 > 30 elements) can refuse
+        # the element list is already there, so only the enumeration's
+        # own refusal can fire (45 subgroups of order 8 hold 360 > 30
+        # elements), and it reports that figure and the cap in force
         G = alternating(6)
         G.elements()
         with pytest.raises(CapExceeded) as info:
             sylow_subgroups(G, 2, cap=30)
         assert info.value.what == "Sylow subgroup enumeration"
+        assert (info.value.required, info.value.cap) == (360, 30)
         # nu_p's orbit has no such limit: it counts all 45
         assert nu_p(G, 2, cap=30) == 45
 
