@@ -412,8 +412,9 @@ def construct(e: GroupExpr, cap: int | None = None) -> PermGroup:
     if expected is not None:
         config.refuse_above(_ORDER, expected, limit)
     G = _construct(e)
+    if expected is None:
+        config.refuse_above(_ORDER, G.order(), limit)
     assert expected in (None, G.order()), (str(e), G.order(), expected)
-    config.refuse_above(_ORDER, G.order(), limit)
     return G
 
 

@@ -30,12 +30,14 @@ def p_elements(G: PermGroup, p: int, cap: int | None = None) -> frozenset[Permut
 def _cover_instance(lat, universe_idx: list[int], candidate_indices):
     """Bitmask cover instance over the given universe of element indices."""
     pos = {e: i for i, e in enumerate(universe_idx)}
+    universe = set(pos)
     masks = []
     for ci in candidate_indices:
         m = 0
-        for e in lat.element_sets[ci]:
-            if e in pos:
-                m |= 1 << pos[e]
+        # a set intersection walks the smaller side: a small class, or
+        # a subgroup smaller than the p-elements
+        for e in lat.element_sets[ci] & universe:
+            m |= 1 << pos[e]
         masks.append(m)
     return masks
 

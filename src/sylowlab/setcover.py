@@ -56,15 +56,11 @@ def min_cover(universe_size: int, masks: list[int]) -> tuple[int, tuple[int, ...
     if union & full != full:
         raise ValueError("universe is not coverable by the candidates")
 
-    # dominance: a candidate inside another can be dropped
-    keep = []
-    for i, m in enumerate(masks):
-        mi = m & full
-        dominated = any(
-            (mi | (other & full)) == (other & full) and (j < i or mi != (other & full))
-            for j, other in enumerate(masks) if j != i)
-        if not dominated and mi:
-            keep.append((i, mi))
+    # dominance: an empty candidate, or one inside another, can be dropped
+    nonempty = [(i, m & full) for i, m in enumerate(masks) if m & full]
+    keep = [(i, mi) for i, mi in nonempty
+            if not any((mi | other) == other and (j < i or mi != other)
+                       for j, other in nonempty if j != i)]
 
     kept_masks = [m for _, m in keep]
     greedy = _greedy(full, kept_masks)

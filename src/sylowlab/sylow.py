@@ -241,7 +241,8 @@ def sylow_subgroups(G: PermGroup, p: int, cap: int | None = None) -> tuple[froze
     ``nu_p`` counts.  Raises CapExceeded when the Sylow subgroups together
     hold more elements, nu * |P|, than the element cap allows.  The orbit
     is walked first, with no limit: it has at most |G| members, and the
-    tower has admitted G under the element cap.
+    tower has admitted G under the element cap.  So a refusal costs the
+    same orbit walk as ``nu_p``.
     """
     check_prime(p)
     P = sylow_subgroup(G, p, cap)

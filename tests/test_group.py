@@ -10,7 +10,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sylowlab import config
 from sylowlab.catalog import catalog_upto, construct_text
 from sylowlab.errors import CapExceeded, DegreeMismatch, NotAMember, NotASubgroup, NotNormal
 from sylowlab.group import (
@@ -131,17 +130,6 @@ class TestElements:
             alternating(5).elements()
         # explicit argument wins over the environment
         assert len(alternating(5).elements(cap=60)) == 60
-
-
-@pytest.mark.parametrize("n, limit", [(0, 0), (1, 0), (4, 5), (5, 5), (6, 5), (2521, 2520)])
-def test_refuse_above_refuses_exactly_past_the_limit(n, limit):
-    if n <= limit:
-        assert config.refuse_above("thing", n, limit) is None
-        return
-    with pytest.raises(CapExceeded) as info:
-        config.refuse_above("thing", n, limit)
-    assert (info.value.what, info.value.required, info.value.cap) == ("thing", n, limit)
-    assert str(info.value) == f"thing: needs {n}, cap is {limit}"
 
 
 @pytest.mark.parametrize("make", [e.build for e in catalog_upto(2000)]
@@ -278,11 +266,15 @@ class TestOrbits:
         assert all(u(1) == pt for pt, u in trans.items())
 
     def test_orbit_map_limit(self):
+        # the refusal fires exactly when the orbit would pass the limit
         gens = [perm("(1 2 3 4 5)", 5)]
         assert len(orbit_map(1, gens, lambda pt, g: g(pt), limit=5)) == 5
-        with pytest.raises(CapExceeded) as info:
-            orbit_map(1, gens, lambda pt, g: g(pt), limit=4, what="points")
-        assert (info.value.what, info.value.required, info.value.cap) == ("points", 5, 4)
+        for limit in (4, 1):
+            with pytest.raises(CapExceeded) as info:
+                orbit_map(1, gens, lambda pt, g: g(pt), limit=limit, what="points")
+            e = info.value
+            assert (e.what, e.required, e.cap) == ("points", limit + 1, limit)
+            assert str(e) == f"points: needs {limit + 1}, cap is {limit}"
 
     @pytest.mark.parametrize("make", [e.build for e in catalog_upto(500)]
                              + [lambda: construct_text("C1200")],
