@@ -7,9 +7,9 @@ cyclic case where no cover exists, and covers a single conjugacy class.
 import math
 
 from sylowlab import (
+    Permutation,
     catalog_entry,
     class_cover,
-    parse_permutation,
     sigma_p_cover,
 )
 
@@ -35,7 +35,7 @@ def main():
 
     print()
     A4 = catalog_entry("A4").build()
-    x = parse_permutation("(1 2 3)", 4)
+    x = Permutation.from_cycles("(1 2 3)", 4)
     size, cover = class_cover(A4, x)
     print(f"covering just the class of {x.cycle_string()} in A4 needs",
           size, "subgroups:")

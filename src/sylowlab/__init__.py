@@ -25,7 +25,6 @@ from .group import (
     PermGroup,
     conjugacy_class,
     is_normal,
-    is_p_solvable,
     is_subgroup,
     normal_closure,
     normalizer,
@@ -58,8 +57,6 @@ from .catalog import (
 from .cliques import max_clique
 from .covering import (
     class_cover,
-    class_cover_number,
-    p_elements,
     sigma_lower_bound_check,
     sigma_p,
     sigma_p_cover,
@@ -76,8 +73,8 @@ from .graphs import (
     sigma_le_clique_check,
     turan_bound_check,
 )
-from .lattice import SubgroupLattice, subgroup_lattice
-from .perm import Permutation, parse_permutation
+from .lattice import SubgroupLattice, is_p_solvable, subgroup_lattice
+from .perm import Permutation
 from .reports import SCHEMA_VERSION, CheckReport
 from .setcover import min_cover
 from .sylow import (

@@ -47,7 +47,9 @@ from .tables import check_prime
 
 
 def load_generator_file(path: str) -> PermGroup:
-    """One cycle-notation permutation per line; `#` comments, blanks skipped."""
+    """One cycle-notation permutation per line; `#` comments, blanks skipped.
+    A file without a permutation line is refused: the trivial group is
+    written ``()``."""
     cycles = []
     degree = 1
     with open(path) as fh:
@@ -63,6 +65,8 @@ def load_generator_file(path: str) -> PermGroup:
                     raise ExprSyntaxError(
                         f"{path} line {lineno}: {m.group()!r} is not a point",
                         m.start()) from None
+    if not cycles:
+        raise ExprSyntaxError(f"{path}: no generators; write () for the trivial group", 0)
     return PermGroup(degree, [Permutation.from_cycles(c, degree) for c in cycles])
 
 
@@ -298,11 +302,6 @@ def _report(kind: str, name: str, options: dict) -> dict:
         "notices": list(result.notices),
         "runtime_ms": runtime_ms,
     }
-
-
-def run_check(check: str, options: dict) -> dict:
-    """Execute one registered check; raises KeyError for an unknown id."""
-    return _report("check", check, options)
 
 
 # ---------------------------------------------------------------------------

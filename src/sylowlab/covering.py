@@ -2,9 +2,13 @@
 
 The covering number of a group generated by its p-elements is the least
 number of proper subgroups whose union contains every element of p-power
-order.  Any cover by proper subgroups refines to one by maximal
-subgroups, so the solver only considers maximal subgroups; a test oracle
-re-solves small instances over all proper subgroups to confirm.
+order (``sigma_p``; ``sigma_p_cover`` adds the witness).  ``class_cover``
+covers one conjugacy class of a prime-power element instead, and its
+first entry is that class's covering number.  Any cover by proper
+subgroups refines to one by maximal subgroups, so the solver only
+considers maximal subgroups; a test oracle re-solves small instances
+over all proper subgroups to confirm.  The p-elements themselves, the
+identity included, are ``graphs.pi_elements(G, {p})``.
 """
 
 from __future__ import annotations
@@ -12,19 +16,12 @@ from __future__ import annotations
 import math
 
 from .errors import ClassNotCoverable, PreconditionFailed
-from .graphs import pi_elements
 from .group import PermGroup, conjugacy_class, p_residual
 from .lattice import subgroup_lattice
 from .perm import Permutation
 from .reports import CheckReport
 from .setcover import min_cover
-from .tables import check_prime, is_p_power
-
-
-def p_elements(G: PermGroup, p: int, cap: int | None = None) -> frozenset[Permutation]:
-    """All elements of p-power order, including the identity: the
-    pi-elements for pi = {p}, whose listing checks p first."""
-    return frozenset(pi_elements(G, {p}, cap))
+from .tables import check_prime, is_p_power, least_prime
 
 
 def _cover_instance(lat, universe_idx: list[int], candidate_indices):
@@ -90,18 +87,11 @@ def sigma_p_cover(G: PermGroup, p: int, cap: int | None = None):
         return math.inf, ()
 
 
-def class_cover_number(G: PermGroup, x: Permutation, cap: int | None = None) -> int:
-    """Minimum number of proper subgroups covering the conjugacy class of x."""
-    return class_cover(G, x, cap)[0]
-
-
 def class_cover(G: PermGroup, x: Permutation, cap: int | None = None):
     """Minimum cover of x^G by maximal subgroups, with the witness."""
     o = x.order()
-    if o > 1:
-        q = min(d for d in range(2, o + 1) if o % d == 0)
-        if not is_p_power(o, q):
-            raise PreconditionFailed("element must have prime power order")
+    if o > 1 and not is_p_power(o, least_prime(o)):
+        raise PreconditionFailed("element must have prime power order")
     lat = subgroup_lattice(G, cap)
     cls = conjugacy_class(G, x, cap)
     universe = sorted(lat.ctx.index[y] for y in cls)

@@ -30,6 +30,7 @@ from operator import itemgetter
 
 from . import config
 from .cliques import max_clique
+from .covering import sigma_p
 from .errors import ExprSyntaxError, OutOfDomain, PreconditionFailed
 from .group import Numbering, PermGroup, element_orders, orbit_map
 from .perm import Permutation
@@ -236,8 +237,6 @@ def sigma_le_clique_check(G: PermGroup, p: int, cap: int | None = None) -> Check
     e.g. for elementary abelian groups) breaks down.  One graph gives
     both the clique and the p-elements it must cover, its vertices.
     """
-    from .covering import sigma_p
-
     # sigma_p first: it rejects a G not generated by its p-elements
     sigma = sigma_p(G, p, cap)
     graph = noncommuting_graph(G, {p}, cap)

@@ -259,15 +259,15 @@ class _Chain:
 class PermGroup:
     """A permutation group on {1..degree} given by generators.
 
-    Instances are immutable; expensive results (chain, element list,
-    conjugacy classes, and the Cayley table, subgroup lattice and element
-    numbering of the conjugation orbits built by other modules) are
-    computed on first use and cached on the instance.
+    Instances are immutable; expensive results (chain, element list, and
+    the Cayley table, subgroup lattice and element numbering of the
+    conjugation orbits built by other modules) are computed on first use
+    and cached on the instance.
     """
 
     __slots__ = (
         "_degree", "_generators", "_chain", "_elements",
-        "_classes", "_lattice", "_table", "_numbering",
+        "_lattice", "_table", "_numbering",
     )
 
     def __init__(self, degree: int, generators: Iterable[Permutation] = (), *,
@@ -287,7 +287,6 @@ class PermGroup:
         self._generators = tuple(sorted(gens))
         self._chain = _chain
         self._elements = None
-        self._classes = None
         self._lattice = None
         self._table = None
         self._numbering = None
@@ -358,18 +357,17 @@ class PermGroup:
     # -- conjugacy ---------------------------------------------------------
 
     def conjugacy_classes(self, cap: int | None = None) -> tuple[tuple[Permutation, frozenset[Permutation]], ...]:
-        """All conjugacy classes as (lexicographically least representative, class)."""
-        if self._classes is None:
-            seen: set[Permutation] = set()
-            out = []
-            for x in self.elements(cap):
-                if x in seen:
-                    continue
-                cls = conjugacy_class(self, x, cap)
-                seen |= cls
-                out.append((x, cls))
-            self._classes = tuple(out)
-        return self._classes
+        """All conjugacy classes as (lexicographically least representative,
+        class), recomputed on each call."""
+        seen: set[Permutation] = set()
+        out = []
+        for x in self.elements(cap):
+            if x in seen:
+                continue
+            cls = conjugacy_class(self, x, cap)
+            seen |= cls
+            out.append((x, cls))
+        return tuple(out)
 
 
 def element_orders(G: PermGroup, cap: int | None = None) -> list[int]:
@@ -606,30 +604,3 @@ def quotient_group(G: PermGroup, N: PermGroup, cap: int | None = None
     if Q.order() * N.order() != G.order():
         raise AssertionError("coset action does not realize the quotient")
     return Q, action.act
-
-
-def is_p_solvable(G: PermGroup, p: int, cap: int | None = None) -> bool:
-    """Whether the upper p-series reaches the whole group.
-
-    The series is read off G's own subgroup lattice: a normal subgroup of
-    G/K is N/K for a normal N of G containing K.  Each step goes from K
-    to the largest such N != K with |N:K| coprime to p or, when there is
-    none, to the largest with |N:K| a power of p (either is unique, being
-    O_p'(G/K) or O_p(G/K)).  G is p-solvable when the steps reach G, and
-    not when both kinds run out first.
-    """
-    from .lattice import subgroup_lattice  # local imports, avoid a cycle
-    from .tables import check_prime, is_p_power
-
-    check_prime(p)
-    lat = subgroup_lattice(G, cap)
-    normal = [lat.element_sets[i] for i in lat.normal_indices()]
-    K = lat.element_sets[0]
-    while len(K) < G.order():
-        above = [N for N in normal if K < N]
-        K = (max((N for N in above if (len(N) // len(K)) % p), key=len, default=None)
-             or max((N for N in above if is_p_power(len(N) // len(K), p)),
-                    key=len, default=None))
-        if K is None:
-            return False
-    return True

@@ -22,6 +22,9 @@ generators a report prints are chosen apart from it, by
 ``SubgroupLattice.generators_of``: walk the subgroup's sorted element
 indices and keep each one outside the span of those kept so far.  So the
 sweep's order fixes no output.
+
+``is_p_solvable`` reads the upper p-series off the lattice's normal
+subgroups.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from bisect import bisect_left
 
 from .group import PermGroup, orbit_map
 from .perm import Permutation
-from .tables import CayleyTable, get_table, is_p_power, p_part
+from .tables import CayleyTable, check_prime, get_table, is_p_power, least_prime, p_part
 
 
 class SubgroupLattice:
@@ -151,7 +154,7 @@ def subgroup_lattice(G: PermGroup, cap: int | None = None) -> SubgroupLattice:
     # (position, least generator c, c^p) of each cyclic subgroup of order p^k
     prime_power = []
     for k, (c, cfs) in enumerate(cyclics):
-        p = next(d for d in range(2, len(cfs) + 1) if len(cfs) % d == 0)
+        p = least_prime(len(cfs))
         if is_p_power(len(cfs), p):
             root = 0
             for _ in range(p):
@@ -197,3 +200,27 @@ def subgroup_lattice(G: PermGroup, cap: int | None = None) -> SubgroupLattice:
     G._lattice = SubgroupLattice(G, ctx, tuple(order), class_ids,
                                  tuple((rep, rep_gens[rep]) for rep in remap))
     return G._lattice
+
+
+def is_p_solvable(G: PermGroup, p: int, cap: int | None = None) -> bool:
+    """Whether the upper p-series reaches the whole group.
+
+    The series is read off G's own subgroup lattice: a normal subgroup of
+    G/K is N/K for a normal N of G containing K.  Each step goes from K
+    to the largest such N != K with |N:K| coprime to p or, when there is
+    none, to the largest with |N:K| a power of p (either is unique, being
+    O_p'(G/K) or O_p(G/K)).  G is p-solvable when the steps reach G, and
+    not when both kinds run out first.
+    """
+    check_prime(p)
+    lat = subgroup_lattice(G, cap)
+    normal = [lat.element_sets[i] for i in lat.normal_indices()]
+    K = lat.element_sets[0]
+    while len(K) < G.order():
+        above = [N for N in normal if K < N]
+        K = (max((N for N in above if (len(N) // len(K)) % p), key=len, default=None)
+             or max((N for N in above if is_p_power(len(N) // len(K), p)),
+                    key=len, default=None))
+        if K is None:
+            return False
+    return True

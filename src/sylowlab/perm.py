@@ -147,9 +147,6 @@ class Permutation:
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, x in enumerate(self._images) if x == i + 1)
 
-    def moved_points(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, x in enumerate(self._images) if x != i + 1)
-
     def cycles(self, include_fixed: bool = False) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles, each rotated to start at its smallest point,
         ordered by that point."""
@@ -184,8 +181,3 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()!r}, degree={self.degree})"
-
-
-def parse_permutation(text: str, degree: int | None = None) -> Permutation:
-    """Module-level alias for :meth:`Permutation.from_cycles`."""
-    return Permutation.from_cycles(text, degree)

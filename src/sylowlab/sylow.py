@@ -61,7 +61,6 @@ from .group import (
     Numbering,
     PermGroup,
     _Chain,
-    is_p_solvable,
     is_subgroup,
     p_residual,
     quotient_group,
@@ -69,6 +68,7 @@ from .group import (
     stabilizer,
     transversal,
 )
+from .lattice import is_p_solvable, subgroup_lattice
 from .perm import Permutation
 from .reports import CheckReport
 from .tables import check_prime, is_p_power, p_part
@@ -326,7 +326,7 @@ def nu_fpr_identity_check(G: PermGroup, H: PermGroup, p: int,
     H is maximal exactly when G is primitive on the cosets of H, so the
     check needs no subgroup lattice: G only has to fit the element cap.
     """
-    from .actions import coset_action, fpr_subgroup
+    from .actions import coset_action, fpr_subgroup  # local import: actions builds on this module
 
     if not is_subgroup(H, G):
         raise NotASubgroup("H is not a subgroup of G")
@@ -393,8 +393,6 @@ def p_solvable_divisibility_check(G: PermGroup, p: int,
     """For p-solvable G: nu(H,p) divides nu(G,p) for every proper H, and
     when the counts differ, nu(H,p) <= nu(G,p)/(p+1).
     """
-    from .lattice import subgroup_lattice
-
     if not is_p_solvable(G, p, cap):
         raise NotPSolvable("G is not p-solvable")
     *nus, nu_G = subgroup_lattice(G, cap).sylow_counts(p)
@@ -422,8 +420,6 @@ def sylow_ratio_gap_scan(groups, p: int, bound: Fraction,
     ``groups`` is an iterable of (name, PermGroup).  Groups whose lattice
     exceeds the cap are skipped with a notice, never silently.
     """
-    from .lattice import subgroup_lattice
-
     check_prime(p)
     violations = []
     notices = []

@@ -18,8 +18,8 @@ N(H) to an order known from the size of H's class.  ``sylow_count_in``
 counts the Sylow subgroups of a subgroup as the conjugation orbit of
 one of them, which the subgroup lattice supplies.
 
-The module also holds the prime helpers ``p_part``, ``is_p_power`` and
-``check_prime``.
+The module also holds the prime helpers ``p_part``, ``is_p_power``,
+``least_prime`` and ``check_prime``.
 """
 
 from __future__ import annotations
@@ -54,6 +54,11 @@ def is_p_power(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
     return n == 1
+
+
+def least_prime(n: int) -> int:
+    """The least prime dividing n >= 1, or 1 for n = 1."""
+    return next((d for d in range(2, n + 1) if n % d == 0), 1)
 
 
 # Miller-Rabin with the primes up to 41 as bases decides primality exactly
@@ -152,8 +157,7 @@ class CayleyTable:
                           for g in gen_idx}
         # a proper subgroup has index at least the least prime q dividing n,
         # so a subset of a subgroup with more than n / q elements spans G
-        q = next((d for d in range(2, n + 1) if n % d == 0), 1)
-        self._proper_max = n // q
+        self._proper_max = n // least_prime(n)
         self._whole = frozenset(range(n))
 
     @property

@@ -368,7 +368,7 @@ def quotient_route_is_p_solvable(G: PermGroup, p: int) -> bool:
 
     At each step the quotient's own subgroup lattice supplies its largest
     normal p'-subgroup, or else its largest normal p-subgroup, which is
-    then factored out with ``quotient_group``.  ``group.is_p_solvable``
+    then factored out with ``quotient_group``.  ``lattice.is_p_solvable``
     reads the same series off G's lattice alone and is tested against
     this.
     """

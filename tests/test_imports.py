@@ -1,17 +1,37 @@
-"""Every name a library module imports is used in that module.
+"""Static checks on the library's names.
 
-A static check on the syntax trees of ``src/sylowlab/*.py``, so an
-import left behind by a refactor fails the suite.  ``__init__.py`` is
-left out: its imports are the package's re-exports.
+Every name a library module imports is used in that module, checked on
+the syntax trees of ``src/sylowlab/*.py``, so an import left behind by a
+refactor fails the suite.  ``__init__.py`` is left out: its imports are
+the package's re-exports.  Each lower layer is imported at the top of a
+module: only the function-level imports in ``LOCAL_IMPORTS`` remain,
+each one kept for the reason given there.  And every library name the
+README cites as ``module.name`` or ``Class.attr`` resolves.
 """
 
 import ast
+import importlib
+import inspect
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sylowlab"
+import sylowlab
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sylowlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+# the function-level imports left, as module.function, with the reason
+LOCAL_IMPORTS = {
+    "group.p_residual": "sylow and tables import group, and the bench "
+                        "tracer's targets name p_residual in group",
+    "group.quotient_group": "actions imports group, and the bench tracer's "
+                            "targets name quotient_group in group",
+    "sylow.nu_fpr_identity_check": "actions imports sylow at its top",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +65,67 @@ def test_an_unused_import_is_caught():
               "    from .group import is_normal\n"
               "    return os.sep, CapExceeded\n")
     assert unused_imports(source) == ["NN", "is_normal"]
+
+
+def local_imports(module: str, source: str) -> set[str]:
+    """Each function of ``source`` whose body imports, as module.function."""
+    return {f"{module}.{fn.name}" for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(node, (ast.Import, ast.ImportFrom))
+                    for node in ast.walk(fn))}
+
+
+def test_only_the_allowed_function_level_imports():
+    found = set()
+    for path in SRC.glob("*.py"):
+        found |= local_imports(path.stem, path.read_text())
+    assert found == set(LOCAL_IMPORTS)
+
+
+def test_a_function_level_import_is_caught():
+    source = ("import os\n"
+              "def f():\n"
+              "    from .group import is_normal\n"
+              "    return is_normal\n"
+              "def g():\n"
+              "    return os.sep\n"
+              "class C:\n"
+              "    def h(self):\n"
+              "        import math\n"
+              "        return math.pi\n")
+    assert local_imports("m", source) == {"m.f", "m.h"}
+
+
+def library_owners() -> dict:
+    """Each sylowlab module, and each class defined in one, by name."""
+    owners = {}
+    for info in pkgutil.iter_modules(sylowlab.__path__):
+        module = importlib.import_module(f"sylowlab.{info.name}")
+        owners[info.name] = module
+        owners.update((name, value) for name, value in vars(module).items()
+                      if inspect.isclass(value) and value.__module__ == module.__name__)
+    return owners
+
+
+def unresolved_names(text: str, owners: dict) -> tuple[int, list[str]]:
+    """How many backticked ``module.name`` or ``Class.attr`` spans (a
+    call's arguments aside) of ``text`` start at one of ``owners``, and
+    those of them that do not resolve."""
+    names = set()
+    for span in re.findall(r"`([^`\n]+)`", text):
+        m = re.fullmatch(r"(\w+)\.(\w+)(?:\(.*\))?", span)
+        if m and m[1] in owners:
+            names.add((m[1], m[2]))
+    return len(names), sorted(f"{a}.{b}" for a, b in names if not hasattr(owners[a], b))
+
+
+def test_readme_names_resolve():
+    count, unresolved = unresolved_names((ROOT / "README.md").read_text(), library_owners())
+    assert count >= 15 and unresolved == []
+
+
+def test_a_stale_readme_name_is_caught():
+    text = ("`covering.p_elements(G, p)`, `covering.sigma_p`, `_Chain.least`, "
+            "`PermGroup._classes`, `x.cycle_string()`, `fractions.Fraction`")
+    assert unresolved_names(text, library_owners()) == (
+        4, ["PermGroup._classes", "covering.p_elements"])

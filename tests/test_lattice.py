@@ -112,13 +112,6 @@ class TestStructure:
             H = lat.subgroup(i)
             assert frozenset(lat.ctx.index[e] for e in H.elements()) == lat.element_sets[i]
 
-    def test_contains_matches_set_inclusion(self):
-        lat = subgroup_lattice(symmetric(3))
-        for i in range(len(lat)):
-            for j in range(len(lat)):
-                assert lat.contains(i, j) == (
-                    lat.element_sets[j] <= lat.element_sets[i])
-
     def test_normal_subgroups_of_symmetric_4(self):
         lat = subgroup_lattice(symmetric(4))
         orders = sorted(order_of(lat, i) for i in lat.normal_indices())

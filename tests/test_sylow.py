@@ -43,7 +43,7 @@ from sylowlab.actions import (
     subset_fpr_formula,
 )
 from sylowlab.catalog import catalog_entry, catalog_upto, construct_text
-from sylowlab.covering import p_elements, sigma_p_cover
+from sylowlab.covering import sigma_p_cover
 from sylowlab.errors import (
     CapExceeded,
     NotASubgroup,
@@ -54,6 +54,7 @@ from sylowlab.errors import (
     PreconditionFailed,
     SylowNotContained,
 )
+from sylowlab.graphs import pi_elements
 from sylowlab.group import PermGroup, conjugacy_class, is_subgroup, normalizer, p_residual
 from sylowlab.lattice import subgroup_lattice
 from sylowlab.perm import Permutation
@@ -425,7 +426,7 @@ class TestPrimeValidation:
     """Library entry points refuse a p that is not a prime before any
     early return.  Before, nu_p(A5, 4) answered 5, nu_p(A5, 6) failed an
     internal assertion and p_residual(A5, 4) returned a group; the gap
-    scan at p = 9 reported no violations, p_elements(A5, 4) returned the
+    scan at p = 9 reported no violations, the 4-elements of A5 were the
     identity alone and subset_fpr_formula(7, 2, 4) answered 1/7."""
 
     @pytest.mark.parametrize("p", [0, 1, 4, 6, 9])
@@ -438,7 +439,7 @@ class TestPrimeValidation:
         lambda p: sigma_p_cover(alternating(5), p),
         lambda p: min_fpr_p_element(natural_action(alternating(5)), p),
         lambda p: sylow_ratio_gap_scan([("A5", alternating(5))], p, Fraction(1, 2)),
-        lambda p: p_elements(alternating(5), p),
+        lambda p: frozenset(pi_elements(alternating(5), {p})),
         lambda p: canonical_p_element(10, p),
         lambda p: subset_fpr_formula(7, 2, p),
     ], ids=["nu_p", "sylow_subgroup", "sylow_subgroup_containing",
@@ -454,7 +455,7 @@ class TestPrimeValidation:
         code = (
             "from sylowlab.catalog import construct_text\n"
             "from sylowlab.errors import OutOfDomain\n"
-            "from sylowlab.group import is_p_solvable\n"
+            "from sylowlab.lattice import is_p_solvable\n"
             "for p in (0, 1, 4, 6):\n"
             "    try:\n"
             "        print(p, is_p_solvable(construct_text('S4'), p))\n"

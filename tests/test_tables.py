@@ -15,7 +15,7 @@ from sylowlab.catalog import catalog_upto, construct, parse_group_expr
 from sylowlab.errors import OutOfDomain
 from sylowlab.group import PermGroup
 from sylowlab.sylow import nu_p, sylow_subgroup
-from sylowlab.tables import CayleyTable, check_prime, get_table, is_p_power, p_part
+from sylowlab.tables import CayleyTable, check_prime, get_table, is_p_power, least_prime, p_part
 
 
 @pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
@@ -117,6 +117,9 @@ def test_check_prime_matches_trial_division():
         except OutOfDomain:
             accepted = False
         assert accepted == is_prime, n
+        if n >= 1:
+            least = next((d for d in range(2, int(n ** 0.5) + 1) if n % d == 0), n)
+            assert least_prime(n) == least, n
 
 
 @pytest.mark.parametrize("p", [2**61 - 1, 10**18 + 3, 3317044064679887385961813])
