@@ -40,6 +40,7 @@ from .actions import (
     fpr_subgroup,
     min_fpr_p_element,
     natural_action,
+    nu_fpr_identity_check,
     subset_fpr_formula,
     sylow_orbit_bound_check,
 )
@@ -78,7 +79,6 @@ from .perm import Permutation
 from .reports import SCHEMA_VERSION, CheckReport
 from .setcover import min_cover
 from .sylow import (
-    nu_fpr_identity_check,
     nu_monotonicity_check,
     nu_p,
     nu_quotient_identity_check,

@@ -1,11 +1,17 @@
-"""Transitive coset actions and exact fixed point ratios.
+"""Transitive coset actions, exact fixed point ratios and the checks on them.
 
-A fixed point ratio is always an exact ``Fraction``: the number of points
-fixed by an element (or by a whole subgroup) divided by the number of
-points.  The test suite checks fixed-point counting against the class
-formula |x^G meet H| / |x^G| on every catalog group of order at most
-2000, in its natural action and on the cosets of each class of maximal
-subgroups.
+A coset action holds the coset-image map of ``group.right_cosets`` (the
+identity map in the natural action).  A fixed point ratio is always an
+exact ``Fraction``: the number of points fixed by an element (or by a
+whole subgroup) divided by the number of points.  The test suite checks
+fixed-point counting against the class formula |x^G meet H| / |x^G| on
+every catalog group of order at most 2000, in its natural action and on
+the cosets of each class of maximal subgroups.
+
+Two checks act on cosets: ``nu_fpr_identity_check``, the paper's link
+nu_p(H)/nu_p(G) = fpr of a Sylow p-subgroup on G/H for maximal H holding
+one, with both counts read off ``sylow``'s conjugation orbits, and the
+Sylow orbit-count bound ``sylow_orbit_bound_check``.
 """
 
 from __future__ import annotations
@@ -18,9 +24,11 @@ from .errors import (
     NoPElement,
     NotAMember,
     NotASubgroup,
+    NotMaximal,
     NotTransitive,
     OutOfDomain,
     PreconditionFailed,
+    SylowNotContained,
 )
 from .group import (
     PermGroup,
@@ -31,8 +39,8 @@ from .group import (
 )
 from .perm import Permutation
 from .reports import CheckReport
-from .sylow import sylow_subgroup
-from .tables import check_prime, is_p_power
+from .sylow import _conjugates, sylow_subgroup
+from .tables import check_prime, is_p_power, p_part
 
 
 def _digits(n: int, p: int) -> list[int]:
@@ -57,35 +65,26 @@ class CosetAction:
     Points are numbered 1..degree; point i corresponds to the coset
     ``H * rep`` for ``rep = point_map[i-1]``, the coset's least element,
     and to the conjugate subgroup ``rep^-1 H rep``.  Point 1 is the coset
-    H itself.  x maps point i to the coset of ``rep * x``, found as its
-    least element on ``chain``, H's chain; with ``chain`` None the points
-    are G's own and act(x) = x.
+    H itself.  ``induced`` maps x to the permutation it induces on the
+    points: the map ``group.right_cosets`` returns, or the identity map
+    when the points are G's own.
     """
 
-    __slots__ = ("group", "point_stabilizer", "degree", "point_map",
-                 "_chain", "_point_of")
+    __slots__ = ("group", "point_stabilizer", "degree", "point_map", "_induced")
 
-    def __init__(self, group, point_stabilizer, point_map, chain):
+    def __init__(self, group, point_stabilizer, point_map, induced):
         self.group = group
         self.point_stabilizer = point_stabilizer
         self.degree = len(point_map)
         self.point_map = point_map
-        self._chain = chain
-        self._point_of = {rep: i for i, rep in enumerate(point_map, 1)}
+        # ``act`` without its membership test, for x known to lie in the group
+        self._induced = induced
 
     def act(self, x: Permutation) -> Permutation:
         """The permutation of 1..degree induced by x."""
         if x not in self.group:
             raise NotAMember("element is not in the acting group")
         return self._induced(x)
-
-    def _induced(self, x: Permutation) -> Permutation:
-        """``act`` without its membership test, for x known to lie in the group."""
-        if self._chain is None:
-            return x
-        least, point_of = self._chain.least, self._point_of
-        return Permutation(tuple(point_of[least(start=rep * x)]
-                                 for rep in self.point_map))
 
     def fixed_points(self, x: Permutation) -> tuple[int, ...]:
         return self.act(x).fixed_points()
@@ -115,10 +114,10 @@ def coset_action(G: PermGroup, H: PermGroup, cap: int | None = None) -> CosetAct
         raise NotASubgroup("H is not a subgroup of G")
     if H.order() == G.order():
         raise PreconditionFailed("H must be a proper subgroup")
-    point_map = right_cosets(G, H, cap)
+    point_map, induced = right_cosets(G, H, cap)
     assert len(point_map) * H.order() == G.order(), \
         "coset sweep must reach the full index"
-    return CosetAction(G, H, point_map, H.chain())
+    return CosetAction(G, H, point_map, induced)
 
 
 def natural_action(G: PermGroup) -> CosetAction:
@@ -132,7 +131,7 @@ def natural_action(G: PermGroup) -> CosetAction:
     # rep_i maps point 1 to i
     reps = orbit_map(1, G.generators, lambda pt, s: s(pt), Permutation.__mul__, G.identity())
     point_map = tuple(reps[i] for i in range(1, G.degree + 1))
-    return CosetAction(G, H, point_map, None)
+    return CosetAction(G, H, point_map, lambda x: x)
 
 
 def fpr_element(action: CosetAction, x: Permutation) -> Fraction:
@@ -231,6 +230,39 @@ def min_fpr_p_element(action: CosetAction, p: int,
     x = G.chain().least(lambda x: x.order() == o and ratio(x) == best)
     assert x is not None, "a conjugate of a Sylow element must be met"
     return x, best
+
+
+def nu_fpr_identity_check(G: PermGroup, H: PermGroup, p: int,
+                          cap: int | None = None) -> CheckReport:
+    """Verify nu(H,p)/nu(G,p) equals the fixed point ratio of a Sylow
+    p-subgroup on the conjugates of H, for maximal H containing one.
+
+    H is maximal exactly when G is primitive on the cosets of H, so the
+    check needs no subgroup lattice: G only has to fit the element cap.
+    """
+    if not is_subgroup(H, G):
+        raise NotASubgroup("H is not a subgroup of G")
+    if H.order() == G.order():
+        raise NotMaximal("H is the whole group")
+    action = coset_action(G, H, cap)
+    if not action.is_primitive():
+        raise NotMaximal("H is not maximal: G is imprimitive on its cosets")
+    if p_part(H.order(), p) != p_part(G.order(), p):
+        raise SylowNotContained(
+            "H does not contain a Sylow p-subgroup of G")
+    P = sylow_subgroup(H, p, cap)
+    nu_H = len(_conjugates(H, P, p, cap))
+    nu_G = len(_conjugates(G, P, p, cap))
+    ratio = Fraction(nu_H, nu_G)
+    fixed_ratio = fpr_subgroup(action, P)
+    return CheckReport("sylow-fpr-identity", ratio == fixed_ratio, {
+        "p": p,
+        "nu_H": nu_H,
+        "nu_G": nu_G,
+        "sylow_ratio": ratio,
+        "fixed_point_ratio": fixed_ratio,
+        "degree": action.degree,
+    })
 
 
 def sylow_orbit_bound_check(action: CosetAction, p: int,

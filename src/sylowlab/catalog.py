@@ -25,6 +25,7 @@ from . import config
 from .errors import (
     CapExceeded,
     ExprSyntaxError,
+    InvalidPermutation,
     UnsupportedDegree,
     UnsupportedField,
 )
@@ -219,24 +220,55 @@ class _Parser:
         self.error(f"unknown atom {name!r}", offset)
 
     def generator_literal(self, start: int) -> GensAtom:
-        """The list whose `[` is at ``start``."""
+        """The list whose `[` is at ``start``; an entry that is no
+        permutation is refused at ``start``."""
         end = self.text.find("]", start)
         if end < 0:
             self.error("unterminated generator list", start)
         self.pos = end + 1
-        body = self.text[start + 1: end]
-        cycles = [part.strip() for part in re.split(r",(?![^()]*\))", body)]
-        if not all(cycles):
-            self.error("empty generator entry", start)
-        degree = max([1, *(self.integer(m[0], start + 1 + m.start())
-                           for m in re.finditer(r"\d+", body))])
-        gens = []
-        for part in cycles:
+        entries, offset = [], start + 1
+        # the commas between entries, not those between the points of a cycle
+        for part in re.split(r",(?![^()]*\))", self.text[start + 1: end]):
+            if not part.strip():
+                self.error("empty generator entry", start)
+            entries.append((part, "", offset))
+            offset += len(part) + 1
+        degree, gens = parse_generators(entries, start)
+        return GensAtom(degree, tuple(g.cycle_string() for g in gens))
+
+
+# a point of a cycle string, or what stands in the place of one
+_POINT = re.compile(r"[^\s,()]+")
+
+
+def parse_generators(entries, at: int = 0) -> tuple[int, list[Permutation]]:
+    """The degree and the permutations of generators in cycle notation:
+    the one rule of generator files and generator literals.
+
+    ``entries`` holds (text, where, offset) for each generator: ``where``
+    prefixes its error messages and ``offset`` is the offset of its first
+    character.  The degree is the largest point of any entry, at least 1.
+    A token that is not a point, or a number too long for ``int()``, is
+    refused at its own offset; an entry that is no permutation of that
+    degree is refused at ``at``.  Each refusal is an ExprSyntaxError.
+    """
+    degree = 1
+    for text, where, offset in entries:
+        for m in _POINT.finditer(text):
+            token = m.group()
+            if not token.isdecimal():
+                raise ExprSyntaxError(f"{where}{token!r} is not a point", offset + m.start())
             try:
-                gens.append(Permutation.from_cycles(part, degree).cycle_string())
-            except Exception:
-                self.error(f"bad permutation {part!r}", start)
-        return GensAtom(degree, tuple(gens))
+                degree = max(degree, int(token))
+            except ValueError:
+                raise ExprSyntaxError(f"{where}number too long", offset + m.start()) from None
+    gens = []
+    for text, where, _ in entries:
+        try:
+            gens.append(Permutation.from_cycles(text, degree))
+        except InvalidPermutation as err:
+            raise ExprSyntaxError(f"{where}bad permutation {text.strip()!r}: {err}", at) from None
+    return degree, gens
 
 
 def parse_group_expr(text: str) -> GroupExpr:

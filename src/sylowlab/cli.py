@@ -12,16 +12,16 @@ import argparse
 import copy
 import json
 import os
-import re
 import sys
 import time
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .actions import min_fpr_p_element, natural_action, coset_action, sylow_orbit_bound_check
-from .catalog import CATALOG_BY_LABEL, construct_text
+from .actions import (coset_action, min_fpr_p_element, natural_action,
+                      nu_fpr_identity_check, sylow_orbit_bound_check)
+from .catalog import CATALOG_BY_LABEL, construct_text, parse_generators
 from .covering import sigma_lower_bound_check, sigma_p_cover
-from .errors import ExprSyntaxError, InvalidConfig, SylowlabError
+from .errors import ExprSyntaxError, InvalidConfig
 from .graphs import (
     BitGraph,
     max_noncommuting_set,
@@ -35,7 +35,6 @@ from .group import PermGroup
 from .perm import Permutation
 from .reports import SCHEMA_VERSION, CheckReport, encode_value
 from .sylow import (
-    nu_fpr_identity_check,
     nu_monotonicity_check,
     nu_p,
     nu_quotient_identity_check,
@@ -49,25 +48,17 @@ from .tables import check_prime
 def load_generator_file(path: str) -> PermGroup:
     """One cycle-notation permutation per line; `#` comments, blanks skipped.
     A file without a permutation line is refused: the trivial group is
-    written ``()``."""
-    cycles = []
-    degree = 1
+    written ``()``.  A bad line is refused at its file and line number
+    (``catalog.parse_generators``)."""
+    entries = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            cycles.append(line)
-            for m in re.finditer(r"[^\s,()]+", line):
-                try:
-                    degree = max(degree, int(m.group()))
-                except ValueError:
-                    raise ExprSyntaxError(
-                        f"{path} line {lineno}: {m.group()!r} is not a point",
-                        m.start()) from None
-    if not cycles:
+            if line:
+                entries.append((line, f"{path} line {lineno}: ", 0))
+    if not entries:
         raise ExprSyntaxError(f"{path}: no generators; write () for the trivial group", 0)
-    return PermGroup(degree, [Permutation.from_cycles(c, degree) for c in cycles])
+    return PermGroup(*parse_generators(entries))
 
 
 class GroupInput:
@@ -433,7 +424,9 @@ def _run(parser, args) -> int:
     kind, name, names = _declared(parser, args)
     try:
         options = _resolve(args, names)
-    except (ExprSyntaxError, SylowlabError, OSError) as err:
+    except Exception as err:
+        # as in ``_report``: every exception, a bad file or an exhausted
+        # memory alike, ends in an error entry, never a traceback
         print(f"error: {err}", file=sys.stderr)
         _emit([_envelope(kind, name, {}) | _failure(err)], args.json_path)
         return 1

@@ -2,13 +2,16 @@
 
 The covering number of a group generated by its p-elements is the least
 number of proper subgroups whose union contains every element of p-power
-order (``sigma_p``; ``sigma_p_cover`` adds the witness).  ``class_cover``
-covers one conjugacy class of a prime-power element instead, and its
-first entry is that class's covering number.  Any cover by proper
-subgroups refines to one by maximal subgroups, so the solver only
-considers maximal subgroups; a test oracle re-solves small instances
-over all proper subgroups to confirm.  The p-elements themselves, the
-identity included, are ``graphs.pi_elements(G, {p})``.
+order (``sigma_p``; ``sigma_p_cover`` adds the witness).  That
+precondition is read off the cover itself: a finite group is generated
+by its p-elements exactly when no maximal subgroup holds them all, so
+exactly when a least cover needs two subgroups or more, or none exists.
+``class_cover`` covers one conjugacy class of a prime-power element
+instead, and its first entry is that class's covering number.  Any
+cover by proper subgroups refines to one by maximal subgroups, so the
+solver only considers maximal subgroups; a test oracle re-solves small
+instances over all proper subgroups to confirm.  The p-elements
+themselves, the identity included, are ``graphs.pi_elements(G, {p})``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .errors import ClassNotCoverable, PreconditionFailed
-from .group import PermGroup, conjugacy_class, p_residual
+from .group import PermGroup, conjugacy_class
 from .lattice import subgroup_lattice
 from .perm import Permutation
 from .reports import CheckReport
@@ -49,8 +52,6 @@ def _solve(lat, universe_idx: list[int], candidate_indices):
 
 
 def _sigma_instance(G: PermGroup, p: int, cap: int | None):
-    if p_residual(G, p, cap).order() != G.order():
-        raise PreconditionFailed("group must be generated by its p-elements")
     lat = subgroup_lattice(G, cap)
     ctx = lat.ctx
     universe = sorted(i for i in range(ctx.n)
@@ -74,17 +75,26 @@ def sigma_p(G: PermGroup, p: int, cap: int | None = None) -> int | float:
 
 def sigma_p_cover(G: PermGroup, p: int, cap: int | None = None):
     """Like sigma_p, also returning the witness cover as a tuple of
-    generator tuples (empty for the infinity case)."""
+    generator tuples (empty for the infinity case).
+
+    The universe leaves out the identity, so a least cover of size 1 is
+    one maximal subgroup that holds every p-element, and one of size 0
+    means 1 is the only p-element: either way G is not generated by its
+    p-elements, and the request is refused.
+    """
     check_prime(p)
     lat, universe, maximal = _sigma_instance(G, p, cap)
     if not maximal:
         # only the trivial group: min_cover would cover its empty universe with 0
         return math.inf, ()
     try:
-        return _solve(lat, universe, maximal)
+        size, cover = _solve(lat, universe, maximal)
     except ValueError:
         # some p-element generates the whole group: G is cyclic
         return math.inf, ()
+    if size < 2:
+        raise PreconditionFailed("group must be generated by its p-elements")
+    return size, cover
 
 
 def class_cover(G: PermGroup, x: Permutation, cap: int | None = None):

@@ -4,11 +4,15 @@ Orders and membership come from a Schreier-Sims stabilizer chain on the
 base 1, 2, ..., degree, built deterministically (generators are sorted
 on construction and orbits are explored breadth-first), so repeated runs
 agree exactly.  The same chain walks a coset of the group in image-table
-order (``_Chain.least``).  Schreier's lemma is applied in one place:
-``stabilizer`` builds the stabilizer of the seed of a Schreier tree
-(``schreier_tree``), for a point of 1..degree (``point_stabilizer``) or
-for a subgroup in its conjugation orbit (``sylow``'s normalizers), and
-only ``transversal`` reads the tree's records.
+order (``_Chain.least``), so ``right_cosets`` lists the right cosets of
+a subgroup by their least elements and returns the permutation each
+element induces on them: the one coset-image map, behind
+``actions.CosetAction`` and ``quotient_group``.  Schreier's lemma is
+applied in one place: ``stabilizer`` builds the stabilizer of the seed
+of a Schreier tree (``schreier_tree``), for a point of 1..degree
+(``point_stabilizer``) or for a subgroup in its conjugation orbit
+(``sylow``'s normalizers), and only ``transversal`` reads the tree's
+records.
 
 Enumeration-heavy helpers (element lists, conjugacy classes, brute-force
 normalizers) respect the element cap from :mod:`sylowlab.config`.
@@ -571,20 +575,29 @@ def point_stabilizer(G: PermGroup, point: int) -> PermGroup:
 
 
 def right_cosets(G: PermGroup, H: PermGroup, cap: int | None = None
-                 ) -> tuple[Permutation, ...]:
-    """The right cosets H*g of a subgroup H, swept breadth-first from H itself.
+                 ) -> tuple[tuple[Permutation, ...], Callable[[Permutation], Permutation]]:
+    """The right cosets H*g of a subgroup H, swept breadth-first from H
+    itself, and the action of G on them.
 
     Returns the least element (by image table) of each coset, in discovery
-    order.  A coset's least element is read off H's chain
-    (``_Chain.least``), so the sweep costs about |G:H| times the number
-    of generators walks of that chain, and the index must fit the
+    order, and the map ``induced`` that sends x in G to the permutation it
+    induces on the cosets: point i, the coset of the i-th least element r,
+    goes to the point of H*r*x.  A coset's least element is read off H's
+    chain (``_Chain.least``), so the sweep costs about |G:H| times the
+    number of generators walks of that chain, and the index must fit the
     element cap.
     """
     config.refuse_above("coset action", G.order() // H.order(), config.element_cap(cap))
     least = H.chain().least
     # the identity is the least element of H
-    return tuple(orbit_map(G.identity(), G.generators,
+    reps = tuple(orbit_map(G.identity(), G.generators,
                            lambda r, s: least(start=r * s)))
+    point_of = {rep: i for i, rep in enumerate(reps, 1)}
+
+    def induced(x: Permutation) -> Permutation:
+        return Permutation(tuple(point_of[least(start=rep * x)] for rep in reps))
+
+    return reps, induced
 
 
 def quotient_group(G: PermGroup, N: PermGroup, cap: int | None = None
@@ -593,14 +606,18 @@ def quotient_group(G: PermGroup, N: PermGroup, cap: int | None = None
 
     Returns the quotient together with the projection homomorphism.
     """
-    from .actions import CosetAction  # local import: actions builds on this module
-
     if not is_subgroup(N, G):
         raise NotASubgroup("N is not a subgroup of G")
     if not is_normal(G, N):
         raise NotNormal("N is not normal in G")
-    action = CosetAction(G, N, right_cosets(G, N, cap), N.chain())
-    Q = action.image(G.generators)
+    reps, induced = right_cosets(G, N, cap)
+    Q = PermGroup(len(reps), [induced(g) for g in G.generators])
     if Q.order() * N.order() != G.order():
         raise AssertionError("coset action does not realize the quotient")
-    return Q, action.act
+
+    def project(x: Permutation) -> Permutation:
+        if x not in G:
+            raise NotAMember("element is not in the acting group")
+        return induced(x)
+
+    return Q, project

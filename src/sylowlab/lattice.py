@@ -87,10 +87,6 @@ class SubgroupLattice:
             gens = self._generators[i] = tuple(ctx.elements[x] for x in kept)
         return gens
 
-    def contains(self, i: int, j: int) -> bool:
-        """True when subgroup j is contained in subgroup i."""
-        return self.element_sets[j] <= self.element_sets[i]
-
     def classes(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {}
         for i, c in enumerate(self.class_ids):

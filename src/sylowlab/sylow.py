@@ -34,14 +34,16 @@ transversal element is its parent's times one generator, memoised by
 ``group.transversal``, and is built only for the Schreier generators
 the tower consumes, and for the callers that need a conjugate's
 elements.
-``nu_p``, ``sylow_subgroups`` and the four Sylow-number checks read
-every count off such orbits.  The lattice-based checks count on the
-Cayley table instead, once per conjugacy class of subgroups, each class
-representative's Sylow subgroup read off the lattice itself
-(``SubgroupLattice.sylow_counts``).  The test suite checks the counts
-against the normalizer index and against the subgroups of full p-power
-order in the subgroup lattice, and the tower against the same rule
-applied to the sorted element indices of a Cayley table.
+``nu_p``, ``sylow_subgroups``, the three Sylow-number checks here
+(monotonicity, the quotient product and the ratio bound) and
+``actions.nu_fpr_identity_check`` read every count off such orbits.
+The lattice-based checks count on the Cayley table instead, once per
+conjugacy class of subgroups, each class representative's Sylow
+subgroup read off the lattice itself (``SubgroupLattice.sylow_counts``).
+The test suite checks the counts against the normalizer index and
+against the subgroups of full p-power order in the subgroup lattice, and
+the tower against the same rule applied to the sorted element indices
+of a Cayley table.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from . import config
 from .errors import (
     CapExceeded,
     NotASubgroup,
-    NotMaximal,
     NotPSolvable,
     PreconditionFailed,
     SylowNotContained,
@@ -315,41 +316,6 @@ def nu_quotient_identity_check(G: PermGroup, N: PermGroup, p: int,
         "nu_quotient": nu_Q,
         "nu_PN": nu_PN,
         "product": nu_Q * nu_PN,
-    })
-
-
-def nu_fpr_identity_check(G: PermGroup, H: PermGroup, p: int,
-                          cap: int | None = None) -> CheckReport:
-    """Verify nu(H,p)/nu(G,p) equals the fixed point ratio of a Sylow
-    p-subgroup on the conjugates of H, for maximal H containing one.
-
-    H is maximal exactly when G is primitive on the cosets of H, so the
-    check needs no subgroup lattice: G only has to fit the element cap.
-    """
-    from .actions import coset_action, fpr_subgroup  # local import: actions builds on this module
-
-    if not is_subgroup(H, G):
-        raise NotASubgroup("H is not a subgroup of G")
-    if H.order() == G.order():
-        raise NotMaximal("H is the whole group")
-    action = coset_action(G, H, cap)
-    if not action.is_primitive():
-        raise NotMaximal("H is not maximal: G is imprimitive on its cosets")
-    if p_part(H.order(), p) != p_part(G.order(), p):
-        raise SylowNotContained(
-            "H does not contain a Sylow p-subgroup of G")
-    P = sylow_subgroup(H, p, cap)
-    nu_H = len(_conjugates(H, P, p, cap))
-    nu_G = len(_conjugates(G, P, p, cap))
-    ratio = Fraction(nu_H, nu_G)
-    fixed_ratio = fpr_subgroup(action, P)
-    return CheckReport("sylow-fpr-identity", ratio == fixed_ratio, {
-        "p": p,
-        "nu_H": nu_H,
-        "nu_G": nu_G,
-        "sylow_ratio": ratio,
-        "fixed_point_ratio": fixed_ratio,
-        "degree": action.degree,
     })
 
 

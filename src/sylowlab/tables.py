@@ -34,14 +34,10 @@ from .group import PermGroup, orbit_map
 from .perm import compose
 
 
-def _check_base(p: int) -> None:
+def p_part(n: int, p: int) -> int:
+    """Largest power of p dividing n; p < 2 is refused."""
     if p < 2:
         raise OutOfDomain(f"p must be at least 2, got {p}")
-
-
-def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n."""
-    _check_base(p)
     out = 1
     while n % p == 0:
         n //= p
@@ -50,10 +46,7 @@ def p_part(n: int, p: int) -> int:
 
 
 def is_p_power(n: int, p: int) -> bool:
-    _check_base(p)
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return p_part(n, p) == n
 
 
 def least_prime(n: int) -> int:

@@ -240,6 +240,21 @@ class TestCompute:
         assert str(f) in rep["error"]["message"] and "'x'" in rep["error"]["message"]
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("line, reason", [
+        ("(1 2)(", "unexpected text in cycle string"), ("(0 1)", "bad cycle (0, 1)")])
+    def test_generator_file_with_bad_entry(self, capsys, tmp_path, line, reason):
+        # an entry that is no permutation is refused at its file and line
+        f = tmp_path / "gens.txt"
+        f.write_text(f"(1 2 3)\n{line}\n")
+        rc = main(["compute", "nu", "--group", f"@{f}", "-p", "2"])
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)
+        assert rc == 1 and not rep["ok"]
+        assert rep["error"]["type"] == "ExprSyntaxError"
+        assert f"{f} line 2: " in rep["error"]["message"]
+        assert reason in rep["error"]["message"]
+        assert "Traceback" not in captured.err
+
     def test_generator_file_without_generators(self, capsys, tmp_path):
         # comments and blanks name no group; the trivial group is a () line
         f = tmp_path / "gens.txt"
@@ -323,6 +338,19 @@ class TestPlumbing:
             rc, rep = run(capsys, *argv)
             assert rc == 1
             assert rep["ok"] is False and rep["error"] == want
+
+    def test_any_exception_building_a_group_is_a_structured_error(self, capsys, monkeypatch):
+        def failing(text, cap):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "GroupInput", failing)
+        rc = main(["compute", "nu", "--group", "S3", "-p", "2"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error: boom" in captured.err and "Traceback" not in captured.err
+        rep = json.loads(captured.out)
+        assert rep["ok"] is False
+        assert rep["error"] == {"type": "RuntimeError", "message": "boom"}
 
     @pytest.mark.parametrize("groups", [("A4", "A5"), ("A5", "A4")])
     def test_sub_padded_to_each_group(self, capsys, groups):

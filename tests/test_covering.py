@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from sylowlab.catalog import catalog_entry, construct, construct_text, parse_group_expr
+from sylowlab.catalog import catalog_entry, catalog_upto, construct, construct_text, parse_group_expr
 from sylowlab.cli import main
 from sylowlab.covering import (
     _cover_instance,
@@ -24,7 +24,7 @@ from sylowlab.covering import (
 )
 from sylowlab.errors import ClassNotCoverable, PreconditionFailed
 from sylowlab.graphs import pi_elements
-from sylowlab.group import PermGroup, conjugacy_class, quotient_group
+from sylowlab.group import PermGroup, conjugacy_class, p_residual, quotient_group
 from sylowlab.lattice import subgroup_lattice
 from sylowlab.setcover import min_cover
 from sylowlab.sylow import nu_p
@@ -122,6 +122,33 @@ class TestSigmaFrozen:
         assert points == 9
         assert sigma_p(G, 7) == min(k + math.comb(points - k, 2)
                                     for k in range(points + 1)) == 8
+
+
+def primes_to_test(n):
+    """The primes dividing n, and the least prime that does not."""
+    primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % d for d in range(2, q))]
+    spare = next(q for q in range(2, n + 2) if n % q and all(q % d for d in range(2, q)))
+    return primes + [spare]
+
+
+class TestPreconditionReadOffTheCover:
+    def test_refusal_matches_the_p_residual_across_catalog(self):
+        # a second route to "G is generated by its p-elements": the normal
+        # closure of a Sylow p-subgroup is all of G
+        refused = 0
+        for entry in catalog_upto(2000):
+            G = entry.build()
+            for p in primes_to_test(G.order()):
+                generated = p_residual(G, p).order() == G.order()
+                try:
+                    value = sigma_p(G, p)
+                except PreconditionFailed:
+                    assert not generated, (entry.label, p)
+                    refused += 1
+                    continue
+                assert generated, (entry.label, p)
+                assert value >= 2, (entry.label, p)
+        assert refused >= 30
 
 
 class TestSigmaCoverWitness:

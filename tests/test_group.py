@@ -545,7 +545,7 @@ def test_right_cosets_over_catalog():
         lat = subgroup_lattice(G)
         for i in range(len(lat)):
             H = lat.subgroup(i)
-            reps = right_cosets(G, H)
+            reps, _ = right_cosets(G, H)
             assert len(reps) == G.order() // H.order()
             assert reps[0] == min(H.elements())
             covered = set()

@@ -3,9 +3,10 @@
 Every name a library module imports is used in that module, checked on
 the syntax trees of ``src/sylowlab/*.py``, so an import left behind by a
 refactor fails the suite.  ``__init__.py`` is left out: its imports are
-the package's re-exports.  Each lower layer is imported at the top of a
-module: only the function-level imports in ``LOCAL_IMPORTS`` remain,
-each one kept for the reason given there.  And every library name the
+the package's re-exports.  The modules follow one layer order
+(``LAYERS``): each imports, at its top, only the modules before it.
+Only the function-level imports in ``LOCAL_IMPORTS`` remain, each one
+kept for the reason given there.  And every library name the
 README cites as ``module.name`` or ``Class.attr`` resolves.
 """
 
@@ -24,13 +25,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sylowlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
+# the layer order, lowest first: a module's top-level imports name only
+# the modules before it
+LAYERS = ("errors", "config", "perm", "gf", "reports", "setcover", "cliques",
+          "group", "tables", "lattice", "sylow", "actions", "covering",
+          "graphs", "catalog", "cli")
+
 # the function-level imports left, as module.function, with the reason
 LOCAL_IMPORTS = {
     "group.p_residual": "sylow and tables import group, and the bench "
                         "tracer's targets name p_residual in group",
-    "group.quotient_group": "actions imports group, and the bench tracer's "
-                            "targets name quotient_group in group",
-    "sylow.nu_fpr_identity_check": "actions imports sylow at its top",
 }
 
 
@@ -65,6 +69,39 @@ def test_an_unused_import_is_caught():
               "    from .group import is_normal\n"
               "    return os.sep, CapExceeded\n")
     assert unused_imports(source) == ["NN", "is_normal"]
+
+
+def later_imports(module: str, source: str) -> list[str]:
+    """The modules that a top-level ``from .x import`` or ``from . import
+    x`` of ``module``'s ``source`` names at or after ``module`` in
+    ``LAYERS``."""
+    later = LAYERS[LAYERS.index(module):]
+    named = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            named.update([node.module] if node.module else (a.name for a in node.names))
+    return sorted(named & set(later))
+
+
+def test_every_module_has_a_layer():
+    assert sorted(LAYERS) == sorted(p.stem for p in MODULES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_top_level_imports_follow_the_layer_order(path):
+    assert later_imports(path.stem, path.read_text()) == []
+
+
+def test_an_upward_import_is_caught():
+    source = ("from __future__ import annotations\n"
+              "from . import config, graphs\n"
+              "from .group import PermGroup\n"
+              "from .covering import sigma_p\n"
+              "def f():\n"
+              "    from .cli import main\n"
+              "    return main\n")
+    assert later_imports("sylow", source) == ["covering", "graphs"]
+    assert later_imports("cli", source) == []
 
 
 def local_imports(module: str, source: str) -> set[str]:

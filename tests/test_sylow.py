@@ -40,6 +40,7 @@ from sylowlab.actions import (
     fpr_subgroup,
     min_fpr_p_element,
     natural_action,
+    nu_fpr_identity_check,
     subset_fpr_formula,
 )
 from sylowlab.catalog import catalog_entry, catalog_upto, construct_text
@@ -62,7 +63,6 @@ from sylowlab.sylow import (
     _conjugates,
     _key,
     nu_monotonicity_check,
-    nu_fpr_identity_check,
     nu_p,
     nu_quotient_identity_check,
     p_solvable_divisibility_check,
