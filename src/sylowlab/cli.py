@@ -135,8 +135,14 @@ def _envelope(kind: str, name: str, options: dict) -> dict:
     return out
 
 
+def _message(err: Exception) -> str:
+    """What ``err`` says, or its type name when it says nothing, as a bare
+    ``MemoryError()`` does."""
+    return str(err) or type(err).__name__
+
+
 def _failure(err: Exception) -> dict:
-    return {"ok": False, "error": {"type": type(err).__name__, "message": str(err)}}
+    return {"ok": False, "error": {"type": type(err).__name__, "message": _message(err)}}
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +433,7 @@ def _run(parser, args) -> int:
     except Exception as err:
         # as in ``_report``: every exception, a bad file or an exhausted
         # memory alike, ends in an error entry, never a traceback
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {_message(err)}", file=sys.stderr)
         _emit([_envelope(kind, name, {}) | _failure(err)], args.json_path)
         return 1
 

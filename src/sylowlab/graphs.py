@@ -26,6 +26,7 @@ vertices, come from one power walk per cyclic subgroup
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from operator import itemgetter
 
 from . import config
@@ -35,7 +36,7 @@ from .errors import ExprSyntaxError, OutOfDomain, PreconditionFailed
 from .group import Numbering, PermGroup, element_orders, orbit_map
 from .perm import Permutation
 from .reports import CheckReport
-from .tables import check_prime
+from .tables import check_prime, p_part
 
 
 class BitGraph:
@@ -105,15 +106,8 @@ def pi_elements(G: PermGroup, pi, cap: int | None = None) -> tuple[Permutation, 
     pi = frozenset(pi)
     for p in sorted(pi):
         check_prime(p)
-
-    def is_pi_number(n: int) -> bool:
-        for p in pi:
-            while n % p == 0:
-                n //= p
-        return n == 1
-
     orders = element_orders(G, cap)
-    is_pi = {o: is_pi_number(o) for o in set(orders)}
+    is_pi = {o: prod(p_part(o, p) for p in pi) == o for o in set(orders)}
     return tuple(x for x, o in zip(G.elements(cap), orders) if is_pi[o])
 
 

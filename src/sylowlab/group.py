@@ -467,24 +467,18 @@ def normal_closure(G: PermGroup, seeds: Iterable[Permutation]) -> PermGroup:
     """Smallest normal subgroup of G containing the seed elements."""
     chain = _Chain(G.degree)
     gens: list[Permutation] = []
-    queue: list[Permutation] = []
     for s in seeds:
         if s not in G:
             raise NotAMember(f"{s!r} is not in the group")
         if chain.add_gen(s):
             gens.append(s)
-            queue.append(s)
     ggens = G.generators
     ginvs = [g.inverse() for g in ggens]
-    qi = 0
-    while qi < len(queue):
-        s = queue[qi]
-        qi += 1
+    for s in gens:  # grows while it is walked: each new generator is conjugated too
         for g, gi in zip(ggens, ginvs):
             z = gi * s * g
             if chain.add_gen(z):
                 gens.append(z)
-                queue.append(z)
     return PermGroup(G.degree, gens, _chain=chain)
 
 
@@ -492,7 +486,9 @@ def p_residual(G: PermGroup, p: int, cap: int | None = None) -> PermGroup:
     """Smallest normal subgroup with quotient of order coprime to p.
 
     Equals the subgroup generated by all p-elements, computed here as the
-    normal closure of one Sylow p-subgroup.
+    normal closure of one Sylow p-subgroup.  No library route calls it:
+    ``sylow_ratio_bound_check`` takes the normal closure of the Sylow
+    subgroup it holds already.
     """
     from . import sylow, tables  # local import: both build on this module
 

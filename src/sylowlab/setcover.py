@@ -1,20 +1,16 @@
 """Exact minimum set cover over bitmask candidates.
 
 Branch and bound: branch on the uncovered element with the fewest
-candidates, seed the incumbent with a greedy cover, and prune with two
-lower bounds on the sets still needed for the uncovered elements
-``rem``:
+candidates, seed the incumbent with a greedy cover, and prune with one
+lower bound on the sets still needed for the uncovered elements ``rem``:
+to beat an incumbent of size ``best`` with ``chosen`` sets already
+picked, the ``best - 1 - chosen`` largest gains ``|mask & rem|`` must
+sum to at least ``|rem|``, and none may be added once that count is 0
+or below.
 
-* disjoint elements: pick an uncovered element, discard everything any
-  of its candidates could cover, repeat; each round needs its own set.
-  Each element's reach (the union of its candidates) is computed once.
-* residual gains: to beat an incumbent of size ``best`` with ``chosen``
-  sets already picked, the ``best - 1 - chosen`` largest gains
-  ``|mask & rem|`` must sum to at least ``|rem|``.
-
-Both bounds only prune subtrees that cannot beat the incumbent, so the
+The bound only prunes subtrees that cannot beat the incumbent, so the
 search visits the improving covers in the same order with or without
-them.  Everything is deterministic, so results never depend on
+it.  Everything is deterministic, so results never depend on
 iteration order of the caller.
 """
 
@@ -30,15 +26,6 @@ def _greedy(full: int, masks: list[int]) -> list[int]:
         chosen.append(best)
         rem &= ~masks[best]
     return chosen
-
-
-def _lower_bound(rem: int, reach: list[int]) -> int:
-    # reach[bit] is the union of the candidates containing that bit
-    bound = 0
-    while rem:
-        bound += 1
-        rem &= ~reach[(rem & -rem).bit_length() - 1]
-    return bound
 
 
 def min_cover(universe_size: int, masks: list[int]) -> tuple[int, tuple[int, ...]]:
@@ -69,12 +56,6 @@ def min_cover(universe_size: int, masks: list[int]) -> tuple[int, tuple[int, ...
 
     by_element = [[i for i, m in enumerate(kept_masks) if m >> bit & 1]
                   for bit in range(universe_size)]
-    reach = []
-    for cands in by_element:
-        r = 0
-        for i in cands:
-            r |= kept_masks[i]
-        reach.append(r)
     # branching order: fewest candidates first, ties by bit
     branch_order = sorted(range(universe_size), key=lambda b: (len(by_element[b]), b))
 
@@ -85,11 +66,10 @@ def min_cover(universe_size: int, masks: list[int]) -> tuple[int, tuple[int, ...
                 best_size = len(chosen)
                 best_sol = [keep[i][0] for i in chosen]
             return
-        slack = best_size - len(chosen)
-        if _lower_bound(rem, reach) >= slack:
-            return
         gains = [(m & rem).bit_count() for m in kept_masks]
-        if sum(sorted(gains, reverse=True)[:slack - 1]) < rem.bit_count():
+        # a better cover adds at most this many sets; never a negative slice
+        room = max(0, best_size - 1 - len(chosen))
+        if sum(sorted(gains, reverse=True)[:room]) < rem.bit_count():
             return
         pick = next(b for b in branch_order if rem >> b & 1)
         cands = sorted(by_element[pick], key=lambda i: (-gains[i], i))

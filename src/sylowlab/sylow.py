@@ -36,7 +36,8 @@ the tower consumes, and for the callers that need a conjugate's
 elements.
 ``nu_p``, ``sylow_subgroups``, the three Sylow-number checks here
 (monotonicity, the quotient product and the ratio bound) and
-``actions.nu_fpr_identity_check`` read every count off such orbits.
+``actions.nu_fpr_identity_check`` read every count off such orbits, and
+each grows one Sylow subgroup from P = 1.
 The lattice-based checks count on the Cayley table instead, once per
 conjugacy class of subgroups, each class representative's Sylow
 subgroup read off the lattice itself (``SubgroupLattice.sylow_counts``).
@@ -63,7 +64,7 @@ from .group import (
     PermGroup,
     _Chain,
     is_subgroup,
-    p_residual,
+    normal_closure,
     quotient_group,
     schreier_tree,
     stabilizer,
@@ -303,12 +304,16 @@ def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int,
 
 def nu_quotient_identity_check(G: PermGroup, N: PermGroup, p: int,
                                cap: int | None = None) -> CheckReport:
-    """Verify nu(G, p) = nu(G/N, p) * nu(PN, p) for normal N."""
-    Q, _ = quotient_group(G, N, cap)
+    """Verify nu(G, p) = nu(G/N, p) * nu(PN, p) for normal N.
+
+    One Sylow p-subgroup P of G is grown.  Its image PN/N is Sylow in
+    G/N, so nu(G/N, p) is the length of that image's conjugation orbit.
+    """
+    Q, project = quotient_group(G, N, cap)
     P = sylow_subgroup(G, p, cap)
     PN = PermGroup(G.degree, P.generators + N.generators)
     nu_G = len(_conjugates(G, P, p, cap))
-    nu_Q = nu_p(Q, p, cap)
+    nu_Q = len(_conjugates(Q, PermGroup(Q.degree, map(project, P.generators)), p, cap))
     nu_PN = len(_conjugates(PN, P, p, cap))
     return CheckReport("sylow-quotient-product", nu_G == nu_Q * nu_PN, {
         "p": p,
@@ -328,9 +333,12 @@ def sylow_ratio_bound_check(G: PermGroup, H: PermGroup, p: int,
     With ``exclusions_clear`` (no factor group of G isomorphic to an
     alternating group A_m with p+1 < m < p^2-p, nor to SL(2, p+1) for
     Mersenne p), additionally asserts nu(H,p) <= nu(G,p)/(p+1).
+
+    One Sylow p-subgroup P of H is grown, after the refusals that need
+    none.  P is Sylow in G too, so its normal closure is the subgroup
+    that the p-elements of G generate.
     """
-    if p_residual(G, p, cap).order() != G.order():
-        raise PreconditionFailed("G must be generated by its p-elements")
+    check_prime(p)
     if not is_subgroup(H, G):
         raise NotASubgroup("H is not a subgroup of G")
     if H.order() >= G.order():
@@ -338,6 +346,8 @@ def sylow_ratio_bound_check(G: PermGroup, H: PermGroup, p: int,
     if p_part(H.order(), p) != p_part(G.order(), p):
         raise SylowNotContained("H does not contain a Sylow p-subgroup of G")
     P = sylow_subgroup(H, p, cap)
+    if normal_closure(G, P.generators).order() != G.order():
+        raise PreconditionFailed("G must be generated by its p-elements")
     nu_G = len(_conjugates(G, P, p, cap))
     nu_H = len(_conjugates(H, P, p, cap))
     main_bound = nu_H * (2 * p - 1) <= nu_G * (p - 1)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sylowlab
-from sylowlab import cli, config
+from sylowlab import cli, config, sylow
 from sylowlab.cli import main
 from sylowlab.errors import InvalidConfig
 from sylowlab.reports import CheckReport
@@ -352,6 +352,26 @@ class TestPlumbing:
         assert rep["ok"] is False
         assert rep["error"] == {"type": "RuntimeError", "message": "boom"}
 
+    def test_an_error_that_says_nothing_is_named_by_its_type(self, capsys, monkeypatch):
+        def failing_build(text, cap):
+            raise MemoryError()
+
+        def failing_handler(options):
+            raise RuntimeError()
+
+        monkeypatch.setattr(cli, "GroupInput", failing_build)
+        rc = main(["compute", "nu", "--group", "S3", "-p", "2"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error: MemoryError" in captured.err
+        assert json.loads(captured.out)["error"] == {"type": "MemoryError",
+                                                     "message": "MemoryError"}
+        monkeypatch.undo()
+        monkeypatch.setitem(cli.CHECKS, "covering-lower-bound", failing_handler)
+        rc, rep = run(capsys, "verify", "covering-lower-bound", "--group", "S3", "-p", "2")
+        assert rc == 1
+        assert rep["error"] == {"type": "RuntimeError", "message": "RuntimeError"}
+
     @pytest.mark.parametrize("groups", [("A4", "A5"), ("A5", "A4")])
     def test_sub_padded_to_each_group(self, capsys, groups):
         argv = ["verify", "sylow-ratio-bound", "--sub", "[(1 2)(3 4), (1 2 3)]", "-p", "3"]
@@ -387,6 +407,58 @@ class TestPlumbing:
         out = json.loads(capsys.readouterr().out)
         assert rc == 1
         assert out["error"]["type"] == "NoPElement"
+
+
+class TestOneTowerPerCheck:
+    """Each Sylow-number request grows one Sylow subgroup from P = 1 and
+    reads every other count off it: the ratio bound takes O^p'(G) as the
+    normal closure of that P, the quotient product takes a Sylow subgroup
+    of G/N as its image."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "sylow-ratio-bound", "--group", "A5", "--sub", "A4", "-p", "3"],
+        ["verify", "sylow-quotient-product", "--group", "S4",
+         "--sub", "[(1 2)(3 4), (1 3)(2 4)]", "-p", "2"],
+        ["verify", "sylow-monotone", "--group", "S4", "--sub", "A4", "-p", "2"],
+        ["verify", "sylow-fpr-identity", "--group", "A5", "--sub", "A4", "-p", "3"],
+        ["verify", "sylow-orbit-bound", "--group", "A5", "-p", "3"],
+        ["compute", "nu", "--group", "A5", "-p", "2"],
+        ["compute", "fpr", "--group", "A5", "-p", "2"],
+    ], ids=lambda argv: argv[1])
+    def test_one_tower_from_the_trivial_subgroup(self, capsys, monkeypatch, argv):
+        towers = []
+        grow = sylow.sylow_subgroup_containing
+
+        def counting(G, Q, p, cap=None):
+            if Q.order() == 1:
+                towers.append(G.order())
+            return grow(G, Q, p, cap)
+
+        monkeypatch.setattr(sylow, "sylow_subgroup_containing", counting)
+        rc, rep = run(capsys, *argv)
+        assert rc == 0 and "error" not in rep
+        assert len(towers) == 1
+
+
+class TestRatioBoundRefusalOrder:
+    """The refusals that need no Sylow subgroup come before the test that G
+    is generated by its p-elements, so a request failing both gets the
+    cheap refusal."""
+
+    @pytest.mark.parametrize("group, sub, p, error, message", [
+        ("S3", "[(1 2)]", "3", "SylowNotContained",
+         "H does not contain a Sylow p-subgroup of G"),
+        ("S5", "S4", "5", "SylowNotContained",
+         "H does not contain a Sylow p-subgroup of G"),
+        ("S4", "[(1 2 3 4), (1 3)]", "3", "SylowNotContained",
+         "H does not contain a Sylow p-subgroup of G"),
+        ("C6", "[(1 2 3 4 5 6)]", "2", "PreconditionFailed", "H must be proper"),
+    ])
+    def test_cheap_refusal_first(self, capsys, group, sub, p, error, message):
+        rc, rep = run(capsys, "verify", "sylow-ratio-bound",
+                      "--group", group, "--sub", sub, "-p", p)
+        assert rc == 1
+        assert rep["error"] == {"type": error, "message": message}
 
 
 class TestRuntime:

@@ -240,6 +240,14 @@ class TestMinCoverFrozen:
                      (9, (0, 30, 31, 32, 33, 34, 35, 36, 37)), id="A6-2"),
         pytest.param(lambda: catalog_entry("SL(2,8)").build(), 2,
                      (9, (0, 1, 2, 3, 36, 37, 38, 39, 64)), id="SL(2,8)-2"),
+        pytest.param(lambda: alternating(6), 3,
+                     (7, (39, 40, 42, 43, 44, 45, 51)), id="A6-3"),
+        pytest.param(lambda: construct(parse_group_expr("PSL(2,7)")), 3,
+                     (7, (0, 1, 2, 3, 4, 5, 6)), id="PSL(2,7)-3"),
+        pytest.param(lambda: construct(parse_group_expr("PSL(2,7)")), 2,
+                     (7, (9, 11, 12, 15, 16, 19, 20)), id="PSL(2,7)-2"),
+        pytest.param(lambda: construct(parse_group_expr("PSL(2,11)")), 5,
+                     (11, (55, 56, 57, 58, 59, 60, 61, 62, 63, 64, 65)), id="PSL(2,11)-5"),
     ])
     def test_recorded_cover(self, build, p, expected):
         lat, universe, maximal = _sigma_instance(build(), p, None)

@@ -1,6 +1,7 @@
 """Tests for the exact set cover solver against exhaustive search."""
 
 import random
+import sys
 
 import pytest
 
@@ -103,7 +104,7 @@ class TestAgainstExhaustive:
 def plain_min_cover(universe_size, masks):
     """min_cover's search with no lower bound: same dominance rule, greedy
     incumbent, branching element and candidate order, pruning only when
-    one more set cannot beat the incumbent.  The bounds of min_cover may
+    one more set cannot beat the incumbent.  The bound of min_cover may
     only skip subtrees that hold no better cover, so both must return the
     same witness."""
     full = (1 << universe_size) - 1
@@ -145,3 +146,30 @@ class TestWitnessUnchangedByBounds:
         universe = rng.randint(6, 16)
         masks = random_instance(rng, universe, rng.randint(6, 16))
         assert min_cover(universe, masks) == plain_min_cover(universe, masks)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_no_more_nodes_than_unbounded_search(self, seed):
+        # the bound prunes every node plain_min_cover prunes (no set left
+        # that a better cover may add), and both meet the same incumbents
+        rng = random.Random(1000 + seed)
+        universe = rng.randint(6, 16)
+        masks = random_instance(rng, universe, rng.randint(6, 16))
+        assert search_nodes(min_cover, universe, masks) <= \
+            search_nodes(plain_min_cover, universe, masks)
+
+
+def search_nodes(solve, universe_size, masks):
+    """The calls of ``solve``'s inner ``search``: the nodes it visits."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_name == "search"
+
+    previous = sys.gettrace()
+    sys.settrace(count)
+    try:
+        solve(universe_size, masks)
+    finally:
+        sys.settrace(previous)
+    return calls

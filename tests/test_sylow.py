@@ -442,10 +442,11 @@ class TestPrimeValidation:
         lambda p: frozenset(pi_elements(alternating(5), {p})),
         lambda p: canonical_p_element(10, p),
         lambda p: subset_fpr_formula(7, 2, p),
+        lambda p: sylow_ratio_bound_check(alternating(5), alternating(5), p),
     ], ids=["nu_p", "sylow_subgroup", "sylow_subgroup_containing",
             "sylow_subgroups", "p_residual", "sigma_p_cover", "min_fpr_p_element",
             "sylow_ratio_gap_scan", "p_elements", "canonical_p_element",
-            "subset_fpr_formula"])
+            "subset_fpr_formula", "sylow_ratio_bound_check"])
     def test_non_prime_is_out_of_domain(self, call, p):
         with pytest.raises(OutOfDomain, match=f"expected a prime, got {p}"):
             call(p)
@@ -725,6 +726,14 @@ class TestRatioBound:
     def test_rejects_sylow_not_contained(self):
         with pytest.raises(SylowNotContained):
             sylow_ratio_bound_check(alternating(5), alt5_point_subgroup(), 5)
+
+    def test_refuses_a_whole_group_before_growing_a_tower(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Sylow tower was grown")
+
+        monkeypatch.setattr(sylow, "sylow_subgroup_containing", refuse)
+        with pytest.raises(PreconditionFailed, match="H must be proper"):
+            sylow_ratio_bound_check(alternating(5), alternating(5), 3)
 
 
 class TestPSolvableDivisibility:
