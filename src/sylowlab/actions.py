@@ -108,13 +108,13 @@ class CosetAction:
             for orb in self.image(hgens).orbits() if 1 not in orb)
 
 
-def coset_action(G: PermGroup, H: PermGroup, cap: int | None = None) -> CosetAction:
+def coset_action(G: PermGroup, H: PermGroup) -> CosetAction:
     """The transitive action of G on the right cosets of a proper H."""
     if not is_subgroup(H, G):
         raise NotASubgroup("H is not a subgroup of G")
     if H.order() == G.order():
         raise PreconditionFailed("H must be a proper subgroup")
-    point_map, induced = right_cosets(G, H, cap)
+    point_map, induced = right_cosets(G, H)
     assert len(point_map) * H.order() == G.order(), \
         "coset sweep must reach the full index"
     return CosetAction(G, H, point_map, induced)
@@ -205,8 +205,7 @@ def subset_fpr_formula(n: int, k: int, p: int) -> Fraction:
     return Fraction(num, comb(n, k))
 
 
-def min_fpr_p_element(action: CosetAction, p: int,
-                      cap: int | None = None) -> tuple[Permutation, Fraction]:
+def min_fpr_p_element(action: CosetAction, p: int) -> tuple[Permutation, Fraction]:
     """A nontrivial p-element with the smallest fixed point ratio.
 
     The ratio and the element order are class functions, and every
@@ -225,15 +224,14 @@ def min_fpr_p_element(action: CosetAction, p: int,
     def ratio(x: Permutation) -> Fraction:
         return Fraction(len(action._induced(x).fixed_points()), action.degree)
 
-    P = sylow_subgroup(G, p, cap)
-    best, o = min((ratio(x), x.order()) for x in P.elements(cap) if not x.is_identity())
+    P = sylow_subgroup(G, p)
+    best, o = min((ratio(x), x.order()) for x in P.elements() if not x.is_identity())
     x = G.chain().least(lambda x: x.order() == o and ratio(x) == best)
     assert x is not None, "a conjugate of a Sylow element must be met"
     return x, best
 
 
-def nu_fpr_identity_check(G: PermGroup, H: PermGroup, p: int,
-                          cap: int | None = None) -> CheckReport:
+def nu_fpr_identity_check(G: PermGroup, H: PermGroup, p: int) -> CheckReport:
     """Verify nu(H,p)/nu(G,p) equals the fixed point ratio of a Sylow
     p-subgroup on the conjugates of H, for maximal H containing one.
 
@@ -244,15 +242,15 @@ def nu_fpr_identity_check(G: PermGroup, H: PermGroup, p: int,
         raise NotASubgroup("H is not a subgroup of G")
     if H.order() == G.order():
         raise NotMaximal("H is the whole group")
-    action = coset_action(G, H, cap)
+    action = coset_action(G, H)
     if not action.is_primitive():
         raise NotMaximal("H is not maximal: G is imprimitive on its cosets")
     if p_part(H.order(), p) != p_part(G.order(), p):
         raise SylowNotContained(
             "H does not contain a Sylow p-subgroup of G")
-    P = sylow_subgroup(H, p, cap)
-    nu_H = len(_conjugates(H, P, p, cap))
-    nu_G = len(_conjugates(G, P, p, cap))
+    P = sylow_subgroup(H, p)
+    nu_H = len(_conjugates(H, P, p))
+    nu_G = len(_conjugates(G, P, p))
     ratio = Fraction(nu_H, nu_G)
     fixed_ratio = fpr_subgroup(action, P)
     return CheckReport("sylow-fpr-identity", ratio == fixed_ratio, {
@@ -266,8 +264,7 @@ def nu_fpr_identity_check(G: PermGroup, H: PermGroup, p: int,
 
 
 def sylow_orbit_bound_check(action: CosetAction, p: int,
-                            exclusions_clear: bool = False,
-                            cap: int | None = None) -> CheckReport:
+                            exclusions_clear: bool = False) -> CheckReport:
     """Count orbits of a Sylow p-subgroup on the points, p odd.
 
     Asserts orbit count <= (p/(2p-1)) * degree.  With
@@ -280,7 +277,7 @@ def sylow_orbit_bound_check(action: CosetAction, p: int,
     G = action.group
     if G.order() % p:
         raise PreconditionFailed("p must divide the group order")
-    P = sylow_subgroup(G, p, cap)
+    P = sylow_subgroup(G, p)
     orbits = len(action.image(P.generators).orbits())
     main_ok = orbits * (2 * p - 1) <= p * action.degree
     extra_ok = (orbits * (p + 1) <= 2 * action.degree

@@ -427,19 +427,16 @@ def _construct_family(e: FamilyAtom) -> PermGroup:
     return PermGroup(n, [cyc, Permutation.from_cycles("(1 2 3)", n)])
 
 
-# orders are computed from a stabilizer chain, never by enumeration, so
-# construction tolerates far larger groups than element-level operations
-_CONSTRUCT_CAP = 10 ** 9
 _ORDER = "constructed group order"
 
 
-def construct(e: GroupExpr, cap: int | None = None) -> PermGroup:
+def construct(e: GroupExpr) -> PermGroup:
     """Build the permutation group an expression denotes.
 
     The constructed order is checked against the family's closed-form
-    order, and against a generous order cap before any heavy work.
+    order, and against ``config.construct_cap()`` before any heavy work.
     """
-    limit = cap if cap is not None else max(_CONSTRUCT_CAP, config.element_cap(None))
+    limit = config.construct_cap()
     expected = predicted_order(e, limit)
     if expected is not None:
         config.refuse_above(_ORDER, expected, limit)
@@ -481,8 +478,8 @@ def _construct(e: GroupExpr) -> PermGroup:
     return PermGroup(d, gens)
 
 
-def construct_text(text: str, cap: int | None = None) -> PermGroup:
-    return construct(parse_group_expr(text), cap)
+def construct_text(text: str) -> PermGroup:
+    return construct(parse_group_expr(text))
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +504,8 @@ class CatalogEntry:
     def expr(self) -> GroupExpr:
         return parse_group_expr(self.expr_text)
 
-    def build(self, cap: int | None = None) -> PermGroup:
-        G = construct(self.expr(), cap)
+    def build(self) -> PermGroup:
+        G = construct(self.expr())
         assert G.order() == self.order, (self.label, G.order(), self.order)
         return G
 

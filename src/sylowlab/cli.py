@@ -17,6 +17,7 @@ import time
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from . import config
 from .actions import (coset_action, min_fpr_p_element, natural_action,
                       nu_fpr_identity_check, sylow_orbit_bound_check)
 from .catalog import CATALOG_BY_LABEL, construct_text, parse_generators
@@ -66,16 +67,16 @@ class GroupInput:
 
     __slots__ = ("text", "group", "entry")
 
-    def __init__(self, text: str, cap: int | None):
+    def __init__(self, text: str):
         self.text = text
         self.entry = None
         if text.startswith("@"):
             self.group = load_generator_file(text[1:])
         elif text in CATALOG_BY_LABEL:
             self.entry = CATALOG_BY_LABEL[text]
-            self.group = self.entry.build(cap)
+            self.group = self.entry.build()
         else:
-            self.group = construct_text(text, cap)
+            self.group = construct_text(text)
 
     def exclusions_clear(self, p: int, forced: bool) -> bool:
         if forced:
@@ -174,15 +175,15 @@ def _entry(run, needs: str, may: str = "") -> _Entry:
 
 
 def _library(fn, needs: str, key: str | None = None) -> _Entry:
-    """An entry that passes its needed options, in order, and the cap to
-    ``fn``; a quantity stores the result under ``key``."""
+    """An entry that passes its needed options, in order, to ``fn``; a
+    quantity stores the result under ``key``."""
     names = needs.split()
 
     def run(options):
         args = [options[n].group if n in ("group", "sub") else options[n] for n in names]
         # through this module's binding of fn, so that a tracer that
         # rebinds it sees the call
-        out = globals()[fn.__name__](*args, options["cap"])
+        out = globals()[fn.__name__](*args)
         return out if key is None else {key: out}
 
     return _entry(run, needs)
@@ -192,36 +193,32 @@ def _check_ratio_bound(options) -> CheckReport:
     g, p = options["group"], options["p"]
     return sylow_ratio_bound_check(
         g.group, options["sub"].group, p,
-        exclusions_clear=g.exclusions_clear(p, options["refined"]),
-        cap=options["cap"])
+        exclusions_clear=g.exclusions_clear(p, options["refined"]))
 
 
 def _check_gap_scan(options) -> CheckReport:
     named = [(g.text, g.group) for g in options["groups"]]
-    return sylow_ratio_gap_scan(named, options["p"], options["bound"], options["cap"])
+    return sylow_ratio_gap_scan(named, options["p"], options["bound"])
 
 
 def _check_orbit_bound(options) -> CheckReport:
     g, p = options["group"], options["p"]
     action = natural_action(g.group)
     return sylow_orbit_bound_check(
-        action, p,
-        exclusions_clear=g.exclusions_clear(p, options["refined"]),
-        cap=options["cap"])
+        action, p, exclusions_clear=g.exclusions_clear(p, options["refined"]))
 
 
 def _check_turan(options) -> CheckReport:
     if "edge_list" in options:
         with open(options["edge_list"]) as fh:
-            graph = BitGraph.from_edge_list(fh.read(), options["cap"])
+            graph = BitGraph.from_edge_list(fh.read())
     else:
-        graph = noncommuting_graph(
-            options["group"].group, options["pi"], options["cap"])
+        graph = noncommuting_graph(options["group"].group, options["pi"])
     return turan_bound_check(graph)
 
 
 def _compute_sigma(options) -> dict:
-    size, members = sigma_p_cover(options["group"].group, options["p"], options["cap"])
+    size, members = sigma_p_cover(options["group"].group, options["p"])
     return {
         "value": size,
         "cover": [[x.cycle_string() for x in gens] for gens in members],
@@ -231,15 +228,15 @@ def _compute_sigma(options) -> dict:
 def _compute_fpr(options) -> dict:
     G = options["group"].group
     if options["sub"] is not None:
-        action = coset_action(G, options["sub"].group, options["cap"])
+        action = coset_action(G, options["sub"].group)
     else:
         action = natural_action(G)
-    x, ratio = min_fpr_p_element(action, options["p"], options["cap"])
+    x, ratio = min_fpr_p_element(action, options["p"])
     return {"value": ratio, "element": x.cycle_string(), "degree": action.degree}
 
 
 def _compute_clique(options) -> dict:
-    clique = max_noncommuting_set(options["group"].group, options["pi"], options["cap"])
+    clique = max_noncommuting_set(options["group"].group, options["pi"])
     return {"value": len(clique), "clique": [x.cycle_string() for x in clique]}
 
 
@@ -360,15 +357,16 @@ def _declared(parser, args) -> tuple[str, str, tuple[str, ...]]:
 
 
 def _resolve(args, names) -> dict:
-    """The cap and the options ``names``, each --group and --sub built."""
+    """The options ``names``, each --group and --sub built, once --cap
+    is known to be positive (``main`` has set it as ``config.override``)."""
     if args.cap is not None and args.cap <= 0:
         raise InvalidConfig(f"--cap must be a positive integer, got {args.cap}")
-    options = {"cap": args.cap}
+    options = {}
     for n in names:
         if n in ("group", "groups"):
-            options[n] = [GroupInput(text, args.cap) for text in args.group]
+            options[n] = [GroupInput(text) for text in args.group]
         elif n == "sub" and args.sub is not None:
-            options[n] = GroupInput(args.sub, args.cap)
+            options[n] = GroupInput(args.sub)
         else:
             options[n] = getattr(args, n)
     return options
@@ -417,6 +415,9 @@ def _summarize(result: dict) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # --cap holds for this command only, so a later library call in the
+    # same process reads SYLOWLAB_CAP or the defaults again
+    saved, config.override = config.override, args.cap
     try:
         return _run(parser, args)
     except BrokenPipeError:
@@ -424,6 +425,8 @@ def main(argv=None) -> int:
         # buffered to devnull, so the interpreter's last flush is silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        config.override = saved
 
 
 def _run(parser, args) -> int:

@@ -1,16 +1,19 @@
 """Size caps for enumeration-heavy operations.
 
-Two caps govern how large a group the library will enumerate:
+Three limits govern how large a group the library will handle:
 
 * element cap: maximum group order for full element enumeration,
 * lattice cap: maximum group order for subgroup lattice construction
-  (and for the Cayley-table machinery behind it).
+  (and for the Cayley-table machinery behind it),
+* construction cap: maximum order of a group built from an expression,
+  the larger of ``DEFAULT_CONSTRUCT_CAP`` and the element cap.
 
-Every capped operation also accepts an explicit ``cap=`` argument which
-wins over both the defaults and the environment.  The environment
-variable ``SYLOWLAB_CAP`` overrides both defaults at once; a value that
-is not a positive integer raises ``InvalidConfig``.  Every refusal of a
-known size goes through ``refuse_above``.
+Each limit is read here, where a size is refused, and never passed
+down.  ``override`` (the CLI's ``--cap``) sets the element and lattice
+caps at once and wins over the environment variable ``SYLOWLAB_CAP``,
+which does the same; a value that is not a positive integer raises
+``InvalidConfig``.  Every refusal of a known size goes through
+``refuse_above``.
 """
 
 import os
@@ -19,14 +22,23 @@ from .errors import CapExceeded, InvalidConfig
 
 DEFAULT_ELEMENT_CAP = 10**6
 DEFAULT_LATTICE_CAP = 2000
+# orders are computed from a stabilizer chain, never by enumeration, so
+# construction tolerates far larger groups than element-level operations
+DEFAULT_CONSTRUCT_CAP = 10**9
 
 _ENV_VAR = "SYLOWLAB_CAP"
 
+# the cap of the command being run, set and restored by the CLI
+override: int | None = None
 
-def _env_override() -> int | None:
+
+def _cap(default: int) -> int:
+    """``override``, else a set ``SYLOWLAB_CAP``, else ``default``."""
+    if override is not None:
+        return override
     raw = os.environ.get(_ENV_VAR, "").strip()
     if not raw:
-        return None
+        return default
     try:
         value = int(raw)
     except ValueError:
@@ -36,18 +48,16 @@ def _env_override() -> int | None:
     return value
 
 
-def element_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    env = _env_override()
-    return env if env is not None else DEFAULT_ELEMENT_CAP
+def element_cap() -> int:
+    return _cap(DEFAULT_ELEMENT_CAP)
 
 
-def lattice_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    env = _env_override()
-    return env if env is not None else DEFAULT_LATTICE_CAP
+def lattice_cap() -> int:
+    return _cap(DEFAULT_LATTICE_CAP)
+
+
+def construct_cap() -> int:
+    return max(DEFAULT_CONSTRUCT_CAP, element_cap())
 
 
 def refuse_above(what: str, n: int, limit: int) -> None:

@@ -51,8 +51,8 @@ def _solve(lat, universe_idx: list[int], candidate_indices):
     return size, tuple(lat.generators_of(candidate_indices[i]) for i in chosen)
 
 
-def _sigma_instance(G: PermGroup, p: int, cap: int | None):
-    lat = subgroup_lattice(G, cap)
+def _sigma_instance(G: PermGroup, p: int):
+    lat = subgroup_lattice(G)
     ctx = lat.ctx
     universe = sorted(i for i in range(ctx.n)
                       if i and is_p_power(ctx.elt_order[i], p))
@@ -63,17 +63,17 @@ def _sigma_instance(G: PermGroup, p: int, cap: int | None):
     return lat, universe, maximal
 
 
-def sigma_p(G: PermGroup, p: int, cap: int | None = None) -> int | float:
+def sigma_p(G: PermGroup, p: int) -> int | float:
     """Minimum number of proper subgroups covering all p-elements.
 
     Returns ``math.inf`` when no cover exists, which happens exactly for
     the nontrivial cyclic groups generated by a single p-element (their
     generator lies in no proper subgroup) and for the trivial group.
     """
-    return sigma_p_cover(G, p, cap)[0]
+    return sigma_p_cover(G, p)[0]
 
 
-def sigma_p_cover(G: PermGroup, p: int, cap: int | None = None):
+def sigma_p_cover(G: PermGroup, p: int):
     """Like sigma_p, also returning the witness cover as a tuple of
     generator tuples (empty for the infinity case).
 
@@ -83,7 +83,7 @@ def sigma_p_cover(G: PermGroup, p: int, cap: int | None = None):
     p-elements, and the request is refused.
     """
     check_prime(p)
-    lat, universe, maximal = _sigma_instance(G, p, cap)
+    lat, universe, maximal = _sigma_instance(G, p)
     if not maximal:
         # only the trivial group: min_cover would cover its empty universe with 0
         return math.inf, ()
@@ -97,13 +97,13 @@ def sigma_p_cover(G: PermGroup, p: int, cap: int | None = None):
     return size, cover
 
 
-def class_cover(G: PermGroup, x: Permutation, cap: int | None = None):
+def class_cover(G: PermGroup, x: Permutation):
     """Minimum cover of x^G by maximal subgroups, with the witness."""
     o = x.order()
     if o > 1 and not is_p_power(o, least_prime(o)):
         raise PreconditionFailed("element must have prime power order")
-    lat = subgroup_lattice(G, cap)
-    cls = conjugacy_class(G, x, cap)
+    lat = subgroup_lattice(G)
+    cls = conjugacy_class(G, x)
     universe = sorted(lat.ctx.index[y] for y in cls)
     try:
         return _solve(lat, universe, lat.maximal_indices())
@@ -112,10 +112,9 @@ def class_cover(G: PermGroup, x: Permutation, cap: int | None = None):
             "a conjugate lies in no proper subgroup") from None
 
 
-def sigma_lower_bound_check(G: PermGroup, p: int,
-                            cap: int | None = None) -> CheckReport:
+def sigma_lower_bound_check(G: PermGroup, p: int) -> CheckReport:
     """For G generated by its p-elements: the covering number is >= p+1."""
-    value = sigma_p(G, p, cap)
+    value = sigma_p(G, p)
     return CheckReport("covering-lower-bound", value >= p + 1, {
         "p": p,
         "sigma": value,

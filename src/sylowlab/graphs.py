@@ -62,7 +62,7 @@ class BitGraph:
         return self.adj[v].bit_count()
 
     @classmethod
-    def from_edge_list(cls, text: str, cap: int | None = None) -> "BitGraph":
+    def from_edge_list(cls, text: str) -> "BitGraph":
         """Parse `u v` lines (1-based); blank lines and # comments skipped.
 
         The largest vertex number must fit the vertex limit of the
@@ -83,7 +83,7 @@ class BitGraph:
                     "distinct positive vertex numbers", 0)
             top = max(top, u, v)
             edges.append((u - 1, v - 1))
-        config.refuse_above("edge list vertices", top, config.element_cap(cap))
+        config.refuse_above("edge list vertices", top, config.element_cap())
         adj = [0] * top
         for u, v in edges:
             adj[u] |= 1 << v
@@ -101,21 +101,21 @@ class ElementGraph(BitGraph):
         self.vertices = tuple(vertices)
 
 
-def pi_elements(G: PermGroup, pi, cap: int | None = None) -> tuple[Permutation, ...]:
+def pi_elements(G: PermGroup, pi) -> tuple[Permutation, ...]:
     """Elements whose order only involves primes from pi, sorted."""
     pi = frozenset(pi)
     for p in sorted(pi):
         check_prime(p)
-    orders = element_orders(G, cap)
+    orders = element_orders(G)
     is_pi = {o: prod(p_part(o, p) for p in pi) == o for o in set(orders)}
-    return tuple(x for x, o in zip(G.elements(cap), orders) if is_pi[o])
+    return tuple(x for x, o in zip(G.elements(), orders) if is_pi[o])
 
 
-def _vertices(G: PermGroup, pi, cap: int | None) -> tuple[Permutation, ...]:
+def _vertices(G: PermGroup, pi) -> tuple[Permutation, ...]:
     """The pi-elements, the vertices of every graph built here; their
     number must fit the element cap."""
-    verts = pi_elements(G, pi, cap)
-    config.refuse_above("noncommuting graph vertices", len(verts), config.element_cap(cap))
+    verts = pi_elements(G, pi)
+    config.refuse_above("noncommuting graph vertices", len(verts), config.element_cap())
     return verts
 
 
@@ -149,9 +149,9 @@ def _pi_classes(G: PermGroup, verts, each: bool = True):
         yield members
 
 
-def noncommuting_graph(G: PermGroup, pi, cap: int | None = None) -> ElementGraph:
+def noncommuting_graph(G: PermGroup, pi) -> ElementGraph:
     """Loop-free graph on the pi-elements, joined iff they do not commute."""
-    verts = _vertices(G, pi, cap)
+    verts = _vertices(G, pi)
     bit = [1 << j for j in range(len(verts))]
     full = (1 << len(verts)) - 1
     adj = [0] * len(verts)
@@ -166,25 +166,24 @@ def _max_clique(graph: ElementGraph) -> tuple[Permutation, ...]:
     return tuple(graph.vertices[v] for v in verts)
 
 
-def max_noncommuting_set(G: PermGroup, pi,
-                         cap: int | None = None) -> tuple[Permutation, ...]:
+def max_noncommuting_set(G: PermGroup, pi) -> tuple[Permutation, ...]:
     """A maximum set of pairwise noncommuting pi-elements."""
-    return _max_clique(noncommuting_graph(G, pi, cap))
+    return _max_clique(noncommuting_graph(G, pi))
 
 
-def n_pi(G: PermGroup, pi, cap: int | None = None) -> int:
+def n_pi(G: PermGroup, pi) -> int:
     """Largest number of pairwise noncommuting pi-elements."""
-    return len(max_noncommuting_set(G, pi, cap))
+    return len(max_noncommuting_set(G, pi))
 
 
-def pr_pi(G: PermGroup, pi, cap: int | None = None) -> Fraction:
+def pr_pi(G: PermGroup, pi) -> Fraction:
     """Exact proportion of ordered pairs of pi-elements that commute.
 
     Diagonal pairs count, so the value is at least 1/|vertices|.  By the
     class equation the commuting pairs number sum |X| * |C_V(x)| over
     the classes X of pi-elements.
     """
-    verts = _vertices(G, pi, cap)
+    verts = _vertices(G, pi)
     commuting = sum(len(cent) for members in _pi_classes(G, verts, each=False)
                     for cent in members.values())
     return Fraction(commuting, len(verts) ** 2)
@@ -207,10 +206,10 @@ def turan_bound_check(graph: BitGraph) -> CheckReport:
     })
 
 
-def pr_times_clique_check(G: PermGroup, pi, cap: int | None = None) -> CheckReport:
+def pr_times_clique_check(G: PermGroup, pi) -> CheckReport:
     """Commuting probability times clique number is at least 1."""
     # one graph gives both: its rows hold the noncommuting ordered pairs
-    graph = noncommuting_graph(G, pi, cap)
+    graph = noncommuting_graph(G, pi)
     pr = Fraction(graph.n ** 2 - 2 * graph.edge_count(), graph.n ** 2)
     k = len(_max_clique(graph))
     return CheckReport("probability-clique-product", pr * k >= 1, {
@@ -221,7 +220,7 @@ def pr_times_clique_check(G: PermGroup, pi, cap: int | None = None) -> CheckRepo
     })
 
 
-def sigma_le_clique_check(G: PermGroup, p: int, cap: int | None = None) -> CheckReport:
+def sigma_le_clique_check(G: PermGroup, p: int) -> CheckReport:
     """Covering number at most clique number, with the witness cover.
 
     Centralizers of a maximum noncommuting set of p-elements must cover
@@ -232,8 +231,8 @@ def sigma_le_clique_check(G: PermGroup, p: int, cap: int | None = None) -> Check
     both the clique and the p-elements it must cover, its vertices.
     """
     # sigma_p first: it rejects a G not generated by its p-elements
-    sigma = sigma_p(G, p, cap)
-    graph = noncommuting_graph(G, {p}, cap)
+    sigma = sigma_p(G, p)
+    graph = noncommuting_graph(G, {p})
     clique = _max_clique(graph)
     if len(clique) < 2:
         raise PreconditionFailed(

@@ -328,16 +328,16 @@ class PermGroup:
 
     # -- enumeration -------------------------------------------------------
 
-    def check_element_cap(self, cap: int | None = None) -> None:
+    def check_element_cap(self) -> None:
         """The refusal of ``elements``: raise CapExceeded unless the
         elements are listed already or the order fits the element cap."""
         if self._elements is None:
-            config.refuse_above("element enumeration", self.order(), config.element_cap(cap))
+            config.refuse_above("element enumeration", self.order(), config.element_cap())
 
-    def elements(self, cap: int | None = None) -> tuple[Permutation, ...]:
+    def elements(self) -> tuple[Permutation, ...]:
         """All elements, sorted lexicographically by image table."""
         if self._elements is None:
-            self.check_element_cap(cap)
+            self.check_element_cap()
             self._elements = tuple(sorted(self.chain().elements(), key=attrgetter("_images")))
         return self._elements
 
@@ -360,28 +360,28 @@ class PermGroup:
 
     # -- conjugacy ---------------------------------------------------------
 
-    def conjugacy_classes(self, cap: int | None = None) -> tuple[tuple[Permutation, frozenset[Permutation]], ...]:
+    def conjugacy_classes(self) -> tuple[tuple[Permutation, frozenset[Permutation]], ...]:
         """All conjugacy classes as (lexicographically least representative,
         class), recomputed on each call."""
         seen: set[Permutation] = set()
         out = []
-        for x in self.elements(cap):
+        for x in self.elements():
             if x in seen:
                 continue
-            cls = conjugacy_class(self, x, cap)
+            cls = conjugacy_class(self, x)
             seen |= cls
             out.append((x, cls))
         return tuple(out)
 
 
-def element_orders(G: PermGroup, cap: int | None = None) -> list[int]:
+def element_orders(G: PermGroup) -> list[int]:
     """The order of each element of G, in the order of ``G.elements``.
 
     One walk over the powers x, x^2, ... of each cyclic subgroup <x>, from
     its least element x not met before, gives every power x^j its order
     o / gcd(j, o), for o the order of x.
     """
-    els = G.elements(cap)
+    els = G.elements()
     index = {x.images: i for i, x in enumerate(els)}
     one = els[0].images  # the identity sorts first
     orders = [1] + [0] * (len(els) - 1)
@@ -425,25 +425,25 @@ def is_subgroup(H: PermGroup, G: PermGroup) -> bool:
     return all(h in G for h in H.generators)
 
 
-def conjugacy_class(G: PermGroup, x: Permutation, cap: int | None = None) -> frozenset[Permutation]:
+def conjugacy_class(G: PermGroup, x: Permutation) -> frozenset[Permutation]:
     """Conjugacy class of x in G, by breadth-first closure under generator conjugation."""
     if x not in G:
         raise NotAMember(f"{x!r} is not in the group")
-    limit = config.element_cap(cap)
+    limit = config.element_cap()
     pairs = [(g.inverse(), g) for g in G.generators]
     return frozenset(orbit_map(x, pairs, lambda y, gg: gg[0] * y * gg[1],
                                limit=limit, what="conjugacy class"))
 
 
-def normalizer(G: PermGroup, H: PermGroup, cap: int | None = None) -> PermGroup:
+def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
     """Normalizer of H in G by brute scan over the element list."""
     if not is_subgroup(H, G):
         raise NotASubgroup("H is not a subgroup of G")
     hgens = H.generators
     if not hgens:
         return G
-    els = G.elements(cap)
-    hset = frozenset(H.elements(cap))
+    els = G.elements()
+    hset = frozenset(H.elements())
     found = []
     for g in els:
         gi = g.inverse()
@@ -482,7 +482,7 @@ def normal_closure(G: PermGroup, seeds: Iterable[Permutation]) -> PermGroup:
     return PermGroup(G.degree, gens, _chain=chain)
 
 
-def p_residual(G: PermGroup, p: int, cap: int | None = None) -> PermGroup:
+def p_residual(G: PermGroup, p: int) -> PermGroup:
     """Smallest normal subgroup with quotient of order coprime to p.
 
     Equals the subgroup generated by all p-elements, computed here as the
@@ -496,7 +496,7 @@ def p_residual(G: PermGroup, p: int, cap: int | None = None) -> PermGroup:
     if G.order() % p:
         return PermGroup(G.degree)
 
-    P = sylow.sylow_subgroup(G, p, cap)
+    P = sylow.sylow_subgroup(G, p)
     return normal_closure(G, P.generators)
 
 
@@ -570,7 +570,7 @@ def point_stabilizer(G: PermGroup, point: int) -> PermGroup:
     return stabilizer(G, schreier_tree(G, point, act), act)
 
 
-def right_cosets(G: PermGroup, H: PermGroup, cap: int | None = None
+def right_cosets(G: PermGroup, H: PermGroup
                  ) -> tuple[tuple[Permutation, ...], Callable[[Permutation], Permutation]]:
     """The right cosets H*g of a subgroup H, swept breadth-first from H
     itself, and the action of G on them.
@@ -583,7 +583,7 @@ def right_cosets(G: PermGroup, H: PermGroup, cap: int | None = None
     number of generators walks of that chain, and the index must fit the
     element cap.
     """
-    config.refuse_above("coset action", G.order() // H.order(), config.element_cap(cap))
+    config.refuse_above("coset action", G.order() // H.order(), config.element_cap())
     least = H.chain().least
     # the identity is the least element of H
     reps = tuple(orbit_map(G.identity(), G.generators,
@@ -596,7 +596,7 @@ def right_cosets(G: PermGroup, H: PermGroup, cap: int | None = None
     return reps, induced
 
 
-def quotient_group(G: PermGroup, N: PermGroup, cap: int | None = None
+def quotient_group(G: PermGroup, N: PermGroup
                    ) -> tuple[PermGroup, Callable[[Permutation], Permutation]]:
     """Quotient G/N as a permutation group on the right cosets of N.
 
@@ -606,7 +606,7 @@ def quotient_group(G: PermGroup, N: PermGroup, cap: int | None = None
         raise NotASubgroup("N is not a subgroup of G")
     if not is_normal(G, N):
         raise NotNormal("N is not normal in G")
-    reps, induced = right_cosets(G, N, cap)
+    reps, induced = right_cosets(G, N)
     Q = PermGroup(len(reps), [induced(g) for g in G.generators])
     if Q.order() * N.order() != G.order():
         raise AssertionError("coset action does not realize the quotient")

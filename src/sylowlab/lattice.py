@@ -133,7 +133,7 @@ class SubgroupLattice:
         return self._maximal
 
 
-def subgroup_lattice(G: PermGroup, cap: int | None = None) -> SubgroupLattice:
+def subgroup_lattice(G: PermGroup) -> SubgroupLattice:
     """Compute the full subgroup lattice of G.
 
     Requires the Cayley table, so the group order must fit the lattice
@@ -141,7 +141,7 @@ def subgroup_lattice(G: PermGroup, cap: int | None = None) -> SubgroupLattice:
     """
     if G._lattice is not None:
         return G._lattice
-    ctx = get_table(G, cap)
+    ctx = get_table(G)
     cyclics = ctx.cyclic_subgroups()
     # cyc_of[x] is the position in cyclics of the subgroup x generates
     cyc_of = {x: k for k, (_, cfs) in enumerate(cyclics)
@@ -198,7 +198,7 @@ def subgroup_lattice(G: PermGroup, cap: int | None = None) -> SubgroupLattice:
     return G._lattice
 
 
-def is_p_solvable(G: PermGroup, p: int, cap: int | None = None) -> bool:
+def is_p_solvable(G: PermGroup, p: int) -> bool:
     """Whether the upper p-series reaches the whole group.
 
     The series is read off G's own subgroup lattice: a normal subgroup of
@@ -209,7 +209,7 @@ def is_p_solvable(G: PermGroup, p: int, cap: int | None = None) -> bool:
     not when both kinds run out first.
     """
     check_prime(p)
-    lat = subgroup_lattice(G, cap)
+    lat = subgroup_lattice(G)
     normal = [lat.element_sets[i] for i in lat.normal_indices()]
     K = lat.element_sets[0]
     while len(K) < G.order():

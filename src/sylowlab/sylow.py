@@ -76,14 +76,13 @@ from .reports import CheckReport
 from .tables import check_prime, is_p_power, p_part
 
 
-def sylow_subgroup(G: PermGroup, p: int, cap: int | None = None) -> PermGroup:
+def sylow_subgroup(G: PermGroup, p: int) -> PermGroup:
     """A Sylow p-subgroup of G, deterministically chosen: from P = 1, the
     least p-element of N_G(P) outside P is adjoined until P is Sylow."""
-    return sylow_subgroup_containing(G, PermGroup(G.degree), p, cap)
+    return sylow_subgroup_containing(G, PermGroup(G.degree), p)
 
 
-def sylow_subgroup_containing(G: PermGroup, Q: PermGroup, p: int,
-                              cap: int | None = None) -> PermGroup:
+def sylow_subgroup_containing(G: PermGroup, Q: PermGroup, p: int) -> PermGroup:
     """A Sylow p-subgroup of G containing the p-subgroup Q.
 
     From P = Q, the least p-element of N_G(P) outside P, least by image
@@ -93,12 +92,12 @@ def sylow_subgroup_containing(G: PermGroup, Q: PermGroup, p: int,
     every Sylow request refuses the same groups.
     """
     check_prime(p)
-    G.check_element_cap(cap)
+    G.check_element_cap()
     target = p_part(G.order(), p)
     if Q.order() == target:
         return Q
     centres = {}  # Omega_1(Z(P)) by its elements, to N_G(Omega_1(Z(P)))
-    P, gens = frozenset(Q.elements(cap)), list(Q.generators)
+    P, gens = frozenset(Q.elements()), list(Q.generators)
     while len(P) < target:
         y = _normalizer_chain(G, _listed(G.degree, gens, P), p, centres).least(
             lambda x: x not in P and is_p_power(x.order(), p))
@@ -161,7 +160,7 @@ def _numbering(G: PermGroup) -> Numbering:
     return G._numbering
 
 
-def _key(P: PermGroup, cap: int | None = None) -> list[Permutation]:
+def _key(P: PermGroup) -> list[Permutation]:
     """The elements of P that key its conjugates in ``_orbit``: those
     other than 1 of order at most m, for the least m at which they
     generate P.
@@ -175,7 +174,7 @@ def _key(P: PermGroup, cap: int | None = None) -> list[Permutation]:
     subgroup has at most |P|/p elements, for p = ``levels[0]``, so more
     key elements than that generate P without a stabilizer chain.
     """
-    els = P.elements(cap)
+    els = P.elements()
     orders = {x: x.order() for x in els[1:]}
     levels = sorted(set(orders.values()))
     for m in levels:
@@ -186,7 +185,7 @@ def _key(P: PermGroup, cap: int | None = None) -> list[Permutation]:
     return []
 
 
-def _orbit(G: PermGroup, P: PermGroup, cap: int | None = None):
+def _orbit(G: PermGroup, P: PermGroup):
     """The orbit of P under conjugation by G, as a Schreier tree
     (``group.schreier_tree``), with the action on its keys.
 
@@ -205,7 +204,7 @@ def _orbit(G: PermGroup, P: PermGroup, cap: int | None = None):
     ``group.stabilizer`` takes for N_G(P).
     """
     numbering = _numbering(G)
-    seed = tuple(sorted(numbering.number(x.images) for x in _key(P, cap)))
+    seed = tuple(sorted(numbering.number(x.images) for x in _key(P)))
     numbering.close()
     conj = numbering.conj
 
@@ -215,28 +214,27 @@ def _orbit(G: PermGroup, P: PermGroup, cap: int | None = None):
     return schreier_tree(G, seed, act), act
 
 
-def _conjugates(G: PermGroup, P: PermGroup, p: int | None = None,
-                cap: int | None = None) -> list:
+def _conjugates(G: PermGroup, P: PermGroup, p: int | None = None) -> list:
     """The orbit of P under conjugation by G, each conjugate as its
     Schreier-tree record (``group.transversal(G)`` turns them into their
     elements of G).  With ``p``, P is a Sylow p-subgroup of G, and the
     orbit's length, nu(G, p), is asserted to be 1 mod p.
     """
-    seen, _ = _orbit(G, P, cap)
+    seen, _ = _orbit(G, P)
     assert p is None or len(seen) % p == 1, "Sylow count must be 1 mod p"
     return list(seen.values())
 
 
-def nu_p(G: PermGroup, p: int, cap: int | None = None) -> int:
+def nu_p(G: PermGroup, p: int) -> int:
     """Number of Sylow p-subgroups of G: the length of one Sylow
     subgroup's conjugation orbit."""
     check_prime(p)
     if G.order() % p:
         return 1
-    return len(_conjugates(G, sylow_subgroup(G, p, cap), p, cap))
+    return len(_conjugates(G, sylow_subgroup(G, p), p))
 
 
-def sylow_subgroups(G: PermGroup, p: int, cap: int | None = None) -> tuple[frozenset, ...]:
+def sylow_subgroups(G: PermGroup, p: int) -> tuple[frozenset, ...]:
     """Element sets of all Sylow p-subgroups, sorted.
 
     They form the conjugation orbit of one Sylow subgroup, the same orbit
@@ -247,11 +245,11 @@ def sylow_subgroups(G: PermGroup, p: int, cap: int | None = None) -> tuple[froze
     same orbit walk as ``nu_p``.
     """
     check_prime(p)
-    P = sylow_subgroup(G, p, cap)
-    records = _conjugates(G, P, p, cap)
+    P = sylow_subgroup(G, p)
+    records = _conjugates(G, P, p)
     config.refuse_above("Sylow subgroup enumeration", len(records) * P.order(),
-                        config.element_cap(cap))
-    els = P.elements(cap)
+                        config.element_cap())
+    els = P.elements()
 
     def members(u):
         u_inv = u.inverse()
@@ -260,8 +258,7 @@ def sylow_subgroups(G: PermGroup, p: int, cap: int | None = None) -> tuple[froze
     return tuple(sorted(map(members, map(transversal(G), records)), key=sorted))
 
 
-def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int,
-                          cap: int | None = None) -> CheckReport:
+def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int) -> CheckReport:
     """Verify nu(H, p) <= nu(G, p) and characterize the equality case.
 
     Equality holds exactly when (1) each Sylow p-subgroup of H lies in a
@@ -273,12 +270,12 @@ def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int,
     """
     if not is_subgroup(H, G):
         raise NotASubgroup("H is not a subgroup of G")
-    Q = sylow_subgroup(H, p, cap)
-    P = sylow_subgroup_containing(G, Q, p, cap)
-    sylows = _conjugates(G, P, p, cap)
+    Q = sylow_subgroup(H, p)
+    P = sylow_subgroup_containing(G, Q, p)
+    sylows = _conjugates(G, P, p)
     nu_G = len(sylows)
-    nu_H = len(_conjugates(H, Q, p, cap))
-    p_set = frozenset(P.elements(cap))
+    nu_H = len(_conjugates(H, Q, p))
+    p_set = frozenset(P.elements())
 
     def holds_Q(u):
         # u^-1 P u holds Q exactly when P holds u Q u^-1
@@ -288,7 +285,7 @@ def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int,
     containing = sum(map(holds_Q, map(transversal(G), sylows)))
     unique_containment = containing == 1
     # |H : N_H(P)| need not be 1 mod p, so this orbit carries no p
-    product_covers = len(_conjugates(H, P, cap=cap)) == nu_G
+    product_covers = len(_conjugates(H, P)) == nu_G
     equal = nu_H == nu_G
     conditions = unique_containment and product_covers
     return CheckReport("sylow-monotone", nu_H <= nu_G and (equal == conditions), {
@@ -302,19 +299,18 @@ def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int,
     })
 
 
-def nu_quotient_identity_check(G: PermGroup, N: PermGroup, p: int,
-                               cap: int | None = None) -> CheckReport:
+def nu_quotient_identity_check(G: PermGroup, N: PermGroup, p: int) -> CheckReport:
     """Verify nu(G, p) = nu(G/N, p) * nu(PN, p) for normal N.
 
     One Sylow p-subgroup P of G is grown.  Its image PN/N is Sylow in
     G/N, so nu(G/N, p) is the length of that image's conjugation orbit.
     """
-    Q, project = quotient_group(G, N, cap)
-    P = sylow_subgroup(G, p, cap)
+    Q, project = quotient_group(G, N)
+    P = sylow_subgroup(G, p)
     PN = PermGroup(G.degree, P.generators + N.generators)
-    nu_G = len(_conjugates(G, P, p, cap))
-    nu_Q = len(_conjugates(Q, PermGroup(Q.degree, map(project, P.generators)), p, cap))
-    nu_PN = len(_conjugates(PN, P, p, cap))
+    nu_G = len(_conjugates(G, P, p))
+    nu_Q = len(_conjugates(Q, PermGroup(Q.degree, map(project, P.generators)), p))
+    nu_PN = len(_conjugates(PN, P, p))
     return CheckReport("sylow-quotient-product", nu_G == nu_Q * nu_PN, {
         "p": p,
         "nu_G": nu_G,
@@ -325,8 +321,7 @@ def nu_quotient_identity_check(G: PermGroup, N: PermGroup, p: int,
 
 
 def sylow_ratio_bound_check(G: PermGroup, H: PermGroup, p: int,
-                            exclusions_clear: bool = False,
-                            cap: int | None = None) -> CheckReport:
+                            exclusions_clear: bool = False) -> CheckReport:
     """For G generated by its p-elements and proper H containing a full
     Sylow p-subgroup: nu(H,p) <= ((p-1)/(2p-1)) nu(G,p).
 
@@ -345,11 +340,11 @@ def sylow_ratio_bound_check(G: PermGroup, H: PermGroup, p: int,
         raise PreconditionFailed("H must be proper")
     if p_part(H.order(), p) != p_part(G.order(), p):
         raise SylowNotContained("H does not contain a Sylow p-subgroup of G")
-    P = sylow_subgroup(H, p, cap)
+    P = sylow_subgroup(H, p)
     if normal_closure(G, P.generators).order() != G.order():
         raise PreconditionFailed("G must be generated by its p-elements")
-    nu_G = len(_conjugates(G, P, p, cap))
-    nu_H = len(_conjugates(H, P, p, cap))
+    nu_G = len(_conjugates(G, P, p))
+    nu_H = len(_conjugates(H, P, p))
     main_bound = nu_H * (2 * p - 1) <= nu_G * (p - 1)
     strict_bound = nu_H * (p + 1) <= nu_G if exclusions_clear else None
     return CheckReport("sylow-ratio-bound", main_bound and (strict_bound is not False), {
@@ -364,14 +359,13 @@ def sylow_ratio_bound_check(G: PermGroup, H: PermGroup, p: int,
     })
 
 
-def p_solvable_divisibility_check(G: PermGroup, p: int,
-                                  cap: int | None = None) -> CheckReport:
+def p_solvable_divisibility_check(G: PermGroup, p: int) -> CheckReport:
     """For p-solvable G: nu(H,p) divides nu(G,p) for every proper H, and
     when the counts differ, nu(H,p) <= nu(G,p)/(p+1).
     """
-    if not is_p_solvable(G, p, cap):
+    if not is_p_solvable(G, p):
         raise NotPSolvable("G is not p-solvable")
-    *nus, nu_G = subgroup_lattice(G, cap).sylow_counts(p)
+    *nus, nu_G = subgroup_lattice(G).sylow_counts(p)
     bad_div = []
     bad_gap = []
     for i, nu_H in enumerate(nus):
@@ -389,8 +383,7 @@ def p_solvable_divisibility_check(G: PermGroup, p: int,
     })
 
 
-def sylow_ratio_gap_scan(groups, p: int, bound: Fraction,
-                         cap: int | None = None) -> CheckReport:
+def sylow_ratio_gap_scan(groups, p: int, bound: Fraction) -> CheckReport:
     """Scan subgroup pairs for nu(H,p) < nu(G,p) with ratio above ``bound``.
 
     ``groups`` is an iterable of (name, PermGroup).  Groups whose lattice
@@ -402,7 +395,7 @@ def sylow_ratio_gap_scan(groups, p: int, bound: Fraction,
     scanned = 0
     for name, G in groups:
         try:
-            lat = subgroup_lattice(G, cap)
+            lat = subgroup_lattice(G)
         except CapExceeded as e:
             notices.append(
                 f"skipped {name}: lattice needs {e.required} > cap {e.cap}")

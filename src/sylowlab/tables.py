@@ -101,10 +101,10 @@ class CayleyTable:
     __slots__ = ("group", "elements", "index", "table", "inv", "elt_order", "gen_idx",
                  "conj_maps", "_cyclics", "_proper_max", "_whole")
 
-    def __init__(self, group: PermGroup, cap: int | None = None):
+    def __init__(self, group: PermGroup):
         n = group.order()
-        config.refuse_above("cayley table", n, config.lattice_cap(cap))
-        els = group.elements(n)
+        config.refuse_above("cayley table", n, config.lattice_cap())
+        els = group.elements()
         assert els[0].is_identity()
         imgs = [e.images for e in els]
         index = {im: i for i, im in enumerate(imgs)}
@@ -233,7 +233,7 @@ class CayleyTable:
         return count
 
 
-def get_table(G: PermGroup, cap: int | None = None) -> CayleyTable:
+def get_table(G: PermGroup) -> CayleyTable:
     if G._table is None:
-        G._table = CayleyTable(G, cap)
+        G._table = CayleyTable(G)
     return G._table

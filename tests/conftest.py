@@ -143,11 +143,11 @@ def conjugates_by_sets(G: PermGroup, P: PermGroup) -> list[frozenset[Permutation
     return queue
 
 
-def centralizer(G: PermGroup, x: Permutation, cap: int | None = None) -> PermGroup:
+def centralizer(G: PermGroup, x: Permutation) -> PermGroup:
     """Centralizer of x in G by brute scan over the element list."""
     if x not in G:
         raise NotAMember(f"{x!r} is not in the group")
-    found = [g for g in G.elements(cap) if g * x == x * g]
+    found = [g for g in G.elements() if g * x == x * g]
     return span_from_elements(G.degree, found)
 
 
@@ -399,8 +399,7 @@ def quotient_route_is_p_solvable(G: PermGroup, p: int) -> bool:
     return True
 
 
-def min_fpr_by_classes(action, p: int,
-                       cap: int | None = None) -> tuple[Permutation, Fraction]:
+def min_fpr_by_classes(action, p: int) -> tuple[Permutation, Fraction]:
     """A nontrivial p-element with the smallest fixed point ratio.
 
     One representative per conjugacy class is scanned (the ratio is a
@@ -413,7 +412,7 @@ def min_fpr_by_classes(action, p: int,
         raise NoPElement(f"p={p} does not divide the group order")
     best: tuple[Fraction, int, tuple[int, ...]] | None = None
     best_elt = None
-    for rep, _ in G.conjugacy_classes(cap):
+    for rep, _ in G.conjugacy_classes():
         o = rep.order()
         if o == 1 or not is_p_power(o, p):
             continue

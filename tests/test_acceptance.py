@@ -226,7 +226,7 @@ class TestCoveringNumbers:
             G = entry.build()
             for p in prime_divisors(G.order()):
                 try:
-                    lat, universe, maximal = _sigma_instance(G, p, None)
+                    lat, universe, maximal = _sigma_instance(G, p)
                 except PreconditionFailed:
                     continue
                 if not 0 < len(maximal) <= 20:

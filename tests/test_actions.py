@@ -17,6 +17,7 @@ from conftest import (
     prime_factors,
     symmetric,
 )
+from sylowlab import config
 from sylowlab.actions import (
     CosetAction,
     canonical_p_element,
@@ -96,17 +97,19 @@ class TestCosetAction:
         with pytest.raises(PreconditionFailed):
             coset_action(G, symmetric(3))
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(config, "override", 10)
         with pytest.raises(CapExceeded):
-            coset_action(symmetric(4), PermGroup(4, [perm("(1 2)", 4)]),
-                         cap=10)
+            coset_action(symmetric(4), PermGroup(4, [perm("(1 2)", 4)]))
 
-    def test_cap_bounds_the_index_not_the_group(self):
+    def test_cap_bounds_the_index_not_the_group(self, monkeypatch):
         # 24 elements are above the cap of 10, the 4 cosets of the point
         # stabilizer S3 of 4 are not; each x fixes as many cosets as points
         G = symmetric(4)
         H = PermGroup(4, [perm("(1 2)", 4), perm("(2 3)", 4)])
-        act = coset_action(G, H, cap=10)
+        G.elements()  # listed before the cap, as the loop below reads them
+        monkeypatch.setattr(config, "override", 10)
+        act = coset_action(G, H)
         assert act.degree == 4
         for x in G.elements():
             assert len(act.fixed_points(x)) == len(x.fixed_points())

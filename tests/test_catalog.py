@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sylowlab import config
 from sylowlab.catalog import (
     CATALOG,
     CatalogEntry,
@@ -167,6 +168,13 @@ class TestParser:
         assert str(parse_group_expr(text)) == " wr ".join(["C1"] * (MAX_DEPTH + 1))
 
 
+def _construct_cap(monkeypatch, n):
+    """Set the construction limit to n: the cap override alone cannot
+    lower it below ``config.DEFAULT_CONSTRUCT_CAP``."""
+    monkeypatch.setattr(config, "override", n)
+    monkeypatch.setattr(config, "DEFAULT_CONSTRUCT_CAP", n)
+
+
 class TestConstruct:
     @pytest.mark.parametrize(
         "text, degree, order",
@@ -242,9 +250,10 @@ class TestConstruct:
     def test_borel_is_subgroup_of_sl(self):
         assert is_subgroup(construct_text("Borel(2,8)"), construct_text("SL(2,8)"))
 
-    def test_cap_on_predicted_order(self):
-        with pytest.raises(CapExceeded) as exc:
-            construct_text("C3 wr C3", cap=50)
+    def test_cap_on_predicted_order(self, monkeypatch):
+        with monkeypatch.context() as m, pytest.raises(CapExceeded) as exc:
+            _construct_cap(m, 50)
+            construct_text("C3 wr C3")
         assert exc.value.required == 81
         with pytest.raises(CapExceeded):
             construct_text("S5 wr S5")  # predicted order far above default cap
@@ -254,12 +263,13 @@ class TestConstruct:
         ("C3 wr C3", 80, 81), ("C3 wr C3", 26, 81), ("C2 wr C2 wr C2", 127, 128),
         ("S3 x C2", 11, 12), ("S4 x C2", 20, None), ("[(1 2)] x S5", 100, None),
         ("S5 wr [(1 2)]", 100, None), ("C2 wr C8", 100, None)])
-    def test_refusal_is_exact_where_the_order_is_computed(self, text, cap, required):
+    def test_refusal_is_exact_where_the_order_is_computed(self, text, cap, required, monkeypatch):
         """An order computed in full is reported exactly; an operand, a
         partial factorial or a wreath power past the cap stops the
         computation, and the refusal reads "more than" the cap."""
+        _construct_cap(monkeypatch, cap)
         with pytest.raises(CapExceeded) as exc:
-            construct_text(text, cap=cap)
+            construct_text(text)
         assert exc.value.required == required
         needs = f"more than {cap}" if required is None else required
         assert str(exc.value) == f"constructed group order: needs {needs}, cap is {cap}"

@@ -340,7 +340,7 @@ class TestPlumbing:
             assert rep["ok"] is False and rep["error"] == want
 
     def test_any_exception_building_a_group_is_a_structured_error(self, capsys, monkeypatch):
-        def failing(text, cap):
+        def failing(text):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli, "GroupInput", failing)
@@ -353,7 +353,7 @@ class TestPlumbing:
         assert rep["error"] == {"type": "RuntimeError", "message": "boom"}
 
     def test_an_error_that_says_nothing_is_named_by_its_type(self, capsys, monkeypatch):
-        def failing_build(text, cap):
+        def failing_build(text):
             raise MemoryError()
 
         def failing_handler(options):
@@ -429,10 +429,10 @@ class TestOneTowerPerCheck:
         towers = []
         grow = sylow.sylow_subgroup_containing
 
-        def counting(G, Q, p, cap=None):
+        def counting(G, Q, p):
             if Q.order() == 1:
                 towers.append(G.order())
-            return grow(G, Q, p, cap)
+            return grow(G, Q, p)
 
         monkeypatch.setattr(sylow, "sylow_subgroup_containing", counting)
         rc, rep = run(capsys, *argv)
@@ -718,6 +718,46 @@ class TestInputValidation:
     def test_good_cap_environment(self, monkeypatch):
         monkeypatch.setenv("SYLOWLAB_CAP", " 5000 ")
         assert config.element_cap() == config.lattice_cap() == 5000
+
+
+class TestCapChannels:
+    """``--cap`` and ``SYLOWLAB_CAP`` set the same limits: the element and
+    lattice caps, and through the element cap the construction limit,
+    which neither lowers below ``config.DEFAULT_CONSTRUCT_CAP``.  The
+    flag holds for its own command only."""
+
+    def test_cap_flag_keeps_construction_open(self, capsys):
+        # --cap 2520 once bounded construction too, and A8 ended the whole
+        # scan in one error
+        rc, rep = run(capsys, "verify", "sylow-ratio-gap-scan", "--group", "A5",
+                      "--group", "A7", "--group", "A8", "-p", "2", "--bound", "1/3",
+                      "--cap", "2520")
+        assert "error" not in rep
+        assert rep["details"]["groups_scanned"] == 2
+        assert rep["notices"] == ["skipped A8: lattice needs 20160 > cap 2520"]
+
+    def test_flag_and_environment_give_the_same_error(self, capsys, monkeypatch):
+        argv = ["compute", "nu", "--group", "A5", "-p", "2"]
+        want = {"type": "CapExceeded", "message": "element enumeration: needs 60, cap is 5"}
+        _, by_flag = run(capsys, *argv, "--cap", "5")
+        monkeypatch.setenv("SYLOWLAB_CAP", "5")
+        _, by_env = run(capsys, *argv)
+        assert by_flag["error"] == by_env["error"] == want
+
+    @pytest.mark.parametrize("cap, ok", [("100", True), ("5", False), ("0", False)],
+                             ids=["ok", "error-entry", "zero"])
+    def test_main_restores_the_override(self, capsys, cap, ok):
+        before = config.override
+        rc, rep = run(capsys, "compute", "nu", "--group", "A5", "-p", "2", "--cap", cap)
+        assert (rc == 0) == ok and rep["ok"] is ok
+        assert config.override == before
+
+    def test_library_call_after_main_sees_the_default_cap(self, capsys, monkeypatch):
+        monkeypatch.delenv("SYLOWLAB_CAP", raising=False)
+        rc, _ = run(capsys, "compute", "nu", "--group", "A5", "-p", "2", "--cap", "10")
+        assert rc == 1
+        assert config.element_cap() == config.DEFAULT_ELEMENT_CAP
+        assert len(sylow.sylow_subgroups(cli.construct_text("A5"), 2)) == 5
 
 
 def _usage_error(capsys, argv):

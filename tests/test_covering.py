@@ -250,7 +250,7 @@ class TestMinCoverFrozen:
                      (11, (55, 56, 57, 58, 59, 60, 61, 62, 63, 64, 65)), id="PSL(2,11)-5"),
     ])
     def test_recorded_cover(self, build, p, expected):
-        lat, universe, maximal = _sigma_instance(build(), p, None)
+        lat, universe, maximal = _sigma_instance(build(), p)
         masks = _cover_instance(lat, universe, maximal)
         assert min_cover(len(universe), masks) == expected
 

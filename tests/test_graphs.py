@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import sylowlab
-from sylowlab import graphs
+from sylowlab import config, graphs
 from sylowlab.catalog import catalog_upto, construct_text
 from sylowlab.cliques import _degeneracy_order, _short_sides, max_clique
 from sylowlab.errors import CapExceeded, OutOfDomain, PreconditionFailed
@@ -260,9 +260,10 @@ class TestNoncommutingGraph:
                 if i != j:
                     assert has_edge(g, i, j) == (x * y != y * x)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(config, "override", 10)
         with pytest.raises(CapExceeded):
-            noncommuting_graph(alternating(5), {2, 3, 5}, cap=10)
+            noncommuting_graph(alternating(5), {2, 3, 5})
 
 
 def prime_divisors(n):

@@ -10,6 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sylowlab import config
 from sylowlab.catalog import catalog_upto, construct_text
 from sylowlab.errors import CapExceeded, DegreeMismatch, NotAMember, NotASubgroup, NotNormal
 from sylowlab.group import (
@@ -117,9 +118,10 @@ class TestElements:
         assert els[0].is_identity()
         assert set(els) == brute_closure(4, list(G.generators))
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(config, "override", 1000)
         with pytest.raises(CapExceeded) as e:
-            alternating(7).elements(cap=1000)
+            alternating(7).elements()
         assert e.value.required == 2520
         assert e.value.cap == 1000
 
@@ -127,8 +129,9 @@ class TestElements:
         monkeypatch.setenv("SYLOWLAB_CAP", "50")
         with pytest.raises(CapExceeded):
             alternating(5).elements()
-        # explicit argument wins over the environment
-        assert len(alternating(5).elements(cap=60)) == 60
+        # the override (the CLI's --cap) wins over the environment
+        monkeypatch.setattr(config, "override", 60)
+        assert len(alternating(5).elements()) == 60
 
 
 @pytest.mark.parametrize("make", [e.build for e in catalog_upto(2000)]
@@ -361,9 +364,10 @@ class TestConjugacyClasses:
         brute = {g.inverse() * x * g for g in G.elements()}
         assert conjugacy_class(G, x) == brute
 
-    def test_class_stops_at_cap(self):
+    def test_class_stops_at_cap(self, monkeypatch):
+        monkeypatch.setattr(config, "override", 100)
         with pytest.raises(CapExceeded) as info:
-            conjugacy_class(symmetric(6), perm("(1 2 3 4 5 6)", 6), cap=100)
+            conjugacy_class(symmetric(6), perm("(1 2 3 4 5 6)", 6))
         assert (info.value.required, info.value.cap) == (101, 100)
 
     def test_class_requires_membership(self):

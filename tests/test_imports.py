@@ -6,8 +6,10 @@ refactor fails the suite.  ``__init__.py`` is left out: its imports are
 the package's re-exports.  The modules follow one layer order
 (``LAYERS``): each imports, at its top, only the modules before it.
 Only the function-level imports in ``LOCAL_IMPORTS`` remain, each one
-kept for the reason given there.  And every library name the
-README cites as ``module.name`` or ``Class.attr`` resolves.
+kept for the reason given there.  No function takes a ``cap``
+parameter: each size limit is read from ``config`` where a size is
+refused.  And every library name the README cites as ``module.name``
+or ``Class.attr`` resolves.
 """
 
 import ast
@@ -132,6 +134,50 @@ def test_a_function_level_import_is_caught():
               "        import math\n"
               "        return math.pi\n")
     assert local_imports("m", source) == {"m.f", "m.h"}
+
+
+# the one parameter named cap left: the refused limit that the error carries
+CAP_PARAMETERS = {"errors.CapExceeded.__init__"}
+
+
+def cap_parameters(module: str, source: str) -> set[str]:
+    """Each function of ``source`` with a parameter named ``cap``, as
+    module.function, module.Class.method or module.outer.inner."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "name", None)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                if any(arg.arg == "cap" for arg in a.posonlyargs + a.args + a.kwonlyargs):
+                    found.add(f"{prefix}.{name}")
+            visit(child, f"{prefix}.{name}" if isinstance(name, str) else prefix)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_no_function_takes_a_cap():
+    found = set()
+    for path in SRC.glob("*.py"):
+        found |= cap_parameters(path.stem, path.read_text())
+    assert found == CAP_PARAMETERS
+
+
+def test_a_cap_parameter_is_caught():
+    source = ("def f(G, cap=None):\n"
+              "    return G\n"
+              "def g(G, *, cap):\n"
+              "    return G\n"
+              "def h(G, limit, capped=False):\n"
+              "    return G\n"
+              "class C:\n"
+              "    def m(self, p, cap: int | None = None):\n"
+              "        def inner(cap):\n"
+              "            return cap\n"
+              "        return p\n")
+    assert cap_parameters("m", source) == {"m.f", "m.g", "m.C.m", "m.C.m.inner"}
 
 
 def library_owners() -> dict:

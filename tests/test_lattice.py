@@ -22,6 +22,7 @@ from conftest import (
     order_of,
     symmetric,
 )
+from sylowlab import config
 from sylowlab.catalog import catalog_upto, construct_text
 from sylowlab.errors import CapExceeded
 from sylowlab.lattice import subgroup_lattice
@@ -158,9 +159,10 @@ class TestDeterminismAndCaps:
         assert e.value.required == 2520
         assert e.value.cap == 2000
 
-    def test_explicit_cap_wins(self):
+    def test_explicit_cap_wins(self, monkeypatch):
+        monkeypatch.setattr(config, "override", 10)
         with pytest.raises(CapExceeded):
-            subgroup_lattice(symmetric(4), cap=10)
+            subgroup_lattice(symmetric(4))
 
 
 # sha256 of repr((element sets as sorted tuples, class_ids)), frozen from the

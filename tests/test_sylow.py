@@ -34,7 +34,7 @@ from conftest import (
     sylow_key_by_closure,
     symmetric,
 )
-from sylowlab import sylow
+from sylowlab import config, sylow
 from sylowlab.actions import (
     canonical_p_element,
     fpr_subgroup,
@@ -124,22 +124,24 @@ class TestSylowSubgroup:
         assert len(syl) == nu_p(G, 2) == 5
         assert all(len(s) == 4 for s in syl)
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
+        monkeypatch.setattr(config, "override", 30)
         with pytest.raises(CapExceeded):
-            sylow_subgroups(alternating(6), 2, cap=30)
+            sylow_subgroups(alternating(6), 2)
 
-    def test_enumeration_cap_with_cached_elements(self):
+    def test_enumeration_cap_with_cached_elements(self, monkeypatch):
         # the element list is already there, so only the enumeration's
         # own refusal can fire (45 subgroups of order 8 hold 360 > 30
         # elements), and it reports that figure and the cap in force
         G = alternating(6)
         G.elements()
+        monkeypatch.setattr(config, "override", 30)
         with pytest.raises(CapExceeded) as info:
-            sylow_subgroups(G, 2, cap=30)
+            sylow_subgroups(G, 2)
         assert info.value.what == "Sylow subgroup enumeration"
         assert (info.value.required, info.value.cap) == (360, 30)
         # nu_p's orbit has no such limit: it counts all 45
-        assert nu_p(G, 2, cap=30) == 45
+        assert nu_p(G, 2) == 45
 
     @pytest.mark.parametrize("label", [e.label for e in catalog_upto(2000)] + ["A7", "A8"])
     def test_tower_matches_scan(self, label):
@@ -155,7 +157,7 @@ class TestSylowSubgroup:
             assert sylow_subgroup_containing(G, Q, p).generators == PermGroup(
                 G.degree, sylow_by_scan(G, p, [x])).generators, (label, p)
 
-    # sha256 of repr([g.images for g in sylow_subgroup(G, p, cap).generators]),
+    # sha256 of repr([g.images for g in sylow_subgroup(G, p).generators]),
     # frozen from the normalizer tower before it walked through Omega_1(Z(P))
     TOWER_DIGESTS = {
         ("A9", 2): "23de9c5dfa847ab61b112647a6f169cf93888cfdc1e7e4aac9b960c037c5b52e",
@@ -174,11 +176,12 @@ class TestSylowSubgroup:
     }
 
     @pytest.mark.parametrize("label, p", list(TOWER_DIGESTS))
-    def test_tower_generators_frozen(self, label, p):
+    def test_tower_generators_frozen(self, monkeypatch, label, p):
         """Past ``test_tower_matches_scan``'s range, where no scan of the
         element list runs; A10 with the element cap raised."""
-        cap = 10**8 if label == "A10" else None
-        gens = sylow_subgroup(construct_text(label), p, cap).generators
+        if label == "A10":
+            monkeypatch.setattr(config, "override", 10**8)
+        gens = sylow_subgroup(construct_text(label), p).generators
         digest = hashlib.sha256(repr([g.images for g in gens]).encode()).hexdigest()
         assert digest == self.TOWER_DIGESTS[label, p]
 
