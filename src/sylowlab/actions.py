@@ -23,7 +23,6 @@ from math import comb
 from .errors import (
     NoPElement,
     NotAMember,
-    NotASubgroup,
     NotMaximal,
     NotTransitive,
     OutOfDomain,
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .group import (
     PermGroup,
-    is_subgroup,
+    check_subgroup,
     orbit_map,
     point_stabilizer,
     right_cosets,
@@ -110,8 +109,7 @@ class CosetAction:
 
 def coset_action(G: PermGroup, H: PermGroup) -> CosetAction:
     """The transitive action of G on the right cosets of a proper H."""
-    if not is_subgroup(H, G):
-        raise NotASubgroup("H is not a subgroup of G")
+    check_subgroup(H, G)
     if H.order() == G.order():
         raise PreconditionFailed("H must be a proper subgroup")
     point_map, induced = right_cosets(G, H)
@@ -141,8 +139,7 @@ def fpr_element(action: CosetAction, x: Permutation) -> Fraction:
 
 def fpr_subgroup(action: CosetAction, P: PermGroup) -> Fraction:
     """Fraction of points fixed by every element of P."""
-    if not is_subgroup(P, action.group):
-        raise NotASubgroup("P is not a subgroup of the acting group")
+    check_subgroup(P, action.group, "P")
     fixed = set(range(1, action.degree + 1))
     for g in P.generators:
         fixed &= set(action.fixed_points(g))
@@ -238,8 +235,7 @@ def nu_fpr_identity_check(G: PermGroup, H: PermGroup, p: int) -> CheckReport:
     H is maximal exactly when G is primitive on the cosets of H, so the
     check needs no subgroup lattice: G only has to fit the element cap.
     """
-    if not is_subgroup(H, G):
-        raise NotASubgroup("H is not a subgroup of G")
+    check_subgroup(H, G)
     if H.order() == G.order():
         raise NotMaximal("H is the whole group")
     action = coset_action(G, H)
@@ -253,7 +249,7 @@ def nu_fpr_identity_check(G: PermGroup, H: PermGroup, p: int) -> CheckReport:
     nu_G = len(_conjugates(G, P, p))
     ratio = Fraction(nu_H, nu_G)
     fixed_ratio = fpr_subgroup(action, P)
-    return CheckReport("sylow-fpr-identity", ratio == fixed_ratio, {
+    return CheckReport(ratio == fixed_ratio, {
         "p": p,
         "nu_H": nu_H,
         "nu_G": nu_G,
@@ -282,7 +278,7 @@ def sylow_orbit_bound_check(action: CosetAction, p: int,
     main_ok = orbits * (2 * p - 1) <= p * action.degree
     extra_ok = (orbits * (p + 1) <= 2 * action.degree
                 if exclusions_clear else None)
-    return CheckReport("sylow-orbit-bound", main_ok and extra_ok is not False, {
+    return CheckReport(main_ok and extra_ok is not False, {
         "p": p,
         "degree": action.degree,
         "sylow_order": P.order(),

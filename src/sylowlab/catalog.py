@@ -27,9 +27,8 @@ from .errors import (
     ExprSyntaxError,
     InvalidPermutation,
     UnsupportedDegree,
-    UnsupportedField,
 )
-from .gf import SUPPORTED_SIZES, field
+from .gf import field
 from .group import PermGroup
 from .perm import Permutation
 
@@ -373,10 +372,7 @@ def _construct_matrix(e: MatrixAtom) -> PermGroup:
     """The matrices acting on a point list: the nonzero vectors for SL and
     Borel, the lines for PSL, each line by its vector with first nonzero
     coordinate 1, to which ``canon`` normalises an image."""
-    q = e.q
-    if q not in SUPPORTED_SIZES:
-        raise UnsupportedField(f"GF({q}) is not in the field table")
-    F, mats = _sl2_matrices(q)
+    F, mats = _sl2_matrices(e.q)
     if e.kind == "Borel":  # upper triangular part only
         mats = [m for m in mats if m[1][0] == 0]
     if e.kind == "PSL":

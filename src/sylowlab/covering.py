@@ -115,7 +115,7 @@ def class_cover(G: PermGroup, x: Permutation):
 def sigma_lower_bound_check(G: PermGroup, p: int) -> CheckReport:
     """For G generated by its p-elements: the covering number is >= p+1."""
     value = sigma_p(G, p)
-    return CheckReport("covering-lower-bound", value >= p + 1, {
+    return CheckReport(value >= p + 1, {
         "p": p,
         "sigma": value,
         "lower_bound": p + 1,

@@ -119,7 +119,7 @@ def _vertices(G: PermGroup, pi) -> tuple[Permutation, ...]:
     return verts
 
 
-def _pi_classes(G: PermGroup, verts, each: bool = True):
+def _pi_classes(G: PermGroup, verts):
     """Each conjugacy class of G among the sorted pi-elements ``verts``.
 
     The vertices are numbered by position in one ``Numbering`` of G,
@@ -128,14 +128,12 @@ def _pi_classes(G: PermGroup, verts, each: bool = True):
     the positions of the vertices commuting with it.  x's list comes from
     one commutation sweep; each other member y = g^-1 z g, reached from
     its BFS parent z by the generator g, commutes exactly with g^-1 C_V(z) g,
-    so its list is z's mapped through g's conjugation list.  With
-    ``each`` false, every member gets x's list, which has the same length.
+    so its list is z's mapped through g's conjugation list.
     """
     numbering = Numbering(G, (x.images for x in verts))
     numbering.close()
     assert len(numbering.tables) == len(verts), "pi-elements are closed under conjugation"
     conj = numbering.conj
-    step = (lambda cent, k: list(map(conj[k].__getitem__, cent))) if each else None
     seen = bytearray(len(verts))
     for x, xt in enumerate(numbering.tables):
         if seen[x]:
@@ -143,7 +141,8 @@ def _pi_classes(G: PermGroup, verts, each: bool = True):
         x_of, x_shifted = itemgetter(*xt), (0,) + xt
         cent = [j for j, yt in enumerate(numbering.tables)
                 if x_of((0,) + yt) == itemgetter(*yt)(x_shifted)]
-        members = orbit_map(x, range(len(conj)), lambda y, k: conj[k][y], step, cent)
+        members = orbit_map(x, range(len(conj)), lambda y, k: conj[k][y],
+                            lambda cent, k: list(map(conj[k].__getitem__, cent)), cent)
         for y in members:
             seen[y] = 1
         yield members
@@ -184,7 +183,7 @@ def pr_pi(G: PermGroup, pi) -> Fraction:
     the classes X of pi-elements.
     """
     verts = _vertices(G, pi)
-    commuting = sum(len(cent) for members in _pi_classes(G, verts, each=False)
+    commuting = sum(len(cent) for members in _pi_classes(G, verts)
                     for cent in members.values())
     return Fraction(commuting, len(verts) ** 2)
 
@@ -197,7 +196,7 @@ def turan_bound_check(graph: BitGraph) -> CheckReport:
         bound = Fraction(0)
     else:
         bound = (1 - Fraction(1, omega)) * Fraction(graph.n ** 2, 2)
-    return CheckReport("clique-edge-bound", edges <= bound, {
+    return CheckReport(edges <= bound, {
         "vertices": graph.n,
         "edges": edges,
         "clique_number": omega,
@@ -212,7 +211,7 @@ def pr_times_clique_check(G: PermGroup, pi) -> CheckReport:
     graph = noncommuting_graph(G, pi)
     pr = Fraction(graph.n ** 2 - 2 * graph.edge_count(), graph.n ** 2)
     k = len(_max_clique(graph))
-    return CheckReport("probability-clique-product", pr * k >= 1, {
+    return CheckReport(pr * k >= 1, {
         "pi": sorted(pi),
         "probability": pr,
         "clique_number": k,
@@ -240,7 +239,7 @@ def sigma_le_clique_check(G: PermGroup, p: int) -> CheckReport:
     witness_covers = all(
         any(x * c == c * x for c in clique)
         for x in graph.vertices)
-    return CheckReport("covering-clique-bound", sigma <= len(clique) and witness_covers, {
+    return CheckReport(sigma <= len(clique) and witness_covers, {
         "p": p,
         "sigma": sigma,
         "clique_number": len(clique),

@@ -425,6 +425,13 @@ def is_subgroup(H: PermGroup, G: PermGroup) -> bool:
     return all(h in G for h in H.generators)
 
 
+def check_subgroup(H: PermGroup, G: PermGroup, name: str = "H") -> None:
+    """The one subgroup refusal: raise NotASubgroup, naming H ``name``,
+    unless H is a subgroup of G (DegreeMismatch when their degrees differ)."""
+    if not is_subgroup(H, G):
+        raise NotASubgroup(f"{name} is not a subgroup of G")
+
+
 def conjugacy_class(G: PermGroup, x: Permutation) -> frozenset[Permutation]:
     """Conjugacy class of x in G, by breadth-first closure under generator conjugation."""
     if x not in G:
@@ -437,8 +444,7 @@ def conjugacy_class(G: PermGroup, x: Permutation) -> frozenset[Permutation]:
 
 def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
     """Normalizer of H in G by brute scan over the element list."""
-    if not is_subgroup(H, G):
-        raise NotASubgroup("H is not a subgroup of G")
+    check_subgroup(H, G)
     hgens = H.generators
     if not hgens:
         return G
@@ -453,8 +459,7 @@ def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
 
 
 def is_normal(G: PermGroup, H: PermGroup) -> bool:
-    if not is_subgroup(H, G):
-        raise NotASubgroup("H is not a subgroup of G")
+    check_subgroup(H, G)
     for g in G.generators:
         gi = g.inverse()
         for h in H.generators:
@@ -540,10 +545,9 @@ def stabilizer(G: PermGroup, tree: dict, act) -> PermGroup:
 
     By Schreier's lemma it is generated by u * g * u'^-1, for u the
     transversal element of a point x, g a generator of G and u' that of
-    act(x, g); the tree's own edges, where it is 1, are left out.  Its
-    order is |G| / (orbit length), so the Schreier generators are rebuilt
-    and sifted in (``span_from_elements``) only until the chain reaches
-    that order.
+    act(x, g).  Its order is |G| / (orbit length), so the Schreier
+    generators are rebuilt and sifted in (``span_from_elements``) only
+    until the chain reaches that order.
     """
     gens = range(len(G.generators))
     u_of = transversal(G)
@@ -551,9 +555,7 @@ def stabilizer(G: PermGroup, tree: dict, act) -> PermGroup:
     def schreier():
         for x, record in tree.items():
             for k in gens:
-                image = tree[act(x, k)]
-                if image is None or image[0] is not record or image[1] != k:
-                    yield u_of(record) * G.generators[k] * u_of(image).inverse()
+                yield u_of(record) * G.generators[k] * u_of(tree[act(x, k)]).inverse()
 
     return span_from_elements(G.degree, schreier(), G.order() // len(tree))
 
@@ -602,8 +604,7 @@ def quotient_group(G: PermGroup, N: PermGroup
 
     Returns the quotient together with the projection homomorphism.
     """
-    if not is_subgroup(N, G):
-        raise NotASubgroup("N is not a subgroup of G")
+    check_subgroup(N, G, "N")
     if not is_normal(G, N):
         raise NotNormal("N is not normal in G")
     reps, induced = right_cosets(G, N)

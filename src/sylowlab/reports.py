@@ -28,7 +28,6 @@ def encode_value(v):
 
 @dataclass
 class CheckReport:
-    check: str
     ok: bool
     details: dict = field(default_factory=dict)
     notices: list = field(default_factory=list)

@@ -54,7 +54,6 @@ from fractions import Fraction
 from . import config
 from .errors import (
     CapExceeded,
-    NotASubgroup,
     NotPSolvable,
     PreconditionFailed,
     SylowNotContained,
@@ -63,7 +62,7 @@ from .group import (
     Numbering,
     PermGroup,
     _Chain,
-    is_subgroup,
+    check_subgroup,
     normal_closure,
     quotient_group,
     schreier_tree,
@@ -268,8 +267,7 @@ def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int) -> CheckReport:
     of Q gives nu(H, p), and (2) holds exactly when H is transitive on
     Syl_p(G), that is when the H-orbit of P has nu(G, p) members.
     """
-    if not is_subgroup(H, G):
-        raise NotASubgroup("H is not a subgroup of G")
+    check_subgroup(H, G)
     Q = sylow_subgroup(H, p)
     P = sylow_subgroup_containing(G, Q, p)
     sylows = _conjugates(G, P, p)
@@ -288,7 +286,7 @@ def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int) -> CheckReport:
     product_covers = len(_conjugates(H, P)) == nu_G
     equal = nu_H == nu_G
     conditions = unique_containment and product_covers
-    return CheckReport("sylow-monotone", nu_H <= nu_G and (equal == conditions), {
+    return CheckReport(nu_H <= nu_G and (equal == conditions), {
         "p": p,
         "nu_G": nu_G,
         "nu_H": nu_H,
@@ -311,7 +309,7 @@ def nu_quotient_identity_check(G: PermGroup, N: PermGroup, p: int) -> CheckRepor
     nu_G = len(_conjugates(G, P, p))
     nu_Q = len(_conjugates(Q, PermGroup(Q.degree, map(project, P.generators)), p))
     nu_PN = len(_conjugates(PN, P, p))
-    return CheckReport("sylow-quotient-product", nu_G == nu_Q * nu_PN, {
+    return CheckReport(nu_G == nu_Q * nu_PN, {
         "p": p,
         "nu_G": nu_G,
         "nu_quotient": nu_Q,
@@ -334,8 +332,7 @@ def sylow_ratio_bound_check(G: PermGroup, H: PermGroup, p: int,
     that the p-elements of G generate.
     """
     check_prime(p)
-    if not is_subgroup(H, G):
-        raise NotASubgroup("H is not a subgroup of G")
+    check_subgroup(H, G)
     if H.order() >= G.order():
         raise PreconditionFailed("H must be proper")
     if p_part(H.order(), p) != p_part(G.order(), p):
@@ -347,7 +344,7 @@ def sylow_ratio_bound_check(G: PermGroup, H: PermGroup, p: int,
     nu_H = len(_conjugates(H, P, p))
     main_bound = nu_H * (2 * p - 1) <= nu_G * (p - 1)
     strict_bound = nu_H * (p + 1) <= nu_G if exclusions_clear else None
-    return CheckReport("sylow-ratio-bound", main_bound and (strict_bound is not False), {
+    return CheckReport(main_bound and (strict_bound is not False), {
         "p": p,
         "nu_G": nu_G,
         "nu_H": nu_H,
@@ -373,7 +370,7 @@ def p_solvable_divisibility_check(G: PermGroup, p: int) -> CheckReport:
             bad_div.append(i)
         elif nu_H != nu_G and nu_H * (p + 1) > nu_G:
             bad_gap.append(i)
-    return CheckReport("p-solvable-divisibility", not bad_div and not bad_gap, {
+    return CheckReport(not bad_div and not bad_gap, {
         "p": p,
         "nu_G": nu_G,
         "subgroups_checked": len(nus),
@@ -416,7 +413,7 @@ def sylow_ratio_gap_scan(groups, p: int, bound: Fraction) -> CheckReport:
                 })
     violations.sort(key=lambda v: (-Fraction(v["ratio_num"], v["ratio_den"]),
                                    v["group"], v["subgroup_generators"]))
-    return CheckReport("sylow-ratio-gap-scan", not violations, {
+    return CheckReport(not violations, {
         "p": p,
         "bound": bound,
         "groups_scanned": scanned,

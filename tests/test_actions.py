@@ -247,6 +247,11 @@ class TestFprSubgroup:
         with pytest.raises(NotASubgroup):
             fpr_subgroup(act, PermGroup(4, [perm("(1 2)", 4)]))
 
+    def test_refusal_names_p_and_g(self):
+        act = natural_action(alternating(4))
+        with pytest.raises(NotASubgroup, match="^P is not a subgroup of G$"):
+            fpr_subgroup(act, PermGroup(4, [perm("(1 2)", 4)]))
+
 
 class TestCanonicalPElement:
     @pytest.mark.parametrize("n,p,expected", [

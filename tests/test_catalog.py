@@ -226,6 +226,11 @@ class TestConstruct:
     def test_literal_order_not_predicted(self):
         assert predicted_order(parse_group_expr("[(1 2)]")) is None
 
+    def test_wreath_with_a_literal_is_not_predicted(self):
+        e = parse_group_expr("[(1 2)] wr C3")
+        assert predicted_order(e) is None
+        assert construct(e).order() == 24
+
     def test_d6_equals_s3(self):
         assert set(construct_text("D6").elements()) == set(symmetric(3).elements())
 

@@ -14,7 +14,7 @@ import sylowlab
 from sylowlab import cli, config, sylow
 from sylowlab.cli import main
 from sylowlab.errors import InvalidConfig
-from sylowlab.reports import CheckReport
+from sylowlab.reports import CheckReport, encode_value
 
 from conftest import perm
 
@@ -287,6 +287,16 @@ class TestPlumbing:
         summary = capsys.readouterr().out
         assert "covering-lower-bound" in summary and "ok" in summary
 
+    def test_json_file_summary_of_an_error(self, capsys, tmp_path):
+        rc = main(["compute", "nu", "--group", "A5", "-p", "4",
+                   "--json", str(tmp_path / "report.json")])
+        assert rc == 1
+        assert capsys.readouterr().out == "nu A5: ERROR OutOfDomain: expected a prime, got 4\n"
+
+    def test_unserializable_value(self):
+        with pytest.raises(TypeError):
+            encode_value(object())
+
     def test_json_dash_means_stdout(self, capsys):
         rc, rep = run(capsys, "compute", "nu", "--group", "S3", "-p", "2",
                       "--json", "-")
@@ -466,7 +476,7 @@ class TestRuntime:
         # the handler builds its report only after 60 ms of work
         def slow(options):
             time.sleep(0.06)
-            return CheckReport("covering-lower-bound", True)
+            return CheckReport(True)
 
         monkeypatch.setitem(cli.CHECKS, "covering-lower-bound", slow)
         out = cli._report("check", "covering-lower-bound", {"p": 2})

@@ -374,7 +374,6 @@ class TestLowerBoundCheck:
     def test_holds(self, builder, p):
         rep = sigma_lower_bound_check(builder(), p)
         assert rep.ok
-        assert rep.check == "covering-lower-bound"
         assert rep.details["lower_bound"] == p + 1
 
     def test_attained_flag(self):

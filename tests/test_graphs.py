@@ -583,7 +583,6 @@ class TestTuranBound:
     def test_complete_graph_attains(self):
         rep = turan_bound_check(complete_graph(5))
         assert rep.ok
-        assert rep.check == "clique-edge-bound"
         assert rep.details["attained"]
         assert rep.details["bound"] == Fraction(10)
 
@@ -629,7 +628,6 @@ class TestPrTimesClique:
     def test_frozen_products(self, builder, pi, product):
         rep = pr_times_clique_check(builder(), pi)
         assert rep.ok
-        assert rep.check == "probability-clique-product"
         assert rep.details["product"] == product
 
     @pytest.mark.parametrize(
@@ -677,7 +675,6 @@ class TestSigmaLeClique:
     def test_holds(self, builder, p, sigma, clique):
         rep = sigma_le_clique_check(builder(), p)
         assert rep.ok
-        assert rep.check == "covering-clique-bound"
         assert rep.details["sigma"] == sigma
         assert rep.details["clique_number"] == clique
         assert rep.details["witness_covers"]

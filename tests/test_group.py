@@ -600,6 +600,45 @@ class TestQuotient:
             quotient_group(symmetric(4), PermGroup(4, [perm("(1 2)", 4)]))
 
 
+class TestRefusals:
+    """The refusals of the group layer, each on its smallest input."""
+
+    def test_negative_degree(self):
+        with pytest.raises(ValueError):
+            PermGroup(-1)
+
+    def test_generator_of_another_degree(self):
+        with pytest.raises(DegreeMismatch):
+            PermGroup(4, [perm("(1 2)", 3)])
+
+    def test_subgroup_test_across_degrees(self):
+        with pytest.raises(DegreeMismatch, match="^degrees 3 and 4 differ$"):
+            is_subgroup(PermGroup(3), PermGroup(4))
+
+    def test_normal_closure_of_a_non_member(self):
+        with pytest.raises(NotAMember):
+            normal_closure(alternating(4), [perm("(1 2)", 4)])
+
+    def test_point_stabilizer_outside_the_points(self):
+        G = alternating(4)
+        for point in (0, G.degree + 1):
+            with pytest.raises(ValueError):
+                point_stabilizer(G, point)
+
+    def test_quotient_by_a_non_subgroup(self):
+        with pytest.raises(NotASubgroup, match="^N is not a subgroup of G$"):
+            quotient_group(alternating(4), PermGroup(4, [perm("(1 2)", 4)]))
+
+    def test_projection_of_a_non_member(self):
+        _, project = quotient_group(alternating(4), klein_four())
+        with pytest.raises(NotAMember, match="^element is not in the acting group$"):
+            project(perm("(1 2)", 4))
+
+    def test_normalizer_of_the_trivial_subgroup(self):
+        G = alternating(4)
+        assert normalizer(G, PermGroup(4)) is G
+
+
 class TestPSolvable:
     def test_solvable_groups(self):
         assert is_p_solvable(symmetric(4), 2)

@@ -8,7 +8,9 @@ the package's re-exports.  The modules follow one layer order
 Only the function-level imports in ``LOCAL_IMPORTS`` remain, each one
 kept for the reason given there.  No function takes a ``cap``
 parameter: each size limit is read from ``config`` where a size is
-refused.  And every library name the README cites as ``module.name``
+refused.  ``NotASubgroup`` is raised in ``group.check_subgroup`` alone,
+and no ``CheckReport`` names its check, which only the command line
+writes.  And every library name the README cites as ``module.name``
 or ``Class.attr`` resolves.
 """
 
@@ -178,6 +180,70 @@ def test_a_cap_parameter_is_caught():
               "            return cap\n"
               "        return p\n")
     assert cap_parameters("m", source) == {"m.f", "m.g", "m.C.m", "m.C.m.inner"}
+
+
+def calls_of(callee: str, module: str, source: str) -> list[tuple[str, ast.Call]]:
+    """Each call of the bare name ``callee`` in ``source``, with the
+    function that makes it, as module.function, module.Class.method or
+    module.outer.inner (the module alone at its top level)."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == callee):
+                found.append((where, child))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{where}.{child.name}" if inner else where)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def subgroup_refusals(module: str, source: str) -> set[str]:
+    """Where ``source`` builds a ``NotASubgroup`` error."""
+    return {where for where, _ in calls_of("NotASubgroup", module, source)}
+
+
+def named_reports(module: str, source: str) -> list[int]:
+    """The lines of ``source`` whose ``CheckReport`` call passes a string
+    constant first: a check id, which the command line alone writes."""
+    return [call.lineno for _, call in calls_of("CheckReport", module, source)
+            if call.args and isinstance(call.args[0], ast.Constant)
+            and isinstance(call.args[0].value, str)]
+
+
+def test_one_subgroup_refusal():
+    found = set()
+    for path in SRC.glob("*.py"):
+        found |= subgroup_refusals(path.stem, path.read_text())
+    assert found == {"group.check_subgroup"}
+
+
+def test_a_second_subgroup_refusal_is_caught():
+    source = ("def check_subgroup(H, G):\n"
+              "    raise NotASubgroup('H is not a subgroup of G')\n"
+              "class C:\n"
+              "    def f(self, P):\n"
+              "        if not is_subgroup(P, self.G):\n"
+              "            raise NotASubgroup('P is not a subgroup of G')\n"
+              "ERROR = NotASubgroup\n")
+    assert subgroup_refusals("m", source) == {"m.check_subgroup", "m.C.f"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_report_names_its_check(path):
+    assert named_reports(path.stem, path.read_text()) == []
+
+
+def test_a_named_report_is_caught():
+    source = ("def f(ok):\n"
+              "    return CheckReport('sylow-monotone', ok, {})\n"
+              "def g(ok, name):\n"
+              "    return CheckReport(ok, {'name': name}), CheckReport(name == 'x')\n"
+              "R = CheckReport(\n"
+              "    'clique-edge-bound', True)\n")
+    assert named_reports("m", source) == [2, 5]
 
 
 def library_owners() -> dict:

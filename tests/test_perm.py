@@ -44,6 +44,14 @@ class TestConstruction:
         with pytest.raises(InvalidPermutation):
             Permutation(())
 
+    def test_point_outside_the_degree(self):
+        with pytest.raises(ValueError):
+            Permutation((2, 1))(3)
+
+    def test_order_by_image_table(self):
+        a, b = Permutation((1, 2, 3)), Permutation((2, 1, 3))
+        assert a <= b and a <= a and not b <= a
+
 
 class TestParsing:
     def test_single_cycle(self):
@@ -81,6 +89,11 @@ class TestParsing:
     def test_rejects_zero_point(self):
         with pytest.raises(InvalidPermutation):
             perm("(0 1)", 3)
+
+    @pytest.mark.parametrize("text", ["", "(1 2)x(3 4)"])
+    def test_rejects_empty_or_interrupted_text(self, text):
+        with pytest.raises(InvalidPermutation):
+            Permutation.from_cycles(text)
 
     def test_round_trip(self):
         for text in ["()", "(1 2)", "(1 2 3)(4 5)", "(1 3)(2 6 4)"]:
