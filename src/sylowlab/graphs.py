@@ -142,7 +142,7 @@ def _pi_classes(G: PermGroup, verts):
         cent = [j for j, yt in enumerate(numbering.tables)
                 if x_of((0,) + yt) == itemgetter(*yt)(x_shifted)]
         members = orbit_map(x, range(len(conj)), lambda y, k: conj[k][y],
-                            lambda cent, k: list(map(conj[k].__getitem__, cent)), cent)
+                            lambda cent, k: itemgetter(*cent)(conj[k]), cent)
         for y in members:
             seen[y] = 1
         yield members

@@ -458,8 +458,8 @@ def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
     return span_from_elements(G.degree, found)
 
 
-def is_normal(G: PermGroup, H: PermGroup) -> bool:
-    check_subgroup(H, G)
+def is_normal(G: PermGroup, H: PermGroup, name: str = "H") -> bool:
+    check_subgroup(H, G, name)
     for g in G.generators:
         gi = g.inverse()
         for h in H.generators:
@@ -604,8 +604,7 @@ def quotient_group(G: PermGroup, N: PermGroup
 
     Returns the quotient together with the projection homomorphism.
     """
-    check_subgroup(N, G, "N")
-    if not is_normal(G, N):
+    if not is_normal(G, N, "N"):
         raise NotNormal("N is not normal in G")
     reps, induced = right_cosets(G, N)
     Q = PermGroup(len(reps), [induced(g) for g in G.generators])

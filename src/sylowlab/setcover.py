@@ -8,9 +8,9 @@ picked, the ``best - 1 - chosen`` largest gains ``|mask & rem|`` must
 sum to at least ``|rem|``, and none may be added once that count is 0
 or below.
 
-The bound only prunes subtrees that cannot beat the incumbent, so the
-search visits the improving covers in the same order with or without
-it.  Everything is deterministic, so results never depend on
+The bound, and leaving a tried candidate out of later siblings'
+subtrees, skip only subtrees that cannot beat the incumbent: the cover
+stays.  Everything is deterministic, so results never depend on
 iteration order of the caller.
 """
 
@@ -59,7 +59,7 @@ def min_cover(universe_size: int, masks: list[int]) -> tuple[int, tuple[int, ...
     # branching order: fewest candidates first, ties by bit
     branch_order = sorted(range(universe_size), key=lambda b: (len(by_element[b]), b))
 
-    def search(rem: int, chosen: list[int]) -> None:
+    def search(rem: int, chosen: list[int], banned: list[int]) -> None:
         nonlocal best_size, best_sol
         if not rem:
             if len(chosen) < best_size:
@@ -67,15 +67,18 @@ def min_cover(universe_size: int, masks: list[int]) -> tuple[int, tuple[int, ...
                 best_sol = [keep[i][0] for i in chosen]
             return
         gains = [(m & rem).bit_count() for m in kept_masks]
+        for i in banned:
+            gains[i] = 0
         # a better cover adds at most this many sets; never a negative slice
         room = max(0, best_size - 1 - len(chosen))
         if sum(sorted(gains, reverse=True)[:room]) < rem.bit_count():
             return
         pick = next(b for b in branch_order if rem >> b & 1)
-        cands = sorted(by_element[pick], key=lambda i: (-gains[i], i))
+        cands = sorted((i for i in by_element[pick] if gains[i]), key=lambda i: (-gains[i], i))
         for i in cands:
-            search(rem & ~kept_masks[i], chosen + [i])
+            search(rem & ~kept_masks[i], chosen + [i], banned)
+            banned = banned + [i]
 
-    search(full, [])
+    search(full, [], [])
     return best_size, tuple(sorted(best_sol))
 

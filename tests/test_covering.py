@@ -80,6 +80,9 @@ class TestSigmaFrozen:
             # the routes for 3 and 7 are the tests below
             pytest.param(lambda: catalog_entry("SL(2,8)").build(), 3, 28, id="SL(2,8)-3-28"),
             pytest.param(lambda: catalog_entry("SL(2,8)").build(), 7, 8, id="SL(2,8)-7-8"),
+            # min_cover with and without the exclusion of tried candidates
+            pytest.param(lambda: construct(parse_group_expr("PSL(2,13)")), 3, 13,
+                         id="PSL(2,13)-3-13"),
         ],
     )
     def test_value(self, builder, p, expected):
@@ -253,6 +256,15 @@ class TestMinCoverFrozen:
         lat, universe, maximal = _sigma_instance(build(), p)
         masks = _cover_instance(lat, universe, maximal)
         assert min_cover(len(universe), masks) == expected
+
+    def test_frontier_psl_2_13_at_3(self):
+        # the search without the exclusion returns this cover too, in about 20 s
+        lat, universe, maximal = _sigma_instance(construct(parse_group_expr("PSL(2,13)")), 3)
+        masks = _cover_instance(lat, universe, maximal)
+        start = time.monotonic()
+        assert min_cover(len(universe), masks) == \
+            (13, (77, 260, 261, 262, 263, 264, 265, 266, 267, 268, 269, 270, 271))
+        assert time.monotonic() - start < 10.0
 
 
 class TestMaximalOnlyReductionIsSound:

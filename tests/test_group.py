@@ -599,6 +599,17 @@ class TestQuotient:
         with pytest.raises(NotNormal):
             quotient_group(symmetric(4), PermGroup(4, [perm("(1 2)", 4)]))
 
+    def test_one_subgroup_test_of_n(self, monkeypatch):
+        calls = []
+
+        def counted(H, G):
+            calls.append(H)
+            return is_subgroup(H, G)
+
+        monkeypatch.setattr("sylowlab.group.is_subgroup", counted)
+        quotient_group(symmetric(4), klein_four())
+        assert len(calls) == 1
+
 
 class TestRefusals:
     """The refusals of the group layer, each on its smallest input."""
