@@ -1,18 +1,42 @@
 """Full subgroup lattices for table-capped groups.
 
 The construction walks conjugacy classes of subgroups: each class
-representative H is extended by cyclic subgroups <c> not inside it, and
-each new subgroup registers its entire conjugacy class at once.  Only
-cyclics of prime-power order p^k with c^p in H are adjoined, and the
-sweep stays exhaustive: for a subgroup K and a maximal subgroup H of K
-(registered first, by induction on order), K is generated by its
-elements of prime-power order, so some lie outside H; one of least order
-c has c^p in H, and <H, c> = K.  Conjugating by the element that moves
-K's class onto H's representative keeps both facts.  Cyclic subgroups
-conjugate under the normalizer of H give conjugate extensions, and the
-condition c^p in H is invariant under it, so only the first cyclic
-subgroup of each normalizer orbit is adjoined (``CayleyTable.extend``);
-the others would register nothing.  The normalizer has order
+representative H is extended by cyclic subgroups <c> of prime-power
+order p^k with c^p in H and c outside H, and each new subgroup registers
+its entire conjugacy class at once.  The trivial group, G and the
+solvable residual D = G^(oo) (the last term of the derived series,
+``CayleyTable.solvable_residual``; trivial exactly when G is solvable)
+are registered before the sweep.  Each c takes one of two routes
+(Neubüser's cyclic extension method):
+
+* the normal route, for c in N(H): then |<H, c> : H| = p.  Each such
+  overgroup is generated by H and any of its elements outside H, so a
+  later c inside one found already is skipped;
+* the general route, for c outside N(H), taken only when H and c lie in
+  D and 25 |H| <= |D|.  ``extend`` gives up once the set passes |D| / 5.
+  Cyclic subgroups conjugate under N(H) give conjugate extensions, and
+  every condition above is invariant under N(H) (D is normal), so only
+  the first cyclic subgroup of each N(H)-orbit is adjoined.
+
+The sweep stays exhaustive, by induction on order (each class of order
+below |K| is registered, and so extended, before K is needed):
+
+* a subgroup K that is not perfect has a normal subgroup H of prime
+  index p.  K/H is a p-group, so the p-part of any element of K outside
+  H lies outside H; the least generator c of the cyclic subgroup it
+  generates has c^p in H and normalizes H, and <H, c> = K;
+* a perfect K lies in D.  If K = D it is registered up front.  Otherwise
+  |D : K| >= 5, since a perfect group has no proper subgroup of index
+  below 5 (it would act nontrivially on the cosets, through S_4 at
+  most, which is solvable).  A maximal subgroup M of K is not normal in
+  it (K/M would have prime order), so it is its own normalizer in K, and
+  |K : M| >= 5: then 25 |M| <= |D|.  K is generated by its elements of
+  prime-power order, so some lie outside M; one of least order, c, has
+  c^p in M and lies outside N(M), and <M, c> = K has at most |D| / 5
+  elements, so no bound stops it.
+
+Conjugating by the element that moves K's class onto H's representative
+keeps every one of these facts.  The normalizer has order
 |G| / |class of H|, known once the class is registered, so
 ``CayleyTable.normalizer`` stops as soon as it reaches that order, and
 the orbits are taken under its few generators.
@@ -174,19 +198,37 @@ def subgroup_lattice(G: PermGroup) -> SubgroupLattice:
         heapq.heappush(pending, (len(rep), tuple(sorted(rep)), rep, gens, full // len(members)))
 
     register(frozenset((0,)), ())
+    register(frozenset(range(full)), ctx.gen_idx)
+    residual, residual_gens = ctx.solvable_residual()
+    register(residual, residual_gens)
+    # a proper perfect subgroup has index at least 5 in the residual
+    limit = len(residual) // 5
     while pending:
         size, _, fs, gens, norm_order = heapq.heappop(pending)
         if size == full:
             continue
-        _, ngens = ctx.normalizer(fs, gens, norm_order)
+        norm, ngens = ctx.normalizer(fs, gens, norm_order)
+        # the general route, for fs maximal in a perfect proper subgroup of the residual
+        general = 25 * size <= len(residual) and fs <= residual
+        # the elements of the overgroups of prime index found so far
+        covered = set()
         done = set()
         for k, c, root in prime_power:
-            if k in done or root not in fs or c in fs:
+            if root not in fs or c in fs:
                 continue
-            # <fs, c^h> = <fs, c>^h for h normalizing fs: it is registered together
-            # with <fs, c>, so the rest of c's orbit under N(fs) is skipped
-            done.update(orbit_map(k, ngens, lambda j, h: cyc_of[table[table[inv[h]][cyclics[j][0]]][h]]))
-            register(ctx.extend(fs, gens, c), gens + (c,))
+            if c in norm:
+                # |<fs, c> : fs| = p, and any of its elements outside fs generates it with fs
+                if c not in covered:
+                    over = ctx.extend(fs, gens, c)
+                    covered.update(over)
+                    register(over, gens + (c,))
+            elif general and k not in done and c in residual:
+                # <fs, c^h> = <fs, c>^h for h normalizing fs: it is registered together
+                # with <fs, c>, so the rest of c's orbit under N(fs) is skipped
+                done.update(orbit_map(k, ngens, lambda j, h: cyc_of[table[table[inv[h]][cyclics[j][0]]][h]]))
+                over = ctx.extend(fs, gens, c, limit)
+                if over is not None:
+                    register(over, gens + (c,))
 
     order = sorted(cls_of, key=lambda s: (len(s), sorted(s)))
     # number the classes by first appearance in the sorted order, which is

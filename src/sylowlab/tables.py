@@ -14,9 +14,10 @@ gives element orders, inverses and the cyclic subgroups, and one
 conjugation map per generator conjugates a subgroup with one ``map``.
 Subgroup closures use ``extend`` (Dimino's coset extension), which adds
 whole cosets of a known subgroup at a time, and ``normalizer`` grows
-N(H) to an order known from the size of H's class.  ``sylow_count_in``
-counts the Sylow subgroups of a subgroup as the conjugation orbit of
-one of them, which the subgroup lattice supplies.
+N(H) to an order known from the size of H's class; ``solvable_residual``
+takes normal closures of commutators down the derived series.
+``sylow_count_in`` counts the Sylow subgroups of a subgroup as the
+conjugation orbit of one of them, which the subgroup lattice supplies.
 
 The module also holds the prime helpers ``p_part``, ``is_p_power``,
 ``least_prime`` and ``check_prime``.
@@ -165,7 +166,8 @@ class CayleyTable:
 
     # -- subgroup level ----------------------------------------------------
 
-    def extend(self, sub: frozenset[int], gens, g: int) -> frozenset[int]:
+    def extend(self, sub: frozenset[int], gens, g: int,
+               limit: int | None = None) -> frozenset[int] | None:
         """The subgroup <sub, g>, where ``sub`` is the subgroup <gens>.
 
         Dimino's coset extension: the new group is a union of cosets
@@ -174,10 +176,13 @@ class CayleyTable:
         element costs one lookup in the row of its coset representative.
         Once more than |G| / q elements are found, for q the least prime
         dividing |G|, no proper subgroup holds them, and G is returned.
+        With a ``limit``, that shortcut is off, and None is returned as soon
+        as more than ``limit`` elements are found.
         """
         if g in sub:
             return sub
-        table, proper_max = self.table, self._proper_max
+        table = self.table
+        most, whole = (self._proper_max, self._whole) if limit is None else (limit, None)
         els = set(sub)
         # the coset e*sub, picked from row e; key 0 keeps it a tuple for trivial sub
         coset = itemgetter(0, *sub)
@@ -188,10 +193,33 @@ class CayleyTable:
                 e = row[r]
                 if e not in els:
                     els.update(coset(table[e]))
-                    if len(els) > proper_max:
-                        return self._whole
+                    if len(els) > most:
+                        return whole
                     reps.append(e)
         return frozenset(els)
+
+    def solvable_residual(self) -> tuple[frozenset[int], tuple[int, ...]]:
+        """The last term of G's derived series, as (element set, generators);
+        the trivial subgroup exactly when G is solvable.
+
+        The derived subgroup of H = <gens> is the normal closure in H of the
+        commutators of its generators: each generator added to the closure
+        has its conjugates under ``gens`` queued.  The series stops at the
+        first term equal to the one before it.
+        """
+        table, inv = self.table, self.inv
+        sub, gens = self._whole, self.gen_idx
+        while True:
+            der, dgens = frozenset((0,)), ()
+            queue = [table[inv[a]][self.conj(a, b)] for a in gens for b in gens]
+            for x in queue:
+                if x not in der:
+                    der = self.extend(der, dgens, x)
+                    dgens += (x,)
+                    queue.extend(self.conj(x, g) for g in gens)
+            if len(der) == len(sub):
+                return sub, gens
+            sub, gens = der, dgens
 
     def subgroup_class(self, sub: frozenset[int]) -> list[tuple[frozenset[int], int]]:
         """Conjugacy class of a subgroup, as (conjugate, conjugating element) pairs."""

@@ -8,6 +8,7 @@ generators its reports print.
 """
 
 import hashlib
+import time
 
 import pytest
 
@@ -26,6 +27,7 @@ from sylowlab import config
 from sylowlab.catalog import catalog_upto, construct_text
 from sylowlab.errors import CapExceeded
 from sylowlab.lattice import subgroup_lattice
+from sylowlab.tables import CayleyTable, get_table
 
 
 def maximal_overgroups(lat, i):
@@ -68,6 +70,19 @@ class TestCounts:
     ])
     def test_total(self, make, count):
         assert len(subgroup_lattice(make())) == count
+
+    @pytest.mark.parametrize("n,classes", [(3, 4), (4, 11), (5, 19), (6, 56)])
+    def test_symmetric_class_counts(self, n, classes):
+        # OEIS A000638: conjugacy classes of subgroups of S_n
+        assert len(subgroup_lattice(symmetric(n)).classes()) == classes
+
+    def test_symmetric_7_class_count(self, monkeypatch):
+        monkeypatch.setattr(config, "override", 5040)
+        start = time.monotonic()
+        lat = subgroup_lattice(symmetric(7))
+        assert len(lat.classes()) == 96
+        assert len(lat) == 11300
+        assert time.monotonic() - start < 30.0
 
     def test_alternating_5_classes_and_maximals(self):
         lat = subgroup_lattice(alternating(5))
@@ -211,6 +226,15 @@ FROZEN_STRUCTURE = {
     "PSL(2,11)": "126ab0593dcb7b5245cac7327c1957ddf3497d6f4fe34cc2ecff64805fb677f3",
     "C2 wr C2 wr C2": "d813e4330955ac6d966d88703cd1dd36ed68b5da5c0522fcd720e66b2b4172dd",
     "S4 x S3": "3b60eb4b5a9d0cbb32ea7a6424f4776bc796c91d6d145cbb50b0a2f88c416fd5",
+    # frozen from the sweep that extended each class representative by one
+    # cyclic subgroup per orbit of its normalizer: each group below is
+    # perfect or has a proper nontrivial solvable residual
+    "PSL(2,13)": "8772c1fc14d9381db2d606b0c8e6c8c85c789854de18e08ef0ad099bd2ff3791",
+    "A5 x C3": "18de884dcc31a9c97178abb09e78487c10a05ccbd90b8e72db4fbf2cbe01c26e",
+    "A5 x S3": "c5db83a7565b2fd1903f4c7e90558c5e55583717bd101aa41599f6c622aeb0ef",
+    "S5 x C2": "d1142cb0679059ed5835d11ff401bc0ab0edce6df292c3031e8bc56c0c0a0a3c",
+    "SL(2,5) x C2": "baca0b28e855c6906eba5f953a242e7d91623f39f156eb5586ae08c173e4719d",
+    "PSL(2,7) x C2": "eb546eb1593fd3e41d6d15deb89727d26ee5c9bf004d283c858b04e8c789d935",
 }
 
 # sha256 of repr(the cycle strings of generators_of(i), for every index i)
@@ -327,3 +351,35 @@ class TestNormalizers:
             assert len(norm) * len(members) == ctx.n
             closure = brute_closure(G.degree, [ctx.elements[g] for g in ngens])
             assert frozenset(ctx.index[x] for x in closure) == norm
+
+
+class TestRoutes:
+    """Extensions by a cyclic subgroup outside the normalizer (the general
+    route, the only one that passes ``extend`` a limit) run only inside a
+    nontrivial solvable residual."""
+
+    @staticmethod
+    def bounded_calls(monkeypatch) -> list[int]:
+        calls = []
+        extend = CayleyTable.extend
+
+        def counting(self, sub, gens, g, limit=None):
+            if limit is not None:
+                calls.append(limit)
+            return extend(self, sub, gens, g, limit)
+
+        monkeypatch.setattr(CayleyTable, "extend", counting)
+        return calls
+
+    @pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
+    def test_no_general_route_without_a_residual(self, entry, monkeypatch):
+        G = entry.build()
+        calls = self.bounded_calls(monkeypatch)
+        subgroup_lattice(G)
+        if len(get_table(G).solvable_residual()[0]) == 1:
+            assert calls == []
+
+    def test_general_route_runs_on_alternating_5(self, monkeypatch):
+        calls = self.bounded_calls(monkeypatch)
+        subgroup_lattice(alternating(5))
+        assert calls and set(calls) == {60 // 5}

@@ -82,6 +82,58 @@ def test_extend_matches_brute_closure(make, seed):
         assert ctx.extend(sub, gens, g) == frozenset(ctx.index[x] for x in expect)
 
 
+def test_extend_with_a_limit_stops_past_it():
+    ctx = CayleyTable(alternating(5))
+    sub = ctx.extend(frozenset((0,)), (), 1)
+    whole = frozenset(range(ctx.n))
+    g = next(x for x in range(ctx.n) if ctx.extend(sub, (1,), x) == whole)
+    assert ctx.extend(sub, (1,), g, 59) is None
+    assert ctx.extend(sub, (1,), g, 60) == whole
+    assert ctx.extend(sub, (1,), 1, 0) is sub
+
+
+# the catalog groups up to order 2000 that are not solvable
+NON_SOLVABLE = {"A5", "SL(2,4)", "PSL(2,5)", "SL(2,5)", "S5", "PSL(2,7)", "A6", "SL(2,8)"}
+
+
+def derived_series_end(G: PermGroup) -> set:
+    """The last term of G's derived series by raw closures.  The derived
+    subgroup of H = <S> is generated by the commutators [x, s], x in H and s
+    in S: they generate a normal subgroup, since [x, s]^y = [xy, s][y, s]^-1,
+    and modulo it S is central, so the quotient is abelian."""
+    term, gens = brute_closure(G.degree, G.generators), set(G.generators)
+    while True:
+        gens = {x.inverse() * s.inverse() * x * s for x in term for s in gens}
+        derived = brute_closure(G.degree, gens)
+        if len(derived) == len(term):
+            return term
+        term = derived
+
+
+@pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
+def test_solvable_residual_is_the_last_derived_term(entry):
+    G = entry.build()
+    ctx = CayleyTable(G)
+    D, gens = ctx.solvable_residual()
+    expect = derived_series_end(G)
+    assert D == frozenset(ctx.index[x] for x in expect)
+    assert brute_closure(G.degree, [ctx.elements[i] for i in gens]) == expect
+    assert (len(D) > 1) == (entry.label in NON_SOLVABLE)
+
+
+def test_solvable_residual_of_symmetric_5_is_alternating_5():
+    ctx = CayleyTable(symmetric(5))
+    D, _ = ctx.solvable_residual()
+    assert D == frozenset(i for i, x in enumerate(ctx.elements) if x.is_even())
+    assert len(D) == 60
+
+
+@pytest.mark.parametrize("label", ["A5", "SL(2,5)", "PSL(2,7)", "A6", "SL(2,8)", "PSL(2,11)"])
+def test_solvable_residual_of_a_perfect_group_is_the_group(label):
+    ctx = CayleyTable(construct(parse_group_expr(label)))
+    assert ctx.solvable_residual()[0] == frozenset(range(ctx.n))
+
+
 def test_extend_by_member_returns_the_subgroup():
     ctx = CayleyTable(symmetric(4))
     sub = ctx.extend(frozenset((0,)), (), 1)
