@@ -10,11 +10,10 @@ its known order |G| / (orbit length)), walked in image-table order
 Z = Omega_1(Z(P)), the central elements of P of order p with 1, is
 characteristic in P, so N_G(P) <= N_G(Z): where Z < P, N_G(Z) is built
 first, from Z's orbit under G, once per tower for each Z the tower meets,
-and P's orbit is walked under N_G(Z) only (``_normalizer_chain``).  For
-nu_2(A9) the tower so meets 3,731 conjugates, where a walk of every step
-under G meets 12,790.  The adjoined y normalizes P, so <P, y> is the
-union of the cosets P y^i (``_coset_closure``), and each step's subgroup
-carries its sorted element list, so no step builds a chain for P itself.
+and P's orbit is walked under N_G(Z) only (``_normalizer_chain``).  The
+adjoined y normalizes P, so <P, y> is the union of the cosets P y^i
+(``_coset_closure``), and each step's subgroup carries its sorted
+element list, so no step builds a chain for P itself.
 
 G acts on Syl_p(G) by conjugation, transitively, so nu(G, p) is the
 length of one Sylow subgroup's conjugation orbit.  A conjugate P^g is
@@ -27,24 +26,24 @@ Omega_1(Z(P)) or of the count, numbers its key elements in one
 uses that subgroup's own.  A numbering is closed under conjugation
 before the orbit is walked: each numbered element is conjugated once by
 each generator, into one list per generator, and a key is mapped through
-such a list.  G's numbering thus holds a few conjugacy classes of p-elements, not the
-union of the Sylow subgroups.  Each conjugate keeps only its
-Schreier-tree record, (parent, generator) (``group.schreier_tree``); its
-transversal element is its parent's times one generator, memoised by
-``group.transversal``, and is built only for the Schreier generators
-the tower consumes, and for the callers that need a conjugate's
-elements.
-``nu_p``, ``sylow_subgroups``, the three Sylow-number checks here
-(monotonicity, the quotient product and the ratio bound) and
-``actions.nu_fpr_identity_check`` read every count off such orbits, and
-each grows one Sylow subgroup from P = 1.
+such a list.  G's numbering thus holds a few conjugacy classes of
+p-elements, not the union of the Sylow subgroups.  Each conjugate keeps
+only its Schreier-tree record, (parent, generator); its transversal
+element, memoised by ``group.transversal``, is built only for the
+Schreier generators the tower consumes and for the callers that need a
+conjugate's elements.
+A count alone goes through point stabilizers first (``_nu``): for a
+point a that P fixes and G moves, G_a holds P, so each Sylow subgroup
+of G fixes |Fix_P n a^G| points of a^G and each G_b, b in a^G, holds
+nu(G_a) of them; so nu(G) |Fix_P n a^G| = |a^G| nu(G_a), and the orbit
+is walked only in the last stabilizer, where P fixes no moved point.
+``nu_p`` and the quotient product and ratio bound checks count so, as
+the monotonicity check does for nu(H); its nu(G), whose conjugates it
+reads, ``sylow_subgroups`` and ``actions.nu_fpr_identity_check``, which
+checks that identity, walk the orbit.  Each grows one Sylow subgroup.
 The lattice-based checks count on the Cayley table instead, once per
 conjugacy class of subgroups, each class representative's Sylow
 subgroup read off the lattice itself (``SubgroupLattice.sylow_counts``).
-The test suite checks the counts against the normalizer index and
-against the subgroups of full p-power order in the subgroup lattice, and
-the tower against the same rule applied to the sorted element indices
-of a Cayley table.
 """
 
 from __future__ import annotations
@@ -64,6 +63,7 @@ from .group import (
     _Chain,
     check_subgroup,
     normal_closure,
+    point_stabilizer,
     quotient_group,
     schreier_tree,
     stabilizer,
@@ -188,16 +188,9 @@ def _orbit(G: PermGroup, P: PermGroup):
     """The orbit of P under conjugation by G, as a Schreier tree
     (``group.schreier_tree``), with the action on its keys.
 
-    Each conjugate P^g is keyed by its key elements (``_key``), the
-    conjugates of P's.  Each element met gets a number in G's one
-    numbering (``_numbering``), which every orbit under G shares.
-    Closing it after the key elements of P are numbered conjugates each
-    element of their conjugacy classes in G once by each generator of G;
-    so after a Sylow request G's numbering holds the classes of the key
-    elements of the tower's orbits under G (of a step P_i, or of its
-    Omega_1(Z(P_i))) and of the Sylow subgroup, not the union of the
-    Sylow subgroups.  A conjugate's key is its sorted numbers, each
-    mapped through one generator's conjugation list.
+    Each conjugate P^g is keyed by the numbers, in G's one numbering
+    (``_numbering``), of its key elements (``_key``), the conjugates of
+    P's, each mapped through one generator's conjugation list.
 
     Returns the tree and the action ``act(key, k)``, the pair that
     ``group.stabilizer`` takes for N_G(P).
@@ -224,24 +217,38 @@ def _conjugates(G: PermGroup, P: PermGroup, p: int | None = None) -> list:
     return list(seen.values())
 
 
+def _nu(G: PermGroup, P: PermGroup, p: int) -> int:
+    """nu(G, p) for a Sylow p-subgroup P of G: nu(G_a, p) |a^G| /
+    |Fix_P n a^G|, for a the least point that P fixes on the shortest
+    G-orbit longer than 1 that holds one, else P's conjugation orbit's
+    length."""
+    fixed = set(range(1, G.degree + 1)).intersection(*(g.fixed_points() for g in P.generators))
+    orbits = [o for o in G.orbits() if len(o) > 1 and not fixed.isdisjoint(o)]
+    if not orbits:
+        return len(_conjugates(G, P, p))
+    a_G = min(orbits, key=len)
+    fix = fixed & a_G
+    nu, rest = divmod(_nu(point_stabilizer(G, min(fix)), P, p) * len(a_G), len(fix))
+    assert rest == 0 and nu % p == 1, "Sylow count must be 1 mod p"
+    return nu
+
+
 def nu_p(G: PermGroup, p: int) -> int:
-    """Number of Sylow p-subgroups of G: the length of one Sylow
-    subgroup's conjugation orbit."""
+    """Number of Sylow p-subgroups of G (``_nu``)."""
     check_prime(p)
     if G.order() % p:
         return 1
-    return len(_conjugates(G, sylow_subgroup(G, p), p))
+    return _nu(G, sylow_subgroup(G, p), p)
 
 
 def sylow_subgroups(G: PermGroup, p: int) -> tuple[frozenset, ...]:
     """Element sets of all Sylow p-subgroups, sorted.
 
-    They form the conjugation orbit of one Sylow subgroup, the same orbit
-    ``nu_p`` counts.  Raises CapExceeded when the Sylow subgroups together
-    hold more elements, nu * |P|, than the element cap allows.  The orbit
-    is walked first, with no limit: it has at most |G| members, and the
-    tower has admitted G under the element cap.  So a refusal costs the
-    same orbit walk as ``nu_p``.
+    They form the conjugation orbit of one Sylow subgroup, walked in
+    full, first and with no limit: it has at most |G| members, and the
+    tower has admitted G under the element cap.  Then raises CapExceeded
+    when the Sylow subgroups together hold more elements, nu * |P|, than
+    the element cap allows.
     """
     check_prime(p)
     P = sylow_subgroup(G, p)
@@ -263,8 +270,8 @@ def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int) -> CheckReport:
     Equality holds exactly when (1) each Sylow p-subgroup of H lies in a
     unique Sylow p-subgroup of G, and (2) G = H * N_G(P).  Q in Syl_p(H)
     and P in Syl_p(G) containing Q are grown once each; the G-orbit of P
-    gives nu(G, p) and the Sylow subgroups of G containing Q, the H-orbit
-    of Q gives nu(H, p), and (2) holds exactly when H is transitive on
+    gives nu(G, p) and the Sylow subgroups of G containing Q, ``_nu``
+    counts nu(H, p) on Q, and (2) holds exactly when H is transitive on
     Syl_p(G), that is when the H-orbit of P has nu(G, p) members.
     """
     check_subgroup(H, G)
@@ -272,7 +279,7 @@ def nu_monotonicity_check(G: PermGroup, H: PermGroup, p: int) -> CheckReport:
     P = sylow_subgroup_containing(G, Q, p)
     sylows = _conjugates(G, P, p)
     nu_G = len(sylows)
-    nu_H = len(_conjugates(H, Q, p))
+    nu_H = _nu(H, Q, p)
     p_set = frozenset(P.elements())
 
     def holds_Q(u):
@@ -301,14 +308,14 @@ def nu_quotient_identity_check(G: PermGroup, N: PermGroup, p: int) -> CheckRepor
     """Verify nu(G, p) = nu(G/N, p) * nu(PN, p) for normal N.
 
     One Sylow p-subgroup P of G is grown.  Its image PN/N is Sylow in
-    G/N, so nu(G/N, p) is the length of that image's conjugation orbit.
+    G/N, so ``_nu`` counts nu(G/N, p) on that image.
     """
     Q, project = quotient_group(G, N)
     P = sylow_subgroup(G, p)
     PN = PermGroup(G.degree, P.generators + N.generators)
-    nu_G = len(_conjugates(G, P, p))
-    nu_Q = len(_conjugates(Q, PermGroup(Q.degree, map(project, P.generators)), p))
-    nu_PN = len(_conjugates(PN, P, p))
+    nu_G = _nu(G, P, p)
+    nu_Q = _nu(Q, PermGroup(Q.degree, map(project, P.generators)), p)
+    nu_PN = _nu(PN, P, p)
     return CheckReport(nu_G == nu_Q * nu_PN, {
         "p": p,
         "nu_G": nu_G,
@@ -340,8 +347,8 @@ def sylow_ratio_bound_check(G: PermGroup, H: PermGroup, p: int,
     P = sylow_subgroup(H, p)
     if normal_closure(G, P.generators).order() != G.order():
         raise PreconditionFailed("G must be generated by its p-elements")
-    nu_G = len(_conjugates(G, P, p))
-    nu_H = len(_conjugates(H, P, p))
+    nu_G = _nu(G, P, p)
+    nu_H = _nu(H, P, p)
     main_bound = nu_H * (2 * p - 1) <= nu_G * (p - 1)
     strict_bound = nu_H * (p + 1) <= nu_G if exclusions_clear else None
     return CheckReport(main_bound and (strict_bound is not False), {

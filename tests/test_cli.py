@@ -66,6 +66,30 @@ class TestVerify:
                       "--group", "S3", "--sub", "C3", "-p", "3")
         assert rc == 0 and rep["ok"]
 
+    def test_walked_counts_do_not_use_the_fixed_point_count(self, capsys, monkeypatch):
+        # sylow-fpr-identity checks the identity that sylow._nu counts by,
+        # so it must walk both orbits; so must sylow-monotone for nu_G,
+        # whose conjugates it reads (its nu_H may use the count)
+        original = sylow._nu
+
+        def refuse_on(order):
+            def count(G, P, p):
+                if order is None or G.order() == order:
+                    raise AssertionError("counted by sylow._nu")
+                return original(G, P, p)
+            return count
+
+        monkeypatch.setattr(sylow, "_nu", refuse_on(None))
+        rc, rep = run(capsys, "verify", "sylow-fpr-identity", "--group", "A6",
+                      "--sub", "[(1 2 3 4 5),(1 2)(3 4)]", "-p", "5")
+        assert rc == 0 and rep["ok"]
+        assert (rep["details"]["nu_G"], rep["details"]["nu_H"]) == (36, 6)
+        monkeypatch.setattr(sylow, "_nu", refuse_on(20160))
+        rc, rep = run(capsys, "verify", "sylow-monotone", "--group", "A8",
+                      "--sub", "A7", "-p", "3")
+        assert rc == 0 and "error" not in rep
+        assert (rep["details"]["nu_G"], rep["details"]["nu_H"]) == (280, 70)
+
     def test_quotient_product_with_literal_normal_subgroup(self, capsys):
         rc, rep = run(capsys, "verify", "sylow-quotient-product",
                       "--group", "S4",

@@ -9,8 +9,10 @@ Only the function-level imports in ``LOCAL_IMPORTS`` remain, each one
 kept for the reason given there.  No function takes a ``cap``
 parameter: each size limit is read from ``config`` where a size is
 refused.  ``NotASubgroup`` is raised in ``group.check_subgroup`` alone,
-and no ``CheckReport`` names its check, which only the command line
-writes.  And every library name the README cites as ``module.name``
+no ``CheckReport`` names its check, which only the command line
+writes, and ``actions.nu_fpr_identity_check`` walks both Sylow orbits
+instead of counting by ``sylow._nu``, which rests on the identity it
+checks.  And every library name the README cites as ``module.name``
 or ``Class.attr`` resolves.
 """
 
@@ -182,22 +184,28 @@ def test_a_cap_parameter_is_caught():
     assert cap_parameters("m", source) == {"m.f", "m.g", "m.C.m", "m.C.m.inner"}
 
 
-def calls_of(callee: str, module: str, source: str) -> list[tuple[str, ast.Call]]:
-    """Each call of the bare name ``callee`` in ``source``, with the
-    function that makes it, as module.function, module.Class.method or
+def nodes_of(match, module: str, source: str) -> list[tuple[str, ast.AST]]:
+    """Each node of ``source`` that ``match`` accepts, with the function
+    that holds it, as module.function, module.Class.method or
     module.outer.inner (the module alone at its top level)."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id == callee):
+            if match(child):
                 found.append((where, child))
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, f"{where}.{child.name}" if inner else where)
 
     visit(ast.parse(source), module)
     return found
+
+
+def calls_of(callee: str, module: str, source: str) -> list[tuple[str, ast.Call]]:
+    """Each call of the bare name ``callee`` in ``source``, with the
+    function that makes it."""
+    return nodes_of(lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == callee, module, source)
 
 
 def subgroup_refusals(module: str, source: str) -> set[str]:
@@ -229,6 +237,35 @@ def test_a_second_subgroup_refusal_is_caught():
               "            raise NotASubgroup('P is not a subgroup of G')\n"
               "ERROR = NotASubgroup\n")
     assert subgroup_refusals("m", source) == {"m.check_subgroup", "m.C.f"}
+
+
+def readers(name: str, module: str, source: str) -> set[str]:
+    """The functions of ``source`` that read ``name``, as a bare name or
+    as an attribute."""
+    return {where for where, _ in nodes_of(
+        lambda node: getattr(node, "id", None) == name
+        or isinstance(node, ast.Attribute) and node.attr == name, module, source)}
+
+
+def test_fpr_identity_walks_both_orbits():
+    # the check of nu_p(H)/nu_p(G) = fpr_P(G/H) must not count by
+    # sylow._nu, which counts by that same identity on point stabilizers
+    source = (SRC / "actions.py").read_text()
+    assert "actions.nu_fpr_identity_check" in readers("_conjugates", "actions", source)
+    assert "actions.nu_fpr_identity_check" not in readers("_nu", "actions", source)
+
+
+def test_a_fixed_point_count_is_caught():
+    source = ("def nu_fpr_identity_check(G, H, p):\n"
+              "    P = sylow_subgroup(H, p)\n"
+              "    return _nu(H, P, p), len(_conjugates(G, P, p))\n"
+              "def f(G, P, p):\n"
+              "    return sylow._nu(G, P, p)\n"
+              "def g(G, P, p):\n"
+              "    count = _nu\n"
+              "    return count(G, P, p), _nus\n")
+    assert readers("_nu", "m", source) == {"m.nu_fpr_identity_check", "m.f", "m.g"}
+    assert readers("_conjugates", "m", source) == {"m.nu_fpr_identity_check"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

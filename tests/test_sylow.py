@@ -1,6 +1,7 @@
 """Sylow subgroup and Sylow count tests.
 
-nu_p is the length of one Sylow subgroup's conjugation orbit; the
+nu_p is counted through point stabilizers down to one Sylow subgroup's
+conjugation orbit, and checked against the whole orbit; the other
 oracles are the normalizer index |G : N_G(P)| from ``group.normalizer``'s
 brute scan and the subgroups of full p-power order in the subgroup
 lattice, so the derivations are independent.  The Sylow subgroup the
@@ -12,6 +13,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -288,7 +290,7 @@ class TestNu:
     def test_numbering_holds_the_classes_of_the_key_elements(self, label, p, numbered,
                                                            monkeypatch):
         """The orbits under G, of the tower's steps or of their
-        Omega_1(Z(P_i)) and of the final count, share G's one numbering,
+        Omega_1(Z(P_i)) and of the Sylow subgroup, share G's one numbering,
         which holds exactly the conjugacy classes of their key elements:
         for A8, the 210 + 105 involutions at p = 2 and the 112 + 1120
         elements of order 3 at p = 3; for A9 at p = 2, the 378 + 945
@@ -304,7 +306,7 @@ class TestNu:
 
         monkeypatch.setattr(sylow, "_orbit", recording)
         G = construct_text(label)
-        nu_p(G, p)
+        _conjugates(G, sylow_subgroup(G, p), p)
         classes = set()
         for P in steps:
             for x in sylow_key_by_closure(P):
@@ -375,6 +377,56 @@ class TestConjugationKey:
         assert set(key) == sylow_key_by_closure(P)
         assert max(x.order() for x in key) >= p * p
         assert len(_conjugates(G, P, p)) == len(conjugates_by_sets(G, P))
+
+
+# every catalog group up to order 2000 and nine larger or intransitive
+# ones; C1200, regular on 1200 points, stands for the large degrees (C3000
+# takes about 7 s to build and grow its three Sylow subgroups)
+FIXED_POINT_LABELS = [e.label for e in catalog_upto(2000)] + [
+    "S8", "A9", "PSL(2,13)", "PSL(2,16)", "S7", "A5 x A5", "C1200",
+    "C2 wr C2 wr C2", "S4 x S3"]
+
+
+class TestFixedPointCount:
+    """``_nu``, the count by point stabilizers, against the walk of P's
+    conjugation orbit under G (``_conjugates``), and each of its steps
+    against the identity nu(G) * |Fix_P n a^G| = |a^G| * nu(G_a) with
+    both counts walked."""
+
+    def test_count_and_every_step_match_orbit_walks(self, monkeypatch):
+        steps = []
+        stabilize = sylow.point_stabilizer
+
+        def recording(G, a):
+            G_a = stabilize(G, a)
+            steps.append((G, a, G_a))
+            return G_a
+
+        monkeypatch.setattr(sylow, "point_stabilizer", recording)
+        catalog = {e.label for e in catalog_upto(2000)}
+        spent = 0.0
+        pairs = stepped = 0
+        for label in FIXED_POINT_LABELS:
+            G = catalog_entry(label).build() if label in catalog else construct_text(label)
+            for p in prime_factors(G.order()):
+                P = sylow_subgroup(G, p)
+                steps.clear()
+                start = time.monotonic()
+                nu = sylow._nu(G, P, p)
+                spent += time.monotonic() - start
+                assert nu == len(_conjugates(G, P, p)), (label, p)
+                for H, a, H_a in steps:
+                    orbit = H.orbit(a)
+                    fixed = [b for b in orbit if all(g(b) == b for g in P.generators)]
+                    assert a in fixed and len(orbit) > 1
+                    assert all(g in H_a for g in P.generators)
+                    assert (len(_conjugates(H, P, p)) * len(fixed)
+                            == len(orbit) * len(_conjugates(H_a, P, p))), (label, p, a)
+                pairs += 1
+                stepped += bool(steps)
+        # in the other 58, P fixes no point that G moves
+        assert (pairs, stepped) == (99, 41)
+        assert spent < 10.0
 
 
 class TestLatticeSylowCounts:
