@@ -29,6 +29,7 @@ from .errors import (
     PreconditionFailed,
     SylowNotContained,
 )
+from .gf import check_prime, is_p_power, p_part
 from .group import (
     PermGroup,
     check_subgroup,
@@ -39,7 +40,6 @@ from .group import (
 from .perm import Permutation
 from .reports import CheckReport
 from .sylow import _conjugates, sylow_subgroup
-from .tables import check_prime, is_p_power, p_part
 
 
 def _digits(n: int, p: int) -> list[int]:

@@ -23,6 +23,7 @@ from .actions import (coset_action, min_fpr_p_element, natural_action,
 from .catalog import CATALOG_BY_LABEL, construct_text, parse_generators
 from .covering import sigma_lower_bound_check, sigma_p_cover
 from .errors import ExprSyntaxError, InvalidConfig
+from .gf import check_prime
 from .graphs import (
     BitGraph,
     max_noncommuting_set,
@@ -43,7 +44,6 @@ from .sylow import (
     sylow_ratio_bound_check,
     sylow_ratio_gap_scan,
 )
-from .tables import check_prime
 
 
 def load_generator_file(path: str) -> PermGroup:

@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 
 from .errors import ClassNotCoverable, PreconditionFailed
+from .gf import check_prime, is_p_power, least_prime
 from .group import PermGroup, conjugacy_class
 from .lattice import subgroup_lattice
 from .perm import Permutation
 from .reports import CheckReport
 from .setcover import min_cover
-from .tables import check_prime, is_p_power, least_prime
 
 
 def _cover_instance(lat, universe_idx: list[int], candidate_indices):

@@ -69,7 +69,7 @@ class OutOfDomain(SylowlabError, ValueError):
     """The parameters lie outside the operation's domain.
 
     Raised when a closed-form formula does not apply, and for a prime
-    argument that is not a prime (``tables.check_prime``; ``p_part`` and
+    argument that is not a prime (``gf.check_prime``; ``p_part`` and
     ``is_p_power`` only refuse p < 2).
     """
 
@@ -83,7 +83,7 @@ class ClassNotCoverable(SylowlabError):
 
 
 class UnsupportedField(SylowlabError, ValueError):
-    """Requested finite field size is outside the supported table."""
+    """Requested GF(q) with q not a prime power from 2 to 32."""
 
 
 class UnsupportedDegree(SylowlabError, ValueError):

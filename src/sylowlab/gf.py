@@ -1,28 +1,85 @@
-"""Arithmetic in small finite fields GF(q).
+"""Prime and finite-field arithmetic.
 
-Elements are integers 0..q-1. For q = p^k the integer encodes the
-coefficient vector of a polynomial over GF(p) in base p, least
-significant coefficient first, reduced modulo a fixed irreducible
-modulus. The moduli are pinned so that element encodings are stable
-across runs and machines.
+``p_part``, ``is_p_power``, ``least_prime`` and ``check_prime``, the
+exact primality test of every entry point that takes a prime; and GF(q)
+for every prime power q up to 32.  A field element is an integer
+0..q-1: for q = p^k, the coefficients of a polynomial over GF(p) in
+base p, least significant first, reduced modulo the least monic
+irreducible polynomial of degree k, least by the same encoding (t for a
+prime q), so encodings are stable across runs and machines.
 """
 
 from __future__ import annotations
 
-from .errors import UnsupportedField
+from .errors import OutOfDomain, UnsupportedField
 
-# modulus polynomials, coefficient list ascending, leading term included
-_MODULI = {
-    4: (2, (1, 1, 1)),          # t^2 + t + 1
-    8: (2, (1, 1, 0, 1)),       # t^3 + t + 1
-    9: (3, (1, 0, 1)),          # t^2 + 1
-    16: (2, (1, 1, 0, 0, 1)),   # t^4 + t + 1
-    32: (2, (1, 0, 1, 0, 0, 1)),  # t^5 + t^2 + 1
-}
 
-_PRIMES = (2, 3, 5, 7, 11, 13)
+def p_part(n: int, p: int) -> int:
+    """Largest power of p dividing n; p < 2 is refused."""
+    if p < 2:
+        raise OutOfDomain(f"p must be at least 2, got {p}")
+    out = 1
+    while n % p == 0:
+        n //= p
+        out *= p
+    return out
 
-SUPPORTED_SIZES = tuple(sorted(_PRIMES + tuple(_MODULI)))
+
+def is_p_power(n: int, p: int) -> bool:
+    return p_part(n, p) == n
+
+
+def least_prime(n: int) -> int:
+    """The least prime dividing n >= 1, or 1 for n = 1."""
+    return next((d for d in range(2, n + 1) if n % d == 0), 1)
+
+
+# Miller-Rabin with the primes up to 41 as bases decides primality exactly
+# below this bound (Sorenson and Webster, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_prime(p: int) -> None:
+    """Raise OutOfDomain unless p is a prime.
+
+    Library entry points that take a prime call this once, up front;
+    ``p_part`` and ``is_p_power`` run once per element and only refuse
+    p < 2.  The test is exact and takes a bounded time.  A p at or above
+    ``_MR_EXACT_BELOW`` is refused: a prime dividing the order of a
+    permutation group is at most its degree, far below that bound.
+    """
+    if p >= _MR_EXACT_BELOW:
+        raise OutOfDomain(f"expected a prime below {_MR_EXACT_BELOW}, got {p}")
+    if not _is_prime(p):
+        raise OutOfDomain(f"expected a prime, got {p}")
+
+
+# SL(2,q) and Borel(2,q) act on q^2 - 1 points and no degree limit exists
+# yet, so no matrix group goes past SL(2,32) on 1023 points
+_MAX_Q = 32
 
 
 class SmallField:
@@ -31,27 +88,19 @@ class SmallField:
     __slots__ = ("q", "p", "k", "modulus", "_add", "_mul", "_inv", "_gen")
 
     def __init__(self, q: int):
-        if q in _PRIMES:
-            p, mod = q, (0, 1)
-            k = 1
-        elif q in _MODULI:
-            p, coeffs = _MODULI[q]
-            mod = coeffs
-            k = len(coeffs) - 1
-        else:
-            raise UnsupportedField(f"GF({q}) is not in the field table")
-        self.q = q
-        self.p = p
-        self.k = k
-        self.modulus = tuple(mod)
+        # the range first: least_prime is trial division
+        if not 2 <= q <= _MAX_Q or not is_p_power(q, least_prime(q)):
+            raise UnsupportedField(f"GF({q}): q must be a prime power from 2 to {_MAX_Q}")
+        self.q, self.p, self.k = q, least_prime(q), 1
+        while self.p ** self.k < q:
+            self.k += 1
         self._add = [[self._poly_add(a, b) for b in range(q)] for a in range(q)]
-        self._mul = [[self._poly_mul(a, b) for b in range(q)] for a in range(q)]
-        self._inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
+        for low in range(q):  # t^k plus the polynomial that low encodes, least first
+            self.modulus = (*self._digits(low), 1)
+            self._mul = [[self._poly_mul(a, b) for b in range(q)] for a in range(q)]
+            self._inv = [0] + [row.index(1) for row in self._mul[1:] if 1 in row]
+            if len(self._inv) == q:  # every nonzero element is invertible
+                break
         self._gen = self._find_generator()
 
     # ---- encoding helpers -------------------------------------------------

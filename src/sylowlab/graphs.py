@@ -33,10 +33,10 @@ from . import config
 from .cliques import max_clique
 from .covering import sigma_p
 from .errors import ExprSyntaxError, OutOfDomain, PreconditionFailed
+from .gf import check_prime, p_part
 from .group import Numbering, PermGroup, element_orders, orbit_map
 from .perm import Permutation
 from .reports import CheckReport
-from .tables import check_prime, p_part
 
 
 class BitGraph:

@@ -31,6 +31,7 @@ from .errors import (
     NotASubgroup,
     NotNormal,
 )
+from .gf import check_prime
 from .perm import Permutation, compose
 
 
@@ -495,9 +496,9 @@ def p_residual(G: PermGroup, p: int) -> PermGroup:
     ``sylow_ratio_bound_check`` takes the normal closure of the Sylow
     subgroup it holds already.
     """
-    from . import sylow, tables  # local import: both build on this module
+    from . import sylow  # local import: sylow builds on this module
 
-    tables.check_prime(p)
+    check_prime(p)
     if G.order() % p:
         return PermGroup(G.degree)
 

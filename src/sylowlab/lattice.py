@@ -56,9 +56,10 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 
+from .gf import check_prime, is_p_power, least_prime, p_part
 from .group import PermGroup, orbit_map
 from .perm import Permutation
-from .tables import CayleyTable, check_prime, get_table, is_p_power, least_prime, p_part
+from .tables import CayleyTable, get_table
 
 
 class SubgroupLattice:

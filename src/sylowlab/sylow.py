@@ -57,6 +57,7 @@ from .errors import (
     PreconditionFailed,
     SylowNotContained,
 )
+from .gf import check_prime, is_p_power, p_part
 from .group import (
     Numbering,
     PermGroup,
@@ -72,7 +73,6 @@ from .group import (
 from .lattice import is_p_solvable, subgroup_lattice
 from .perm import Permutation
 from .reports import CheckReport
-from .tables import check_prime, is_p_power, p_part
 
 
 def sylow_subgroup(G: PermGroup, p: int) -> PermGroup:

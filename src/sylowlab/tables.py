@@ -18,9 +18,6 @@ N(H) to an order known from the size of H's class; ``solvable_residual``
 takes normal closures of commutators down the derived series.
 ``sylow_count_in`` counts the Sylow subgroups of a subgroup as the
 conjugation orbit of one of them, which the subgroup lattice supplies.
-
-The module also holds the prime helpers ``p_part``, ``is_p_power``,
-``least_prime`` and ``check_prime``.
 """
 
 from __future__ import annotations
@@ -30,72 +27,9 @@ from math import gcd
 from operator import itemgetter
 
 from . import config
-from .errors import OutOfDomain
+from .gf import least_prime
 from .group import PermGroup, orbit_map
 from .perm import compose
-
-
-def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n; p < 2 is refused."""
-    if p < 2:
-        raise OutOfDomain(f"p must be at least 2, got {p}")
-    out = 1
-    while n % p == 0:
-        n //= p
-        out *= p
-    return out
-
-
-def is_p_power(n: int, p: int) -> bool:
-    return p_part(n, p) == n
-
-
-def least_prime(n: int) -> int:
-    """The least prime dividing n >= 1, or 1 for n = 1."""
-    return next((d for d in range(2, n + 1) if n % d == 0), 1)
-
-
-# Miller-Rabin with the primes up to 41 as bases decides primality exactly
-# below this bound (Sorenson and Webster, 2017)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def check_prime(p: int) -> None:
-    """Raise OutOfDomain unless p is a prime.
-
-    Library entry points that take a prime call this once, up front;
-    ``p_part`` and ``is_p_power`` run once per element and only refuse
-    p < 2.  The test is exact and takes a bounded time.  A p at or above
-    ``_MR_EXACT_BELOW`` is refused: a prime dividing the order of a
-    permutation group is at most its degree, far below that bound.
-    """
-    if p >= _MR_EXACT_BELOW:
-        raise OutOfDomain(f"expected a prime below {_MR_EXACT_BELOW}, got {p}")
-    if not _is_prime(p):
-        raise OutOfDomain(f"expected a prime, got {p}")
 
 
 class CayleyTable:

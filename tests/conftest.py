@@ -15,7 +15,7 @@ import pytest
 from sylowlab.errors import NoPElement, NotAMember
 from sylowlab.perm import Permutation
 from sylowlab.group import PermGroup, span_from_elements
-from sylowlab.tables import is_p_power, p_part
+from sylowlab.gf import is_p_power, p_part
 
 
 def perm(cycles, degree):

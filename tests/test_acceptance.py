@@ -20,9 +20,11 @@ from sylowlab import (
     canonical_p_element,
     catalog_entry,
     catalog_upto,
+    construct_text,
     fpr_element,
     is_normal,
     is_subgroup,
+    min_fpr_p_element,
     n_pi,
     natural_action,
     noncommuting_graph,
@@ -47,17 +49,16 @@ from sylowlab.errors import (
     OutOfDomain,
     PreconditionFailed,
 )
+from sylowlab.gf import p_part
 from sylowlab.setcover import min_cover
-from sylowlab.tables import p_part
 
 from conftest import min_cover_exhaustive, order_of
 from test_graphs import bron_kerbosch_max, complete_graph, random_graph
 
-_PRIMES = (2, 3, 5, 7, 11, 13)
-
-
 def prime_divisors(n):
-    return [p for p in _PRIMES if n % p == 0]
+    """The primes dividing n >= 1, by trial division."""
+    return [p for p in range(2, n + 1)
+            if n % p == 0 and all(p % d for d in range(2, int(p ** 0.5) + 1))]
 
 
 class TestSharpSylowRatio:
@@ -146,6 +147,51 @@ class TestMersennePair:
         # this group at p = 7 and the refined bound is never asserted here
         assert Fraction(8, 36) > Fraction(1, 7 + 1)
         assert not catalog_entry("SL(2,8)").exclusions_clear(7)
+
+
+class TestDicksonCounts:
+    """PSL(2,q) on the q+1 projective points, over fields that the
+    modulus rule adds, against Dickson's subgroup list (Huppert,
+    Endliche Gruppen I, II.8.27): with d = gcd(2, q-1), a Sylow
+    r-subgroup is normalized by a Borel subgroup at the characteristic,
+    by a dihedral group of order 2(q-1)/d or 2(q+1)/d for odd r dividing
+    (q-1)/d or (q+1)/d, and at r = 2 it is self-normalizing for q = +-1
+    mod 8 and has normalizer A4 for q = +-3 mod 8.  The least fixed
+    point ratio is that of a unipotent element (1 point), a split torus
+    element (2 points) or a non-split one (none)."""
+
+    QS = (17, 19, 23, 25, 27, 29, 31)
+
+    @staticmethod
+    def dickson_nu(q, r):
+        d = math.gcd(2, q - 1)
+        order = q * (q * q - 1) // d
+        if q % r == 0:
+            return q + 1
+        if r == 2:
+            return order // p_part(order, 2) if q % 8 in (1, 7) else order // 12
+        return q * (q + 1) // 2 if (q - 1) // d % r == 0 else q * (q - 1) // 2
+
+    def test_sylow_numbers_and_least_ratios(self):
+        start = time.monotonic()
+        checked = 0
+        for q in self.QS:
+            G = construct_text(f"PSL(2,{q})")
+            d = math.gcd(2, q - 1)
+            assert G.order() == q * (q * q - 1) // d
+            action = natural_action(G)
+            for r in prime_divisors(G.order()):
+                assert nu_p(G, r) == self.dickson_nu(q, r), (q, r)
+                if q % r == 0:
+                    want = Fraction(1, q + 1)
+                elif (q - 1) // d % r == 0:
+                    want = Fraction(2, q + 1)
+                else:
+                    want = Fraction(0)
+                assert min_fpr_p_element(action, r)[1] == want, (q, r)
+                checked += 1
+        assert checked == 28
+        assert time.monotonic() - start < 10.0
 
 
 class TestCharacteristicTwoPair:

@@ -33,6 +33,7 @@ from sylowlab.errors import (
 from sylowlab.group import is_subgroup
 
 from conftest import alternating, dihedral, symmetric
+from test_gf import FIELD_SIZES
 
 
 # the grammar's tokens and characters, whitespace, and two that no token takes
@@ -198,6 +199,10 @@ class TestConstruct:
             ("PSL(2,9)", 10, 360),
             ("Borel(2,4)", 15, 12),
             ("Borel(2,8)", 63, 56),
+            ("SL(2,17)", 288, 4896),
+            ("SL(2,25)", 624, 15600),
+            ("Borel(2,25)", 624, 600),
+            ("Borel(2,27)", 728, 702),
             ("C3 wr C3", 9, 81),
             ("C2 wr C2", 4, 8),
             ("S3 x C2", 5, 12),
@@ -211,6 +216,12 @@ class TestConstruct:
         G = construct_text(text)
         assert G.degree == degree
         assert G.order() == order
+
+    @pytest.mark.parametrize("q", FIELD_SIZES)
+    def test_psl2_over_every_field(self, q):
+        G = construct_text(f"PSL(2,{q})")
+        assert G.degree == q + 1
+        assert G.order() == q * (q * q - 1) // math.gcd(2, q - 1)
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_alternating_orders(self, n):
@@ -284,7 +295,7 @@ class TestConstruct:
         e = parse_group_expr(text)
         assert predicted_order(e, predicted_order(e)) == predicted_order(e)
 
-    @pytest.mark.parametrize("text", ["SL(2,6)", "PSL(2,64)", "Borel(2,10)"])
+    @pytest.mark.parametrize("text", ["SL(2,6)", "PSL(2,64)", "Borel(2,10)", "SL(2,37)", "Borel(2,49)"])
     def test_unsupported_field(self, text):
         with pytest.raises(UnsupportedField):
             construct_text(text)

@@ -292,6 +292,22 @@ class TestCompute:
         rc, rep = run(capsys, "compute", "nu", "--group", f"@{f}", "-p", "2")
         assert rc == 0 and rep["group"]["order"] == 1 and rep["value"] == 1
 
+    def test_field_past_the_bound_is_refused(self, capsys):
+        rc = main(["compute", "nu", "--group", "SL(2,37)", "-p", "2"])
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)
+        assert rc == 1 and not rep["ok"]
+        assert rep["error"] == {"type": "UnsupportedField",
+                                "message": "GF(37): q must be a prime power from 2 to 32"}
+        assert "Traceback" not in captured.err
+
+    def test_field_found_by_the_modulus_rule(self, capsys):
+        # GF(17) was outside the table of pinned fields
+        rc, rep = run(capsys, "compute", "nu", "--group", "PSL(2,17)", "-p", "17")
+        assert rc == 0
+        assert rep["group"]["order"] == 2448
+        assert rep["value"] == 18
+
     def test_generator_file_with_commas(self, capsys, tmp_path):
         f = tmp_path / "gens.txt"
         f.write_text("(1,2,3,4,5)\n(1,2,3)\n")

@@ -23,12 +23,12 @@ from sylowlab.covering import (
     sigma_p_cover,
 )
 from sylowlab.errors import ClassNotCoverable, PreconditionFailed
+from sylowlab.gf import is_p_power
 from sylowlab.graphs import pi_elements
 from sylowlab.group import PermGroup, conjugacy_class, p_residual, quotient_group
 from sylowlab.lattice import subgroup_lattice
 from sylowlab.setcover import min_cover
 from sylowlab.sylow import nu_p
-from sylowlab.tables import is_p_power
 
 from conftest import alternating, cyclic, dihedral, klein_four, perm, symmetric
 

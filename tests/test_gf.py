@@ -3,7 +3,16 @@
 import pytest
 
 from sylowlab.errors import UnsupportedField
-from sylowlab.gf import SUPPORTED_SIZES, SmallField, field
+from sylowlab.gf import SmallField, field
+
+
+def is_prime(n):
+    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+PRIMES = [n for n in range(2, 33) if is_prime(n)]
+# every prime power up to 32, by trial division
+FIELD_SIZES = sorted(p ** k for p in PRIMES for k in range(1, 6) if p ** k <= 32)
 
 
 def neg(F, a):
@@ -28,7 +37,7 @@ def frobenius(F, a):
     return power(F, a, F.p)
 
 
-@pytest.mark.parametrize("q", SUPPORTED_SIZES)
+@pytest.mark.parametrize("q", FIELD_SIZES)
 class TestFieldAxioms:
     def test_additive_group(self, q):
         F = field(q)
@@ -119,8 +128,56 @@ class TestFrozenTables:
                 assert F.mul(a, b) == (a * b) % 7
 
 
+class TestModulusRule:
+    """The modulus is the least monic irreducible polynomial of degree k,
+    least by the base-p encoding; it gives back the moduli that were
+    pinned by hand before the rule, so their encodings stay the same."""
+
+    @pytest.mark.parametrize("q, modulus", [
+        (4, (1, 1, 1)),            # t^2 + t + 1
+        (8, (1, 1, 0, 1)),         # t^3 + t + 1
+        (9, (1, 0, 1)),            # t^2 + 1
+        (16, (1, 1, 0, 0, 1)),     # t^4 + t + 1
+        (32, (1, 0, 1, 0, 0, 1)),  # t^5 + t^2 + 1
+    ])
+    def test_pinned_moduli(self, q, modulus):
+        assert SmallField(q).modulus == modulus
+
+    @pytest.mark.parametrize("q", PRIMES)
+    def test_prime_field_modulus_is_t(self, q):
+        assert SmallField(q).modulus == (0, 1)
+
+    @pytest.mark.parametrize("q", [q for q in FIELD_SIZES if not is_prime(q)])
+    def test_every_smaller_monic_polynomial_is_reducible(self, q):
+        F = SmallField(q)
+        p, k = F.p, F.k
+        assert p ** k == q and F.modulus[-1] == 1 and len(F.modulus) == k + 1
+        assert not has_factor(list(F.modulus), p)
+        for low in range(F._encode(F.modulus[:k])):
+            digits = [(low // p ** i) % p for i in range(k)]
+            assert has_factor(digits + [1], p), (q, digits)
+
+
+def has_factor(f, p):
+    """Whether the monic f over GF(p), coefficients ascending, has a monic
+    factor of degree 1 to deg f // 2, by long division."""
+    n = len(f) - 1
+    for d in range(1, n // 2 + 1):
+        for low in range(p ** d):
+            g = [(low // p ** i) % p for i in range(d)] + [1]
+            r = list(f)
+            for i in range(n, d - 1, -1):
+                c = r[i]
+                for j in range(d + 1):
+                    r[i - d + j] = (r[i - d + j] - c * g[j]) % p
+            if not any(r[:d]):
+                return True
+    return False
+
+
 class TestErrors:
-    @pytest.mark.parametrize("q", [0, 1, 6, 10, 12, 15, 27, 64])
+    # 10**18 + 3 is a prime: the range is checked before any trial division
+    @pytest.mark.parametrize("q", [0, 1, 6, 10, 12, 15, 37, 49, 64, 10**18 + 3])
     def test_unsupported_sizes(self, q):
         with pytest.raises(UnsupportedField):
             SmallField(q)

@@ -39,9 +39,9 @@ LAYERS = ("errors", "config", "perm", "gf", "reports", "setcover", "cliques",
 
 # the function-level imports left, as module.function, with the reason
 LOCAL_IMPORTS = {
-    "group.p_residual": "sylow and tables import group; no library route "
-                        "calls p_residual, but the tests use it as an "
-                        "oracle and the bench tracer's targets name it in group",
+    "group.p_residual": "sylow imports group; no library route calls "
+                        "p_residual, but the tests use it as an oracle "
+                        "and the bench tracer's targets name it in group",
 }
 
 

@@ -57,6 +57,7 @@ from sylowlab.errors import (
     PreconditionFailed,
     SylowNotContained,
 )
+from sylowlab.gf import p_part
 from sylowlab.graphs import pi_elements
 from sylowlab.group import PermGroup, conjugacy_class, is_subgroup, normalizer, p_residual
 from sylowlab.lattice import subgroup_lattice
@@ -74,7 +75,7 @@ from sylowlab.sylow import (
     sylow_subgroup_containing,
     sylow_subgroups,
 )
-from sylowlab.tables import CayleyTable, p_part
+from sylowlab.tables import CayleyTable
 
 
 def alt5_point_subgroup():

@@ -15,7 +15,8 @@ from sylowlab.catalog import catalog_upto, construct, parse_group_expr
 from sylowlab.errors import OutOfDomain
 from sylowlab.group import PermGroup
 from sylowlab.sylow import nu_p, sylow_subgroup
-from sylowlab.tables import CayleyTable, check_prime, get_table, is_p_power, least_prime, p_part
+from sylowlab.gf import check_prime, is_p_power, least_prime, p_part
+from sylowlab.tables import CayleyTable, get_table
 
 
 @pytest.mark.parametrize("entry", catalog_upto(2000), ids=lambda e: e.label)
